@@ -30,6 +30,8 @@ ABS_FLOOR = 1e-12
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 42
 DEFAULT_GRID = (0.0, 1.0, 0.01)
+MAX_GRID_POINTS = 100_001
+MIN_SAMPLES = 2
 
 
 class UsageError(Exception):
@@ -62,20 +64,32 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
 
 def _grid_points(grid: tuple[float, float, float]) -> np.ndarray:
     lo, hi, step = grid
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    count = math.floor((hi - lo) / step + 1e-9) + 1
+    if count > MAX_GRID_POINTS:
+        raise UsageError(f"grid has {count} points, at most {MAX_GRID_POINTS} are allowed")
     return lo + step * np.arange(count)
 
 
-def _row(name: str, value: float, *, stderr=None, expected=None, tolerance=None, samples=None) -> dict:
-    row: dict = {"name": name, "value": float(value)}
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
+
+
+def _row(name: str, value, *, stderr=None, expected=None, tolerance=None, samples=None) -> dict:
+    """One result row; it is checked when a tolerance is given.
+
+    A checked row whose value or expected value is None (something that
+    should have been found was not) carries null there and fails.
+    """
+    row: dict = {"name": name, "value": _optional_float(value)}
     if stderr is not None:
         row["stderr"] = float(stderr)
     if samples is not None:
         row["samples"] = int(samples)
-    if expected is not None:
-        row["expected"] = float(expected)
+    if tolerance is not None:
+        row["expected"] = _optional_float(expected)
         row["tolerance"] = float(tolerance)
-        row["pass"] = bool(abs(row["value"] - row["expected"]) <= row["tolerance"])
+        value, expected = row["value"], row["expected"]
+        row["pass"] = value is not None and expected is not None and abs(value - expected) <= row["tolerance"]
     return row
 
 
@@ -113,27 +127,19 @@ def _scan_rows(cfg: RunConfig) -> list[dict]:
     setting = bellcheck.violation_setting()
     grid = _grid_points(cfg.grid if cfg.grid else DEFAULT_GRID)
     scan = bellcheck.threshold_scan(setting, grid)
-    rows = [
+    root = scan.closed_form_root
+    above = grid[grid > root] if root is not None else grid[:0]
+    # a scan that finds no violation, or a grid that stops below the root,
+    # leaves a null in the row and fails it
+    return [
+        _row("threshold_closed_form_root", root, expected=2**-0.5, tolerance=ANALYTIC_TOL),
         _row(
-            "threshold_closed_form_root",
-            scan.closed_form_root,
-            expected=2**-0.5,
+            "threshold_first_grid_violation",
+            scan.first_violation,
+            expected=above[0] if above.size else None,
             tolerance=ANALYTIC_TOL,
-        )
+        ),
     ]
-    if scan.closed_form_root is not None:
-        above = grid[grid > scan.closed_form_root]
-        expected_first = float(above[0]) if above.size else None
-        if scan.first_violation is not None and expected_first is not None:
-            rows.append(
-                _row(
-                    "threshold_first_grid_violation",
-                    scan.first_violation,
-                    expected=expected_first,
-                    tolerance=ANALYTIC_TOL,
-                )
-            )
-    return rows
 
 
 def cmd_scan(cfg: RunConfig) -> dict:
@@ -313,13 +319,17 @@ def _emit_json(report: dict) -> str:
 
 def _emit_csv(report: dict) -> str:
     lines = ["name,value,stderr,expected,tolerance,pass"]
+
+    def cell(row: dict, key: str) -> str:
+        return "" if row.get(key) is None else repr(row[key])
+
     for row in report["results"]:
         cells = [
             row["name"],
-            repr(row["value"]),
-            repr(row["stderr"]) if "stderr" in row else "",
-            repr(row["expected"]) if "expected" in row else "",
-            repr(row["tolerance"]) if "tolerance" in row else "",
+            cell(row, "value"),
+            cell(row, "stderr"),
+            cell(row, "expected"),
+            cell(row, "tolerance"),
             "true" if row.get("pass") else ("false" if "pass" in row else ""),
         ]
         lines.append(",".join(cells))
@@ -358,8 +368,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.samples < 1:
-            raise UsageError("samples must be >= 1")
+        if args.samples < MIN_SAMPLES:
+            raise UsageError(f"samples must be >= {MIN_SAMPLES}, a standard error needs two")
         cfg = RunConfig(
             command=args.command,
             alpha=args.alpha,

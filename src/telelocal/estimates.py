@@ -17,25 +17,39 @@ class MonteCarloEstimate:
 
 
 class StreamingMoments:
-    """Accumulates first and second moments over chunks of samples.
+    """Accumulates per-cell mean and sum of squared deviations over chunks.
 
     ``add`` takes arrays of shape (chunk, *cell_shape); the estimate is per
-    cell. With fewer than two samples the standard error is reported as inf.
+    cell. Each chunk's (count, mean, M2) is merged into the running totals
+    with the pairwise update of Chan, Golub & LeVeque (1979), which avoids
+    the cancellation of raw sums of squares. With fewer than two samples
+    the standard error is reported as inf.
     """
 
     def __init__(self, cell_shape: tuple[int, ...] = ()):
         self.cell_shape = cell_shape
-        self._sum = np.zeros(cell_shape)
-        self._sumsq = np.zeros(cell_shape)
+        self._mean = np.zeros(cell_shape)
+        self._m2 = np.zeros(cell_shape)
         self._count = 0
 
     def add(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=float)
         if values.shape[1:] != self.cell_shape:
             raise ValueError(f"chunk cells of shape {values.shape[1:]}, expected {self.cell_shape}")
-        self._sum += values.sum(axis=0)
-        self._sumsq += np.square(values).sum(axis=0)
-        self._count += values.shape[0]
+        n = values.shape[0]
+        if n == 0:
+            return
+        mean = values.mean(axis=0)
+        deviations = values - mean
+        m2 = np.einsum("i...,i...->...", deviations, deviations)
+        # free the chunk-sized temporary before the small merge results are
+        # allocated; held longer, it measurably raised peak memory
+        del deviations
+        total = self._count + n
+        delta = mean - self._mean
+        self._mean = self._mean + delta * (n / total)
+        self._m2 = self._m2 + m2 + np.square(delta) * (self._count * n / total)
+        self._count = total
 
     @property
     def count(self) -> int:
@@ -44,14 +58,12 @@ class StreamingMoments:
     def mean(self) -> np.ndarray:
         if self._count == 0:
             raise ValueError("no samples accumulated")
-        return self._sum / self._count
+        return self._mean.copy()
 
     def stderr(self) -> np.ndarray:
         if self._count < 2:
             return np.full(self.cell_shape, np.inf)
-        mean = self.mean()
-        var = (self._sumsq - self._count * np.square(mean)) / (self._count - 1)
-        return np.sqrt(np.clip(var, 0.0, None) / self._count)
+        return np.sqrt(self._m2 / (self._count - 1) / self._count)
 
     def scalar_estimate(self) -> MonteCarloEstimate:
         if self.cell_shape != ():

@@ -1,12 +1,14 @@
 """Tests for the telelocal command line interface and report formats."""
 
+import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from telelocal import cli
+from telelocal import bellcheck, cli
 
 
 def _run(argv, capsys):
@@ -98,7 +100,54 @@ def test_usage_errors_exit_2(capsys):
     assert cli.main(["lhv", "--alpha", "0.9"]) == 2
     assert cli.main(["teleport", "--alpha", "1.5"]) == 2
     assert cli.main(["teleport", "--samples", "0"]) == 2
+    assert cli.main(["teleport", "--samples", "1"]) == 2
+    assert cli.main(["scan", "--grid", "0:1:1e-12"]) == 2
     capsys.readouterr()
+
+
+def test_oversized_grid_is_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(cli.UsageError):
+            cli._grid_points((0.0, 1.0, 1e-12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert cli._grid_points((0.0, 1.0, 1e-5)).size == cli.MAX_GRID_POINTS
+
+
+def _scan_with(monkeypatch, **changes):
+    real = bellcheck.threshold_scan
+    monkeypatch.setattr(
+        bellcheck, "threshold_scan", lambda setting, grid: dataclasses.replace(real(setting, grid), **changes)
+    )
+
+
+def test_scan_without_a_violation_emits_a_failing_row(monkeypatch, capsys):
+    _scan_with(monkeypatch, first_violation=None)
+    code, out = _run(["scan"], capsys)
+    assert code == 1
+    rows = {row["name"]: row for row in json.loads(out)["results"]}
+    assert rows["threshold_closed_form_root"]["pass"] is True
+    row = rows["threshold_first_grid_violation"]
+    assert row["value"] is None and row["expected"] == pytest.approx(0.71) and row["pass"] is False
+
+
+def test_scan_without_a_closed_form_root_fails_instead_of_raising(monkeypatch, capsys):
+    _scan_with(monkeypatch, closed_form_root=None)
+    code, out = _run(["scan"], capsys)
+    assert code == 1
+    rows = {row["name"]: row for row in json.loads(out)["results"]}
+    assert rows["threshold_closed_form_root"]["value"] is None
+    assert rows["threshold_first_grid_violation"]["expected"] is None
+    assert not any(row["pass"] for row in rows.values())
+    code, out = _run(["scan", "--format", "csv"], capsys)
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "threshold_closed_form_root,,,0.7071067811865476,1e-09,false",
+        "threshold_first_grid_violation,0.71,,,1e-09,false",
+    ]
 
 
 def test_unknown_command_exits_2():

@@ -48,6 +48,27 @@ def test_degenerate_counts():
     acc.add(np.array([1.0]))
     assert np.isinf(acc.stderr())
     acc.add(np.array([1.0]))
-    # constant data: variance clips to zero instead of going negative
+    # constant data: every deviation is zero, so the variance is exactly zero
     assert acc.stderr() == 0.0
     assert acc.mean() == 1.0
+
+
+def test_moments_survive_a_large_offset():
+    # raw sums of squares cancel catastrophically here; merged deviations do not
+    rng = np.random.default_rng(9)
+    data = 1e8 + rng.standard_normal(3000) * 1e-3
+    acc = StreamingMoments()
+    for chunk in np.array_split(data, 7):
+        acc.add(chunk)
+    npt.assert_allclose(acc.mean(), data.mean(), rtol=1e-15)
+    npt.assert_allclose(acc.stderr(), data.std(ddof=1) / np.sqrt(data.size), rtol=1e-6)
+
+
+def test_empty_chunk_changes_nothing():
+    acc = StreamingMoments((2,))
+    acc.add(np.zeros((0, 2)))
+    assert acc.count == 0
+    acc.add(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    acc.add(np.zeros((0, 2)))
+    npt.assert_allclose(acc.mean(), [2.0, 3.0])
+    npt.assert_allclose(acc.stderr(), [1.0, 1.0])

@@ -172,11 +172,76 @@ def test_average_fidelity_on_a_generic_pair_stays_in_range():
     assert est.stderr > 0.0
 
 
-def test_average_fidelity_reproducible_and_chunk_invariant():
-    rho = qcore.werner_alpha(0.3)
-    a = teleport.average_fidelity(rho, samples=1500, seed=9)
-    b = teleport.average_fidelity(rho, samples=1500, seed=9)
-    assert a == b
+def _singlet_fraction_fidelity(rho) -> float:
+    # (2F + 1)/3 with F = <psi-|rho|psi->, Horodecki, Horodecki & Horodecki 1999
+    return (2 * qcore.fidelity(qcore.bell_basis()[0], rho) + 1) / 3
+
+
+def test_bloch_forms_match_the_three_qubit_route():
+    rng = np.random.default_rng(RNG_SEED + 6)
+    for _ in range(20):
+        rho = qcore.random_density(rng, 4)
+        forms = teleport._bloch_forms(rho)
+        kets = qcore.haar_kets(rng, 20)
+        rows = teleport._bloch_rows(kets)
+        for chi, row in zip(kets, rows):
+            npt.assert_allclose(row, [1.0, *qcore.ket_to_bloch(chi)], atol=1e-12)
+            probs = teleport.bell_measurement_probabilities(chi, rho)
+            for k in range(4):
+                assert abs(2 * row @ forms[k][:, 0] - probs[k]) <= 1e-12
+                if probs[k] <= 1e-12:
+                    continue
+                u = teleport.correction_unitary(k)
+                corrected = u @ teleport.bob_conditional_state(chi, rho, k) @ u.conj().T
+                assert abs(row @ forms[k] @ row - probs[k] * qcore.fidelity(chi, corrected)) <= 1e-12
+
+
+def test_average_fidelity_replays_the_three_qubit_protocol():
+    # the estimator's stream in one chunk: all Haar kets, then one uniform draw per sample
+    rho = qcore.random_density(np.random.default_rng(RNG_SEED + 9), 4)
+    rng = np.random.default_rng(5)
+    kets = qcore.haar_kets(rng, 300)
+    draws = rng.random(300)
+    fids = []
+    for chi, draw in zip(kets, draws):
+        probs = teleport.bell_measurement_probabilities(chi, rho)
+        k = min(int((draw > np.cumsum(probs)).sum()), 3)
+        u = teleport.correction_unitary(k)
+        fids.append(qcore.fidelity(chi, u @ teleport.bob_conditional_state(chi, rho, k) @ u.conj().T))
+    est = teleport.average_fidelity(rho, samples=300, seed=5)
+    assert abs(est.value - np.mean(fids)) <= 1e-12
+    assert abs(est.stderr - np.std(fids, ddof=1) / np.sqrt(300)) <= 1e-12
+
+
+def test_average_fidelity_on_generic_pairs_matches_the_closed_form():
+    rng = np.random.default_rng(RNG_SEED + 7)
+    for seed in range(4):
+        rho = qcore.random_density(rng, 4)
+        est = teleport.average_fidelity(rho, samples=200_000, seed=seed)
+        assert est.stderr > 0.0
+        assert abs(est.value - _singlet_fraction_fidelity(rho)) <= 4 * est.stderr
+
+
+def test_average_fidelity_has_no_spurious_variance_on_the_threshold_pair():
+    est = teleport.average_fidelity(qcore.werner_alpha(2**-0.5), samples=2000, seed=11)
+    assert est.stderr < 1e-15
+
+
+def test_average_fidelity_reproducible_and_chunk_invariant(monkeypatch):
+    rho = qcore.random_density(np.random.default_rng(RNG_SEED + 8), 4)
+    expected = _singlet_fraction_fidelity(rho)
+    haar_kets = qcore.haar_kets
+    chunk_rows = []
+    monkeypatch.setattr(qcore, "haar_kets", lambda rng, n: chunk_rows.append(n) or haar_kets(rng, n))
+    for chunk, rows in ((teleport._CHUNK, [1500]), (400, [400, 400, 400, 300])):
+        monkeypatch.setattr(teleport, "_CHUNK", chunk)
+        chunk_rows.clear()
+        a = teleport.average_fidelity(rho, samples=1500, seed=9)
+        assert chunk_rows == rows
+        b = teleport.average_fidelity(rho, samples=1500, seed=9)
+        assert a == b
+        assert a.samples == 1500 and a.stderr > 0.0
+        assert abs(a.value - expected) <= 4 * a.stderr
 
 
 def test_average_fidelity_validates_inputs():
