@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .estimates import MonteCarloEstimate, StreamingMoments
+from .estimates import MonteCarloEstimate, run_chunks
 
 _CHUNK = 250_000
 
@@ -80,20 +80,13 @@ def gisin_scheme_fidelity(
     samples: int, seed: int, tetrahedron: Tetrahedron | None = None
 ) -> MonteCarloEstimate:
     """Monte Carlo average fidelity of the tetrahedron scheme over uniform m."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     tet = tetrahedron_vertices() if tetrahedron is None else tetrahedron
-    rng = np.random.default_rng(seed)
-    moments = StreamingMoments()
-    remaining = samples
-    while remaining > 0:
-        n = min(remaining, _CHUNK)
-        ms = qcore.random_bloch_vectors(rng, n)
-        dots = ms @ tet.vertices.T
-        best = dots[np.arange(n), np.argmax(dots, axis=1)]
-        moments.add((1.0 + best) / 2)
-        remaining -= n
-    return moments.scalar_estimate()
+
+    def chunk(rng, n):
+        dots = qcore.random_bloch_vectors(rng, n) @ tet.vertices.T
+        return (1.0 + dots[np.arange(n), np.argmax(dots, axis=1)]) / 2
+
+    return run_chunks(chunk, samples, seed, _CHUNK).scalar_estimate()
 
 
 def gisin_fidelity_analytic() -> float:
@@ -110,14 +103,8 @@ def z_scheme_expected_fidelity(m_z: float) -> float:
 
 def z_scheme_fidelity(samples: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo average of the z scheme over uniform m; converges to 2/3."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    moments = StreamingMoments()
-    remaining = samples
-    while remaining > 0:
-        n = min(remaining, _CHUNK)
-        ms = qcore.random_bloch_vectors(rng, n)
-        moments.add((1.0 + np.square(ms[:, 2])) / 2)
-        remaining -= n
-    return moments.scalar_estimate()
+
+    def chunk(rng, n):
+        return (1.0 + np.square(qcore.random_bloch_vectors(rng, n)[:, 2])) / 2
+
+    return run_chunks(chunk, samples, seed, _CHUNK).scalar_estimate()

@@ -340,25 +340,33 @@ def _all_pass(report: dict) -> bool:
     return all(row["pass"] for row in report["results"] if "pass" in row)
 
 
+_FLAGS = {
+    "alpha": {"type": float, "help": "singlet fraction"},
+    "samples": {"type": int, "help": "Monte Carlo samples"},
+    "seed": {"type": int, "help": "random seed"},
+    "grid": {"type": str, "help": "alpha grid LO:HI:STEP"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="telelocal",
         description="Teleportation statistics, Bell-type tests, and local hidden variable baselines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("reproduce", "run every headline check"),
-        ("scan", "scan the CH value over the singlet fraction"),
-        ("lhv", "hidden variable simulation of the teleportation test"),
-        ("hardy", "verify the exact four-state toy protocol"),
-        ("gisin", "classical measure-and-prepare baselines"),
-        ("teleport", "Monte Carlo average teleportation fidelity"),
+    for name, flags, help_text in (
+        ("reproduce", ("samples", "seed", "grid"), "run every headline check"),
+        ("scan", ("grid",), "scan the CH value over the singlet fraction"),
+        ("lhv", ("alpha", "samples", "seed"), "hidden variable simulation of the teleportation test"),
+        ("hardy", (), "verify the exact four-state toy protocol"),
+        ("gisin", ("samples", "seed"), "classical measure-and-prepare baselines"),
+        ("teleport", ("alpha", "samples", "seed"), "Monte Carlo average teleportation fidelity"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--alpha", type=float, default=None, help="singlet fraction")
-        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="Monte Carlo samples")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
-        p.add_argument("--grid", type=str, default=None, help="alpha grid LO:HI:STEP")
+        # flags a command does not take keep their defaults for the config echo
+        p.set_defaults(alpha=None, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, grid=None)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
         p.add_argument("--out", type=str, default=None, help="write the report to this path")
     return parser

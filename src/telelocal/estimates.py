@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,3 +70,27 @@ class StreamingMoments:
         if self.cell_shape != ():
             raise ValueError("scalar_estimate requires scalar cells")
         return MonteCarloEstimate(float(self.mean()), float(self.stderr()), self._count)
+
+
+def run_chunks(
+    sample_chunk: Callable[[np.random.Generator, int], np.ndarray],
+    samples: int,
+    seed: int,
+    chunk: int,
+    cell_shape: tuple[int, ...] = (),
+) -> StreamingMoments:
+    """Moments of ``sample_chunk(rng, m)`` over ``samples`` rows in chunks of at most ``chunk``.
+
+    One generator, ``default_rng(seed)``, feeds the chunks in turn; each
+    returns an array of shape (m, *cell_shape).
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    moments = StreamingMoments(cell_shape)
+    remaining = samples
+    while remaining > 0:
+        m = min(remaining, chunk)
+        moments.add(sample_chunk(rng, m))
+        remaining -= m
+    return moments

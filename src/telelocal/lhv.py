@@ -1,27 +1,26 @@
 """Local hidden variable model for two-qubit Werner-state statistics.
 
-The hidden state is a Haar-uniform unit ket lambda. Two response rules
-appear:
+Measurements are on qubits. The hidden variable is a Haar-uniform ket
+lambda with Bloch vector m; an effect E = (t I + r . sigma)/2 has
+overlap <lambda|E|lambda> = (t + r . m)/2. Two response rules appear
+(Werner, PRA 40, 4277, 1989):
 
-* minimum rule: a projective party answers deterministically with the
-  outcome whose projector has the smallest overlap <lambda|P|lambda>,
-  ties broken by lowest outcome index;
-* overlap rule: a party answers outcome E with probability
-  <lambda|E|lambda>.
+* overlap rule: a party answers outcome E with probability (t + r . m)/2;
+* minimum rule: a party's effects must commute, which for qubits means
+  that their vectors r are parallel to one axis n. Of the common
+  eigenvectors, the Bloch states +n and -n, the one with the smaller
+  overlap wins: -n where n . m > 0, +n otherwise. The party answers
+  with the winner's weight in each effect, (t -/+ r . n)/2, which for
+  projectors is the deterministic least-overlap outcome.
 
-Exactly one party may hold the minimum rule; the joint statistics then
+Exactly one party holds the minimum rule; the joint statistics then
 reproduce Tr[W (A x B)] for the singlet-fraction state at alpha = 1/2.
-When both parties are projective the sender holds the minimum rule.
-As soon as a POVM is involved the sender answers by the overlap rule,
-which extends linearly to arbitrary POVM elements, and the receiver
-holds the minimum rule: directly for projectors, and for pairwise
-commuting POVM elements through their common eigenbasis, answering with
-the winning eigenvector's weight in each element.
+It sits with the sender when both parties are projective and with the
+receiver as soon as a POVM is involved, so a receiver POVM whose
+vectors r are not parallel is rejected.
 
-Non-commuting receiver POVMs have no such reduction and are rejected.
-
-Fractions alpha < 1/2 are simulated by mixing in a state-independent
-white-noise responder with weight 1 - 2 alpha.
+Fractions alpha < 1/2 mix in a state-independent white-noise responder
+(t/2 for each effect) with weight 1 - 2 alpha.
 """
 
 from __future__ import annotations
@@ -45,10 +44,9 @@ from .bellcheck import (
     ch_value,
     grouped_alice_effects,
 )
-from .estimates import StreamingMoments
+from .estimates import run_chunks
 
-_COMMUTE_ATOL = 1e-10
-_EIGENVALUE_SPLIT = 1e-8
+_PARALLEL_ATOL = 1e-10
 _CHUNK = 250_000
 
 
@@ -66,27 +64,15 @@ class LhvConfig:
 
 @dataclass(frozen=True)
 class MeasurementSpec:
-    """A measurement as a list of operators, either projective or a POVM."""
+    """A qubit measurement as a list of operators, either projective or a POVM."""
 
     kind: str  # "projective" or "povm"
-    operators: np.ndarray  # shape (outcomes, d, d)
+    operators: np.ndarray  # shape (outcomes, 2, 2)
 
     def __post_init__(self):
         if self.kind not in ("projective", "povm"):
             raise ValueError("kind must be 'projective' or 'povm'")
-        ops = np.asarray(self.operators, dtype=complex)
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.shape[0] < 1:
-            raise ValueError("operators must have shape (outcomes, d, d)")
-        d = ops.shape[1]
-        if np.abs(ops.sum(axis=0) - np.eye(d)).max() > qcore.ATOL_STRUCTURAL:
-            raise ValueError("operators must sum to the identity")
-        for k, op in enumerate(ops):
-            if np.abs(op - op.conj().T).max() > qcore.ATOL_STRUCTURAL:
-                raise ValueError(f"operator {k} is not hermitian")
-            if np.linalg.eigvalsh(op).min() < -qcore.ATOL_PSD:
-                raise ValueError(f"operator {k} is not positive semidefinite")
-            if self.kind == "projective" and np.abs(op @ op - op).max() > qcore.ATOL_PSD:
-                raise ValueError(f"operator {k} is not a projector")
+        ops = qcore.check_effects(self.operators, projective=self.kind == "projective")
         object.__setattr__(self, "operators", ops)
 
     @property
@@ -116,116 +102,26 @@ class LhvChResult:
     table: ProbabilityTable
 
 
-def sample_hidden(d: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-uniform hidden ket of dimension d (2d normalized Gaussians)."""
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    return qcore.haar_kets(rng, 1, d)[0]
+def bloch_coefficients(operators: np.ndarray) -> np.ndarray:
+    """Rows (t, r_x, r_y, r_z) with E_k = (t I + r . sigma)/2, one per qubit effect."""
+    return np.einsum("aji,kij->ka", qcore.PAULI_BASIS, operators).real
 
 
-def _rank_one_pieces(projectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Refine projectors to unit eigenvectors; returns (pieces, owner indices).
+def minimum_rule(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Axis n of a commuting family and the two responses of the minimum rule.
 
-    Rank-one projectors pass through unchanged, higher ranks split into
-    their eigenvectors so the minimum rule always acts on a maximal
-    measurement and outcomes are recovered by coarse-graining.
+    Row 0 of the responses, (t - r . n)/2, answers where n . m > 0 (the
+    winner is -n); row 1, (t + r . n)/2, answers elsewhere (the winner
+    is +n). Raises ValueError when the vectors r are not parallel.
     """
-    pieces = []
-    owners = []
-    for idx, p in enumerate(projectors):
-        vals, vecs = np.linalg.eigh(p)
-        for col in np.nonzero(vals > 0.5)[0]:
-            pieces.append(vecs[:, col])
-            owners.append(idx)
-    return np.array(pieces), np.array(owners)
-
-
-def _overlap_probs(lams: np.ndarray, operators: np.ndarray) -> np.ndarray:
-    """Overlap rule, batched: entry (s, k) is <lam_s|E_k|lam_s>."""
-    return np.einsum("si,kij,sj->sk", lams.conj(), operators, lams).real
-
-
-def _minimum_winners(lams: np.ndarray, pieces: np.ndarray, owners: np.ndarray) -> np.ndarray:
-    """Minimum rule, batched: owner of the rank-one piece with least overlap."""
-    overlaps = np.abs(lams @ pieces.conj().T) ** 2
-    return owners[np.argmin(overlaps, axis=1)]
-
-
-def alice_rule_projective(lam, projectors) -> int:
-    """Deterministic outcome for the sender: least overlap wins, lowest index on ties."""
-    lam = np.asarray(lam, dtype=complex)
-    pieces, owners = _rank_one_pieces(np.asarray(projectors, dtype=complex))
-    return int(_minimum_winners(lam[None, :], pieces, owners)[0])
-
-
-def bob_rule_projective(lam, projector) -> float:
-    """Overlap rule for a single receiver projector."""
-    lam = np.asarray(lam, dtype=complex)
-    return float(np.vdot(lam, np.asarray(projector, dtype=complex) @ lam).real)
-
-
-def alice_rule_povm(lam, element) -> float:
-    """Overlap rule for a single sender POVM element."""
-    lam = np.asarray(lam, dtype=complex)
-    return float(np.vdot(lam, np.asarray(element, dtype=complex) @ lam).real)
-
-
-def _assert_commuting(elements: np.ndarray) -> None:
-    n = elements.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            comm = elements[i] @ elements[j] - elements[j] @ elements[i]
-            if np.abs(comm).max() > _COMMUTE_ATOL:
-                raise ValueError(f"POVM elements {i} and {j} do not commute")
-
-
-def _common_eigenbasis(elements: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) diagonalizing each of a commuting family."""
-    d = elements.shape[1]
-    blocks = [np.eye(d, dtype=complex)]
-    for e in elements:
-        refined = []
-        for block in blocks:
-            if block.shape[1] == 1:
-                refined.append(block)
-                continue
-            vals, vecs = np.linalg.eigh(block.conj().T @ e @ block)
-            start = 0
-            for stop in range(1, len(vals) + 1):
-                if stop == len(vals) or vals[stop] - vals[start] > _EIGENVALUE_SPLIT:
-                    refined.append(block @ vecs[:, start:stop])
-                    start = stop
-        blocks = refined
-    return np.hstack(blocks)
-
-
-def _commuting_weights(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Common eigenvectors (rows) and the weight matrix q[j, k] = <e_j|E_k|e_j>."""
-    _assert_commuting(elements)
-    basis = _common_eigenbasis(elements)
-    weights = np.einsum("ij,kil,lj->jk", basis.conj(), elements, basis).real
-    return basis.T, weights
-
-
-def bob_rule_commuting_povm(lam, elements) -> np.ndarray:
-    """Receiver response to pairwise commuting POVM elements.
-
-    The minimum rule picks a common eigenvector; the response is that
-    eigenvector's weight in each element. Projective elements reduce this
-    to the one-hot minimum rule.
-    """
-    lam = np.asarray(lam, dtype=complex)
-    elements = np.asarray(elements, dtype=complex)
-    vectors, weights = _commuting_weights(elements)
-    owners = np.arange(vectors.shape[0])
-    winner = _minimum_winners(lam[None, :], vectors, owners)[0]
-    return weights[winner].copy()
-
-
-def _white_noise_joint(alice: MeasurementSpec, bob: MeasurementSpec) -> np.ndarray:
-    pa = np.einsum("kii->k", alice.operators).real / alice.dim
-    pb = np.einsum("kii->k", bob.operators).real / bob.dim
-    return np.outer(pa, pb)
+    t, r = coeffs[:, 0], coeffs[:, 1:]
+    norms = np.linalg.norm(r, axis=1)
+    # when every r is zero, each effect is a multiple of I and any axis works
+    axis = r[np.argmax(norms)] / norms.max() if norms.max() > 0 else np.array([0.0, 0.0, 1.0])
+    if np.abs(np.cross(r, axis)).max() > _PARALLEL_ATOL:
+        raise ValueError("effects do not commute: their Bloch vectors are not parallel")
+    along = r @ axis
+    return axis, np.stack([t - along, t + along]) / 2
 
 
 def estimate_joint(
@@ -241,44 +137,26 @@ def estimate_joint(
     sender only in the all-projective case; any POVM moves it to the
     receiver so that POVM elements are always answered by overlap.
     """
-    if alice.dim != bob.dim:
-        raise ValueError("sender and receiver dimensions differ")
     if not 0.0 <= alpha <= 0.5:
         raise ValueError("alpha must lie in [0, 1/2]")
-    d = alice.dim
+    alice_coeffs, bob_coeffs = bloch_coefficients(alice.operators), bloch_coefficients(bob.operators)
     receiver_minimum = alice.kind == "povm" or bob.kind == "povm"
-    if receiver_minimum:
-        if bob.kind == "povm":
-            vectors, weights = _commuting_weights(bob.operators)
-        else:
-            vectors, piece_owners = _rank_one_pieces(bob.operators)
-            weights = np.eye(bob.outcomes)[piece_owners]
-        owners = np.arange(vectors.shape[0])
-    else:
-        pieces, piece_owners = _rank_one_pieces(alice.operators)
-
-    noise = _white_noise_joint(alice, bob)
+    axis, responses = minimum_rule(bob_coeffs if receiver_minimum else alice_coeffs)
+    overlap = (alice_coeffs if receiver_minimum else bob_coeffs).T / 2
+    noise = np.outer(alice_coeffs[:, 0], bob_coeffs[:, 0]) / 4
     mix = 2.0 * alpha
-    rng = np.random.default_rng(cfg.seed)
-    moments = StreamingMoments((alice.outcomes, bob.outcomes))
-    remaining = cfg.samples
-    while remaining > 0:
-        m = min(remaining, _CHUNK)
-        lams = qcore.haar_kets(rng, m, d)
-        if receiver_minimum:
-            pa = _overlap_probs(lams, alice.operators)
-            winners = _minimum_winners(lams, vectors, owners)
-            pb = weights[winners]
-        else:
-            winners = _minimum_winners(lams, pieces, piece_owners)
-            pa = np.eye(alice.outcomes)[winners]
-            pb = _overlap_probs(lams, bob.operators)
+
+    def chunk(rng, m):
+        rows = qcore.bloch_rows(qcore.haar_kets(rng, m))
+        by_overlap = rows @ overlap
+        by_minimum = responses[(rows[:, 1:] @ axis <= 0).astype(np.intp)]
+        pa, pb = (by_overlap, by_minimum) if receiver_minimum else (by_minimum, by_overlap)
         joint = pa[:, :, None] * pb[:, None, :]
         if mix < 1.0:
-            keep = rng.random(m) < mix
-            joint = np.where(keep[:, None, None], joint, noise[None, :, :])
-        moments.add(joint)
-        remaining -= m
+            joint[rng.random(m) >= mix] = noise
+        return joint
+
+    moments = run_chunks(chunk, cfg.samples, cfg.seed, _CHUNK, (alice.outcomes, bob.outcomes))
     return JointEstimate(probs=moments.mean(), stderr=moments.stderr(), samples=cfg.samples)
 
 

@@ -23,6 +23,8 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+# sigma_0 = I, sigma_x, sigma_y, sigma_z
+PAULI_BASIS = np.stack([IDENTITY_2, *PAULIS])
 
 
 def _as_complex(a) -> np.ndarray:
@@ -97,6 +99,41 @@ def spin_projector(n, sign: int = +1) -> np.ndarray:
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     return (IDENTITY_2 + sign * sum(c * p for c, p in zip(n, PAULIS))) / 2
+
+
+def bloch_rows(kets: np.ndarray) -> np.ndarray:
+    """Rows (1, x, y, z) holding the Bloch vector of each qubit ket (one ket per row)."""
+    a, b = kets[:, 0], kets[:, 1]
+    ab = a.conj() * b
+    rows = np.empty((kets.shape[0], 4))
+    rows[:, 0] = 1.0
+    rows[:, 1] = 2 * ab.real
+    rows[:, 2] = 2 * ab.imag
+    rows[:, 3] = (a.conj() * a).real - (b.conj() * b).real
+    return rows
+
+
+def check_effects(ops, projective: bool = False) -> np.ndarray:
+    """Validate a stack of qubit effects of shape (outcomes, 2, 2); returns it as complex.
+
+    The effects must sum to the identity and each must be hermitian and
+    positive semidefinite, and a projector when ``projective`` is set.
+    """
+    ops = _as_complex(ops)
+    if ops.ndim != 3 or ops.shape[1:] != (2, 2):
+        raise ValueError("effects must have shape (outcomes, 2, 2)")
+    if np.abs(ops.sum(axis=0) - IDENTITY_2).max() > ATOL_STRUCTURAL:
+        raise ValueError("effects must sum to the identity")
+
+    def reject(flags: np.ndarray, what: str) -> None:
+        if flags.any():
+            raise ValueError(f"effect {int(np.argmax(flags))} is not {what}")
+
+    reject(np.abs(ops - ops.conj().swapaxes(1, 2)).max(axis=(1, 2)) > ATOL_STRUCTURAL, "hermitian")
+    reject(np.linalg.eigvalsh(ops)[:, 0] < -ATOL_PSD, "positive semidefinite")
+    if projective:
+        reject(np.abs(ops @ ops - ops).max(axis=(1, 2)) > ATOL_PSD, "a projector")
+    return ops
 
 
 def bell_basis() -> np.ndarray:

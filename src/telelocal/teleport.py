@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .estimates import MonteCarloEstimate, StreamingMoments
+from .estimates import MonteCarloEstimate, run_chunks
 
 ROUTE_AGREEMENT_ATOL = 1e-12
 _PROBABILITY_FLOOR = 1e-12
@@ -43,8 +43,6 @@ _CHUNK = 200_000
 
 # Bell-ket coefficient matrices C_k with Phi_k = sum_ij C_k[i, j] |ij>
 _BELL_COEFF = qcore.bell_basis().reshape(4, 2, 2)
-# sigma_0 = I, sigma_x, sigma_y, sigma_z
-_PAULI_BASIS = np.stack([qcore.IDENTITY_2, *qcore.PAULIS])
 
 _CORRECTIONS = np.array(
     [
@@ -65,28 +63,11 @@ class TeleportPovm:
     source_state: np.ndarray  # shape (2,)
 
     def __post_init__(self):
-        elements = np.asarray(self.elements, dtype=complex)
-        if elements.shape != (4, 2, 2):
+        elements = qcore.check_effects(self.elements)
+        if elements.shape[0] != 4:
             raise ValueError("expected four 2x2 elements")
-        total = elements.sum(axis=0)
-        if np.abs(total - np.eye(2)).max() > qcore.ATOL_STRUCTURAL:
-            raise ValueError("elements must sum to the identity")
-        for k, e in enumerate(elements):
-            if np.abs(e - e.conj().T).max() > qcore.ATOL_STRUCTURAL:
-                raise ValueError(f"element {k} is not hermitian")
-            if np.linalg.eigvalsh(e).min() < -qcore.ATOL_PSD:
-                raise ValueError(f"element {k} is not positive semidefinite")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "source_state", np.asarray(self.source_state, dtype=complex))
-
-
-@dataclass(frozen=True)
-class TeleportOutcome:
-    """One realizable Bell outcome with the receiver's conditional state."""
-
-    index: int
-    probability: float
-    bob_state: np.ndarray
 
 
 def povm_from_input(chi) -> TeleportPovm:
@@ -169,26 +150,6 @@ def bob_conditional_state(chi, rho, k: int) -> np.ndarray:
     return qcore.partial_trace(selected, (4, 2), trace_out="A") / prob
 
 
-def measurement_outcomes(chi, rho) -> tuple[TeleportOutcome, ...]:
-    """All realizable Bell outcomes (probability above 1e-12) with conditional states."""
-    probs = bell_measurement_probabilities(chi, rho)
-    return tuple(
-        TeleportOutcome(index=k, probability=float(probs[k]), bob_state=bob_conditional_state(chi, rho, k))
-        for k in range(4)
-        if probs[k] > _PROBABILITY_FLOOR
-    )
-
-
-def run_protocol(chi, rho, seed: int) -> tuple[int, np.ndarray]:
-    """One protocol run: sample a Bell outcome and return (k, corrected state)."""
-    rng = np.random.default_rng(seed)
-    probs = bell_measurement_probabilities(chi, rho)
-    k = int(np.searchsorted(np.cumsum(probs), rng.random()))
-    k = min(k, 3)
-    u = correction_unitary(k)
-    return k, u @ bob_conditional_state(chi, rho, k) @ u.conj().T
-
-
 def _bloch_forms(rho: np.ndarray) -> np.ndarray:
     """Real 4x4 forms G[k] of the four Bell outcomes for the shared pair rho.
 
@@ -200,22 +161,10 @@ def _bloch_forms(rho: np.ndarray) -> np.ndarray:
     U_k; column b reads it out against sigma_b.
     """
     rho4 = rho.reshape(2, 2, 2, 2)
-    bob = np.einsum("kij,ail,klp,jnpq->kanq", _BELL_COEFF.conj(), _PAULI_BASIS, _BELL_COEFF, rho4)
+    bob = np.einsum("kij,ail,klp,jnpq->kanq", _BELL_COEFF.conj(), qcore.PAULI_BASIS, _BELL_COEFF, rho4)
     u = _CORRECTIONS[:, None]
     corrected = u @ bob @ u.conj().swapaxes(-1, -2)
-    return np.einsum("bqn,kanq->kab", _PAULI_BASIS, corrected).real / 4
-
-
-def _bloch_rows(chis: np.ndarray) -> np.ndarray:
-    """Rows (1, x, y, z) holding each input ket's Bloch vector."""
-    a, b = chis[:, 0], chis[:, 1]
-    ab = a.conj() * b
-    rows = np.empty((chis.shape[0], 4))
-    rows[:, 0] = 1.0
-    rows[:, 1] = 2 * ab.real
-    rows[:, 2] = 2 * ab.imag
-    rows[:, 3] = (a.conj() * a).real - (b.conj() * b).real
-    return rows
+    return np.einsum("bqn,kanq->kab", qcore.PAULI_BASIS, corrected).real / 4
 
 
 def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
@@ -228,21 +177,15 @@ def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("shared pair must be a two-qubit state")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     forms = _bloch_forms(rho)
     prob_forms = 2 * forms[:, :, 0].T
-    rng = np.random.default_rng(seed)
-    moments = StreamingMoments()
-    remaining = samples
-    while remaining > 0:
-        m = min(remaining, _CHUNK)
-        rows = _bloch_rows(qcore.haar_kets(rng, m))
+
+    def chunk(rng, m):
+        rows = qcore.bloch_rows(qcore.haar_kets(rng, m))
         probs = rows @ prob_forms
         draws = rng.random(m)
         ks = np.minimum((draws[:, None] > np.cumsum(probs, axis=1)).sum(axis=1), 3)
         p_k = np.take_along_axis(probs, ks[:, None], axis=1)[:, 0]
-        fid = np.einsum("sa,sab,sb->s", rows, forms[ks], rows) / p_k
-        moments.add(fid)
-        remaining -= m
-    return moments.scalar_estimate()
+        return np.einsum("sa,sab,sb->s", rows, forms[ks], rows) / p_k
+
+    return run_chunks(chunk, samples, seed, _CHUNK).scalar_estimate()

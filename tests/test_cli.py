@@ -150,6 +150,24 @@ def test_scan_without_a_closed_form_root_fails_instead_of_raising(monkeypatch, c
     ]
 
 
+def test_flags_a_command_ignores_exit_2(capsys):
+    for argv in (
+        ["hardy", "--alpha", "7"],
+        ["hardy", "--grid", "0:1:0.5"],
+        ["scan", "--samples", "100"],
+        ["scan", "--alpha", "0.5"],
+        ["gisin", "--alpha", "0.3"],
+        ["gisin", "--grid", "0:1:0.5"],
+        ["lhv", "--grid", "0:1:0.5"],
+        ["teleport", "--grid", "0:1:0.5"],
+        ["reproduce", "--alpha", "0.5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["bogus"])

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from telelocal.estimates import MonteCarloEstimate, StreamingMoments
+from telelocal.estimates import MonteCarloEstimate, StreamingMoments, run_chunks
 
 
 def test_scalar_moments_match_numpy_across_chunks():
@@ -72,3 +72,33 @@ def test_empty_chunk_changes_nothing():
     acc.add(np.zeros((0, 2)))
     npt.assert_allclose(acc.mean(), [2.0, 3.0])
     npt.assert_allclose(acc.stderr(), [1.0, 1.0])
+
+
+def _draw(sizes):
+    def sample_chunk(rng, m):
+        sizes.append(m)
+        return rng.random((m, 2, 3))
+
+    return sample_chunk
+
+
+def test_run_chunks_sizes_and_stream_match_a_hand_written_loop():
+    sizes = []
+    moments = run_chunks(_draw(sizes), samples=1000, seed=5, chunk=300, cell_shape=(2, 3))
+    assert sizes == [300, 300, 300, 100]
+    assert moments.cell_shape == (2, 3) and moments.count == 1000
+    rng = np.random.default_rng(5)
+    by_hand = StreamingMoments((2, 3))
+    for m in (300, 300, 300, 100):
+        by_hand.add(rng.random((m, 2, 3)))
+    assert np.array_equal(moments.mean(), by_hand.mean())
+    assert np.array_equal(moments.stderr(), by_hand.stderr())
+    sizes.clear()
+    run_chunks(_draw(sizes), samples=250, seed=5, chunk=300, cell_shape=(2, 3))
+    assert sizes == [250]
+
+
+def test_run_chunks_needs_a_sample():
+    for samples in (0, -3):
+        with pytest.raises(ValueError):
+            run_chunks(_draw([]), samples=samples, seed=0, chunk=10)

@@ -10,7 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from telelocal import bellcheck, lhv, qcore
+from telelocal import bellcheck, lhv, qcore, teleport
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 Z_PROJS = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
@@ -54,43 +54,83 @@ def test_measurement_spec_validation():
     assert spec.dim == 2 and spec.outcomes == 2
 
 
-def test_sample_hidden_is_a_deterministic_unit_ket():
-    a = lhv.sample_hidden(2, np.random.default_rng(3))
-    b = lhv.sample_hidden(2, np.random.default_rng(3))
-    npt.assert_allclose(a, b, atol=0)
-    assert abs(np.linalg.norm(a) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        lhv.sample_hidden(1, np.random.default_rng(3))
+def _overlap(kets, ops) -> np.ndarray:
+    rows = qcore.bloch_rows(np.atleast_2d(kets))
+    return rows @ lhv.bloch_coefficients(np.asarray(ops, dtype=complex)).T / 2
+
+
+def _minimum(kets, ops) -> np.ndarray:
+    # row 0 of the responses answers where n . m > 0, row 1 elsewhere
+    rows = qcore.bloch_rows(np.atleast_2d(kets))
+    axis, responses = lhv.minimum_rule(lhv.bloch_coefficients(np.asarray(ops, dtype=complex)))
+    return responses[(rows[:, 1:] @ axis <= 0).astype(int)]
+
+
+def _ket_overlap(kets, ops) -> np.ndarray:
+    return np.einsum("si,kij,sj->sk", kets.conj(), ops, kets).real
+
+
+def _ket_minimum(kets, ops) -> np.ndarray:
+    # common eigenbasis of a commuting family from one generic combination;
+    # the eigenvector with the least overlap wins and answers with its weights
+    _, basis = np.linalg.eigh(np.tensordot(np.arange(1, len(ops) + 1), ops, axes=1))
+    weights = np.einsum("ij,kil,lj->jk", basis.conj(), ops, basis).real
+    winners = np.argmin(np.abs(kets @ basis.conj()) ** 2, axis=1)
+    return weights[winners]
+
+
+def _random_unitary(rng) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q
+
+
+def test_bloch_rules_match_the_ket_rules():
+    rng = np.random.default_rng(31)
+    families = []
+    for _ in range(5):
+        axis = qcore.random_bloch_vectors(rng, 1)[0]
+        families.append(np.stack([qcore.spin_projector(axis, +1), qcore.spin_projector(axis, -1)]))
+        elements = teleport.povm_from_input(qcore.haar_kets(rng, 1)[0]).elements
+        group = list(rng.choice(4, size=2, replace=False))
+        rest = sorted(set(range(4)) - set(group))
+        families.append(np.stack([elements[group].sum(axis=0), elements[rest].sum(axis=0)]))
+        u = _random_unitary(rng)
+        for diagonals in (([0.7, 0.2], [0.3, 0.8]), ([0.5, 0.1], [0.3, 0.3], [0.2, 0.6])):
+            families.append(np.stack([u @ np.diag(d) @ u.conj().T for d in diagonals]))
+    for ops in families:
+        lhv.MeasurementSpec(kind="povm", operators=ops)
+        kets = qcore.haar_kets(rng, 500)
+        npt.assert_allclose(_overlap(kets, ops), _ket_overlap(kets, ops), rtol=0, atol=1e-12)
+        npt.assert_allclose(_minimum(kets, ops), _ket_minimum(kets, ops), rtol=0, atol=1e-12)
 
 
 def test_sender_minimum_rule_is_anticorrelated():
     # hidden ket along |0>: the least-overlap projector is |1><1|, outcome 1
-    assert lhv.alice_rule_projective(E0, Z_PROJS) == 1
-    assert lhv.alice_rule_projective(np.array([0.0, 1.0]), Z_PROJS) == 0
+    npt.assert_allclose(_minimum(E0, Z_PROJS), [[0.0, 1.0]], atol=1e-15)
+    npt.assert_allclose(_minimum(np.array([0.0, 1.0]), Z_PROJS), [[1.0, 0.0]], atol=1e-15)
 
 
 def test_receiver_overlap_rule_values():
-    assert abs(lhv.bob_rule_projective(E0, Z_PROJS[0]) - 1.0) < 1e-15
-    assert abs(lhv.bob_rule_projective(E0, Z_PROJS[1])) < 1e-15
-    assert abs(lhv.bob_rule_projective(E0, X_PROJS[0]) - 0.5) < 1e-15
+    assert abs(_overlap(E0, Z_PROJS)[0, 0] - 1.0) < 1e-15
+    assert abs(_overlap(E0, Z_PROJS)[0, 1]) < 1e-15
+    assert abs(_overlap(E0, X_PROJS)[0, 0] - 0.5) < 1e-15
 
 
 def test_sender_overlap_rule_is_additive():
     rng = np.random.default_rng(11)
     lam = qcore.haar_kets(rng, 1)[0]
     povm = _grouped_effect_povm().operators
-    total = lhv.alice_rule_povm(lam, povm[0]) + lhv.alice_rule_povm(lam, povm[1])
-    assert abs(total - 1.0) < 1e-12
-    combined = lhv.alice_rule_povm(lam, povm[0] + povm[1])
-    assert abs(combined - 1.0) < 1e-12
+    assert abs(_overlap(lam, povm).sum() - 1.0) < 1e-12
+    combined = _overlap(lam, (povm[0] + povm[1])[None])
+    assert abs(combined[0, 0] - 1.0) < 1e-12
 
 
 def test_receiver_commuting_povm_rule():
     tilted = np.stack([np.diag([0.7, 0.2]), np.diag([0.3, 0.8])]).astype(complex)
     # hidden ket |0>: winning eigenvector is |1>, response is its weights
-    npt.assert_allclose(lhv.bob_rule_commuting_povm(E0, tilted), [0.2, 0.8], atol=1e-12)
+    npt.assert_allclose(_minimum(E0, tilted), [[0.2, 0.8]], atol=1e-12)
     # projective elements reduce to the one-hot minimum rule
-    npt.assert_allclose(lhv.bob_rule_commuting_povm(E0, Z_PROJS), [0.0, 1.0], atol=1e-12)
+    npt.assert_allclose(_minimum(E0, Z_PROJS), [[0.0, 1.0]], atol=1e-12)
 
 
 def test_noncommuting_receiver_povm_rejected():
@@ -102,7 +142,7 @@ def test_noncommuting_receiver_povm_rejected():
         ]
     )
     with pytest.raises(ValueError):
-        lhv.bob_rule_commuting_povm(E0, trine)
+        _minimum(E0, trine)
     cfg = lhv.LhvConfig(samples=10, seed=0)
     with pytest.raises(ValueError):
         lhv.estimate_joint(_spec("projective", Z_PROJS), _spec("povm", trine), cfg)

@@ -159,3 +159,17 @@ def test_random_density_is_density():
 def test_unit_vector_guard():
     with pytest.raises(ValueError):
         qcore.bloch_to_ket([0.0, 0.0, 2.0])
+
+
+def test_check_effects_names_the_first_bad_effect():
+    z = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    npt.assert_array_equal(qcore.check_effects(z, projective=True), z)
+    with pytest.raises(ValueError, match="shape"):
+        qcore.check_effects(np.eye(4)[None])
+    negative = np.stack([np.eye(2) / 2, np.diag([0.7, 0.2]), np.diag([-0.2, 0.3])]).astype(complex)
+    with pytest.raises(ValueError, match="effect 2 is not positive semidefinite"):
+        qcore.check_effects(negative)
+    tilted = np.stack([np.diag([0.7, 0.2]), np.diag([0.3, 0.8])]).astype(complex)
+    qcore.check_effects(tilted)
+    with pytest.raises(ValueError, match="effect 0 is not a projector"):
+        qcore.check_effects(tilted, projective=True)
