@@ -202,15 +202,24 @@ class ThresholdReport:
 
 
 def threshold_scan(setting: TeleportBellSetting, alpha_grid) -> ThresholdReport:
-    """Evaluate the exact CH value on an ascending alpha grid and locate the
-    first grid point with a negative value."""
+    """Evaluate the exact CH value on an ascending alpha grid in [0, 1] and
+    locate the first grid point with a negative value.
+
+    The value is exact at the two end points alpha = 0 and 1 and affine in
+    between: the singlet-fraction state is affine in alpha and the CH value
+    is linear in the state, so two probability tables fix the whole grid.
+    """
     grid = np.asarray(alpha_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("alpha grid is empty")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("alpha grid must be strictly ascending")
+    # checked here because the affine formula would extrapolate without a word
+    if not np.all((grid >= 0.0) & (grid <= 1.0)):
+        raise ValueError("alpha grid must lie in [0, 1]")
     grouping = OutcomeGrouping()
-    values = np.array([teleport_ch_value(setting, grouping, qcore.werner_alpha(a)) for a in grid])
+    lo, hi = (teleport_ch_value(setting, grouping, qcore.werner_alpha(a)) for a in (0.0, 1.0))
+    values = lo + grid * (hi - lo)
     negatives = np.nonzero(values < 0)[0]
     first = float(grid[negatives[0]]) if negatives.size else None
     return ThresholdReport(
@@ -226,11 +235,9 @@ def horodecki_t(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("state must be two-qubit")
-    t = np.empty((3, 3))
-    for i, si in enumerate(qcore.PAULIS):
-        for j, sj in enumerate(qcore.PAULIS):
-            t[i, j] = np.trace(rho @ qcore.tensor(si, sj)).real
-    return t
+    # rho4[a, c, b, d] = <a c|rho|b d>, so the trace pairs sigma_i[b, a] and sigma_j[d, c]
+    paulis = qcore.PAULI_BASIS[1:]
+    return np.einsum("iba,jdc,acbd->ij", paulis, paulis, rho.reshape(2, 2, 2, 2)).real
 
 
 class ChshResult(NamedTuple):

@@ -59,6 +59,8 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
         raise UsageError(f"grid must contain numbers: {text!r}") from exc
     if step <= 0 or hi < lo:
         raise UsageError("grid needs step > 0 and HI >= LO")
+    if lo < 0 or hi > 1:
+        raise UsageError("grid must lie in [0, 1], the range of the singlet fraction")
     return lo, hi, step
 
 
@@ -67,7 +69,8 @@ def _grid_points(grid: tuple[float, float, float]) -> np.ndarray:
     count = math.floor((hi - lo) / step + 1e-9) + 1
     if count > MAX_GRID_POINTS:
         raise UsageError(f"grid has {count} points, at most {MAX_GRID_POINTS} are allowed")
-    return lo + step * np.arange(count)
+    # rounding can put the last point a hair above HI, and so above 1
+    return np.minimum(lo + step * np.arange(count), hi)
 
 
 def _optional_float(value) -> float | None:

@@ -151,7 +151,7 @@ def estimate_joint(
         by_overlap = rows @ overlap
         by_minimum = responses[(rows[:, 1:] @ axis <= 0).astype(np.intp)]
         pa, pb = (by_overlap, by_minimum) if receiver_minimum else (by_minimum, by_overlap)
-        joint = pa[:, :, None] * pb[:, None, :]
+        joint = np.einsum("si,sj->sij", pa, pb)
         if mix < 1.0:
             joint[rng.random(m) >= mix] = noise
         return joint

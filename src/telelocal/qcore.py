@@ -102,14 +102,19 @@ def spin_projector(n, sign: int = +1) -> np.ndarray:
 
 
 def bloch_rows(kets: np.ndarray) -> np.ndarray:
-    """Rows (1, x, y, z) holding the Bloch vector of each qubit ket (one ket per row)."""
-    a, b = kets[:, 0], kets[:, 1]
-    ab = a.conj() * b
-    rows = np.empty((kets.shape[0], 4))
+    """Rows (1, x, y, z) holding the Bloch vector of each qubit ket (one ket per row).
+
+    With a = ar + i ai and b = br + i bi, x + i y = 2 a* b and z = |a|^2 - |b|^2,
+    written out in real arithmetic on the real and imaginary parts, so no
+    complex temporaries are built.
+    """
+    parts = np.ascontiguousarray(kets, dtype=complex).view(float)
+    ar, ai, br, bi = parts.T
+    rows = np.empty((parts.shape[0], 4))
     rows[:, 0] = 1.0
-    rows[:, 1] = 2 * ab.real
-    rows[:, 2] = 2 * ab.imag
-    rows[:, 3] = (a.conj() * a).real - (b.conj() * b).real
+    rows[:, 1] = 2 * (ar * br + ai * bi)
+    rows[:, 2] = 2 * (ar * bi - ai * br)
+    rows[:, 3] = (ar * ar + ai * ai) - (br * br + bi * bi)
     return rows
 
 
@@ -204,10 +209,16 @@ def is_density(m, tol: float = 1e-10) -> bool:
 def haar_kets(rng: np.random.Generator, n: int, dim: int = 2) -> np.ndarray:
     """n Haar-uniform unit kets of the given dimension, one per row.
 
-    Sampled by normalizing 2*dim independent standard Gaussians.
+    Sampled by normalizing 2*dim independent standard Gaussians: one
+    (n, dim) draw for the real parts, then one for the imaginary parts.
+    They are stored side by side as floats and normalized with real
+    arithmetic; the result is a complex view of that buffer.
     """
-    z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    z = np.empty((n, dim, 2))
+    z[..., 0] = rng.standard_normal((n, dim))
+    z[..., 1] = rng.standard_normal((n, dim))
+    z /= np.sqrt(np.einsum("ijk,ijk->i", z, z))[:, None, None]
+    return z.view(complex)[..., 0]
 
 
 def random_bloch_vectors(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -162,12 +162,47 @@ def test_threshold_scan_validates_grid():
         bellcheck.threshold_scan(setting, np.array([]))
     with pytest.raises(ValueError):
         bellcheck.threshold_scan(setting, np.array([0.5, 0.4]))
+    for outside in ([-0.1, 0.5], [0.5, 1.2], [0.2, np.nan, 0.6], [1.0 + 1e-12]):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            bellcheck.threshold_scan(setting, np.array(outside))
+
+
+def test_threshold_scan_matches_the_per_point_tables():
+    setting = bellcheck.violation_setting()
+    grouping = bellcheck.OutcomeGrouping()
+    rng = np.random.default_rng(RNG_SEED + 3)
+    for grid in (np.linspace(0.0, 1.0, 2001), np.unique(rng.uniform(0.0, 1.0, 300))):
+        report = bellcheck.threshold_scan(setting, grid)
+        per_point = np.array([bellcheck.teleport_ch_value(setting, grouping, qcore.werner_alpha(a)) for a in grid])
+        npt.assert_allclose(report.values, per_point, rtol=0, atol=1e-12)
+        first = grid[np.nonzero(per_point < 0)[0][0]]
+        assert report.first_violation == first
+
+
+def test_threshold_scan_builds_two_tables_whatever_the_grid(monkeypatch):
+    calls = []
+    real = bellcheck.probability_table
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bellcheck, "probability_table", counting)
+    for points in (1, 11, 2001):
+        calls.clear()
+        bellcheck.threshold_scan(bellcheck.violation_setting(), np.linspace(0.0, 1.0, points))
+        assert len(calls) == 2
 
 
 def test_horodecki_t_of_the_singlet_fraction_family():
     for alpha in (0.0, 0.45, 1.0):
         t = bellcheck.horodecki_t(qcore.werner_alpha(alpha))
         npt.assert_allclose(t, -alpha * np.eye(3), atol=1e-13)
+    rng = np.random.default_rng(RNG_SEED + 4)
+    for _ in range(10):
+        rho = qcore.random_density(rng, 4)
+        by_trace = [[np.trace(rho @ np.kron(si, sj)).real for sj in qcore.PAULIS] for si in qcore.PAULIS]
+        npt.assert_allclose(bellcheck.horodecki_t(rho), by_trace, rtol=0, atol=1e-13)
     with pytest.raises(ValueError):
         bellcheck.horodecki_t(np.eye(2) / 2)
 

@@ -102,6 +102,18 @@ def test_usage_errors_exit_2(capsys):
     assert cli.main(["teleport", "--samples", "0"]) == 2
     assert cli.main(["teleport", "--samples", "1"]) == 2
     assert cli.main(["scan", "--grid", "0:1:1e-12"]) == 2
+    assert cli.main(["scan", "--grid", "0:2:0.5"]) == 2
+    assert cli.main(["scan", "--grid=-0.5:1:0.5"]) == 2
+    assert cli.main(["reproduce", "--grid", "0:2:0.5"]) == 2
+    capsys.readouterr()
+
+
+def test_grid_points_stop_at_hi(capsys):
+    # 0.09 + 13 * 0.07 rounds to 1.0000000000000002, outside the family
+    assert 0.09 + 13 * 0.07 > 1.0
+    points = cli._grid_points((0.09, 1.0, 0.07))
+    assert points.size == 14 and points[-1] == 1.0
+    assert cli.main(["scan", "--grid", "0.09:1:0.07"]) == 0
     capsys.readouterr()
 
 

@@ -1,5 +1,7 @@
 """Unit tests for states, operators, and linear algebra helpers."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -141,6 +143,39 @@ def test_haar_kets_are_normalized_and_unbiased():
     # E|<0|psi>|^2 = 1/2 for Haar qubit kets
     overlap = np.mean(np.abs(kets[:, 0]) ** 2)
     assert abs(overlap - 0.5) < 0.02
+
+
+def test_haar_kets_keep_the_gaussian_stream():
+    for dim in (2, 4):
+        rng, hand = np.random.default_rng(RNG_SEED + 7), np.random.default_rng(RNG_SEED + 7)
+        kets = qcore.haar_kets(rng, 500, dim)
+        z = hand.standard_normal((500, dim)) + 1j * hand.standard_normal((500, dim))
+        assert kets.shape == (500, dim) and kets.dtype == complex
+        npt.assert_allclose(kets, z / np.linalg.norm(z, axis=1, keepdims=True), rtol=0, atol=1e-15)
+        # no normal skipped or added
+        assert rng.standard_normal() == hand.standard_normal()
+
+
+def test_bloch_rows_match_ket_to_bloch():
+    rng = np.random.default_rng(RNG_SEED + 8)
+    kets = qcore.haar_kets(rng, 60)
+    s = np.sqrt(0.5)
+    real = np.array([[1.0, 0.0], [0.0, 1.0], [s, s], [s, -s], [0.6, -0.8]])
+    for batch in (kets, kets[::3], real):
+        rows = qcore.bloch_rows(batch)
+        assert rows.shape == (len(batch), 4)
+        npt.assert_array_equal(rows[:, 0], 1.0)
+        npt.assert_allclose(rows[:, 1:], [qcore.ket_to_bloch(k) for k in batch], rtol=0, atol=1e-15)
+
+
+def test_bloch_rows_of_a_chunk_stay_within_24_mb():
+    tracemalloc.start()
+    try:
+        qcore.bloch_rows(qcore.haar_kets(np.random.default_rng(RNG_SEED + 9), 250_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24_000_000
 
 
 def test_random_bloch_vectors_unit_norm():
