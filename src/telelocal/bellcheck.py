@@ -162,12 +162,13 @@ def teleport_ch_value(setting: TeleportBellSetting, grouping: OutcomeGrouping, r
     return ch_value(probability_table(setting, grouping, rho))
 
 
-def _input_coefficients(setting: TeleportBellSetting) -> tuple[float, float]:
+def _slope(setting: TeleportBellSetting) -> float:
+    """c (r_x + s_x) - d (r_y - s_y): four times the rate at which the CH value falls with alpha."""
     a, b = setting.chi
     ap, bp = setting.chi_prime
     c = (a * b.conjugate() + a.conjugate() * b).real
     d = (-1j * (ap * bp.conjugate() - ap.conjugate() * bp)).real
-    return c, d
+    return c * (setting.r[0] + setting.s[0]) - d * (setting.r[1] - setting.s[1])
 
 
 def closed_form_value(alpha: float, setting: TeleportBellSetting) -> float:
@@ -177,15 +178,12 @@ def closed_form_value(alpha: float, setting: TeleportBellSetting) -> float:
     c = a b* + a* b from chi and d = -i (a' b'* - a'* b') from chi_prime.
     At alpha = 1 this reduces to (2 - c (r_x + s_x) + d (r_y - s_y)) / 4.
     """
-    c, d = _input_coefficients(setting)
-    slope = c * (setting.r[0] + setting.s[0]) - d * (setting.r[1] - setting.s[1])
-    return (2 - alpha * slope) / 4
+    return (2 - alpha * _slope(setting)) / 4
 
 
 def closed_form_root(setting: TeleportBellSetting) -> float | None:
     """Smallest alpha where the closed-form CH value crosses zero, if any in (0, 1]."""
-    c, d = _input_coefficients(setting)
-    slope = c * (setting.r[0] + setting.s[0]) - d * (setting.r[1] - setting.s[1])
+    slope = _slope(setting)
     if slope <= 2.0:
         return None
     return 2.0 / slope

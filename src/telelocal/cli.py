@@ -8,6 +8,11 @@ flagged rows pass, 1 when any fails, 2 on usage errors.
 Stochastic rows use a tolerance of four standard errors plus a small
 absolute floor that absorbs double precision rounding when an estimator
 has vanishing variance. Analytic rows use 1e-9.
+
+Each command's rows come from one row builder (`_scan_rows`,
+`_teleport_rows`, `_gisin_rows`, `_z_rows`, `_hardy_rows`, `_lhv_rows`).
+`reproduce` concatenates those builders, each fed with its own child seed,
+and builds only `singlet_ch_value` and `lhv_max_cell_deviation` itself.
 """
 
 from __future__ import annotations
@@ -40,13 +45,10 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
     alpha: float | None
     samples: int
     seed: int
     grid: tuple[float, float, float] | None
-    output_format: str
-    output_path: str | None
 
 
 def _parse_grid(text: str) -> tuple[float, float, float]:
@@ -57,6 +59,8 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"grid must contain numbers: {text!r}") from exc
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise UsageError(f"grid must contain finite numbers: {text!r}")
     if step <= 0 or hi < lo:
         raise UsageError("grid needs step > 0 and HI >= LO")
     if lo < 0 or hi > 1:
@@ -66,9 +70,10 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
 
 def _grid_points(grid: tuple[float, float, float]) -> np.ndarray:
     lo, hi, step = grid
-    count = math.floor((hi - lo) / step + 1e-9) + 1
+    # capped before flooring: a subnormal step makes the ratio infinite
+    count = math.floor(min((hi - lo) / step, MAX_GRID_POINTS) + 1e-9) + 1
     if count > MAX_GRID_POINTS:
-        raise UsageError(f"grid has {count} points, at most {MAX_GRID_POINTS} are allowed")
+        raise UsageError(f"grid has more than {MAX_GRID_POINTS} points, the most allowed")
     # rounding can put the last point a hair above HI, and so above 1
     return np.minimum(lo + step * np.arange(count), hi)
 
@@ -154,16 +159,69 @@ def cmd_scan(cfg: RunConfig) -> dict:
     )
 
 
+def _teleport_rows(name: str, alpha: float, samples: int, seed: int) -> list[dict]:
+    est = teleport.average_fidelity(qcore.werner_alpha(alpha), samples, seed)
+    return [_mc_row(name, est, (1 + alpha) / 2)]
+
+
+def _gisin_rows(samples: int, seed: int) -> list[dict]:
+    analytic = classical.gisin_fidelity_analytic()
+    return [
+        _row("gisin_fidelity_analytic", analytic, expected=analytic, tolerance=ANALYTIC_TOL),
+        _mc_row("gisin_fidelity_mc", classical.gisin_scheme_fidelity(samples, seed), analytic),
+    ]
+
+
+def _z_rows(samples: int, seed: int) -> list[dict]:
+    return [_mc_row("z_scheme_fidelity", classical.z_scheme_fidelity(samples, seed), 2 / 3)]
+
+
+def _hardy_rows() -> list[dict]:
+    report = hardytoy.exhaustive_verify()
+    return [
+        _row("hardy_successes", report.successes, expected=report.total, tolerance=0.0),
+        _row("hardy_partition_ok", float(report.partition_ok), expected=1.0, tolerance=0.0),
+        _row("hardy_message_map_ok", float(report.message_map_ok), expected=1.0, tolerance=0.0),
+    ]
+
+
+def _lhv_experiment(alpha: float, samples: int, seed: int) -> lhv.LhvChResult:
+    return lhv.lhv_teleport_experiment(
+        bellcheck.violation_setting(),
+        bellcheck.OutcomeGrouping(),
+        lhv.LhvConfig(samples=samples, seed=seed),
+        alpha=alpha,
+    )
+
+
+def _lhv_rows(result: lhv.LhvChResult, alpha: float, samples: int) -> list[dict]:
+    tolerance = STOCHASTIC_NSIGMA * result.stderr + ABS_FLOOR
+    return [
+        _row(
+            "lhv_ch_value",
+            result.value,
+            stderr=result.stderr,
+            samples=samples,
+            expected=bellcheck.closed_form_value(alpha, bellcheck.violation_setting()),
+            tolerance=tolerance,
+        ),
+        _row(
+            "lhv_ch_in_unit_interval",
+            result.value,
+            expected=min(max(result.value, 0.0), 1.0),
+            tolerance=tolerance,
+        ),
+    ]
+
+
 def cmd_teleport(cfg: RunConfig) -> dict:
     alpha = 0.5 if cfg.alpha is None else cfg.alpha
     if not 0.0 <= alpha <= 1.0:
         raise UsageError("alpha must lie in [0, 1]")
-    est = teleport.average_fidelity(qcore.werner_alpha(alpha), cfg.samples, cfg.seed)
-    rows = [_mc_row("teleport_fidelity", est, (1 + alpha) / 2)]
     return _report(
         "teleport",
         cfg,
-        rows,
+        _teleport_rows("teleport_fidelity", alpha, cfg.samples, cfg.seed),
         "average teleportation fidelity (1 + alpha)/2 on the singlet-fraction family",
     )
 
@@ -172,63 +230,29 @@ def cmd_lhv(cfg: RunConfig) -> dict:
     alpha = 0.5 if cfg.alpha is None else cfg.alpha
     if not 0.0 <= alpha <= 0.5:
         raise UsageError("the hidden variable model covers alpha in [0, 1/2]")
-    setting = bellcheck.violation_setting()
-    grouping = bellcheck.OutcomeGrouping()
-    result = lhv.lhv_teleport_experiment(
-        setting, grouping, lhv.LhvConfig(samples=cfg.samples, seed=cfg.seed), alpha=alpha
-    )
-    expected = bellcheck.closed_form_value(alpha, setting)
-    rows = [
-        _row(
-            "lhv_ch_value",
-            result.value,
-            stderr=result.stderr,
-            samples=cfg.samples,
-            expected=expected,
-            tolerance=STOCHASTIC_NSIGMA * result.stderr + ABS_FLOOR,
-        ),
-        _row(
-            "lhv_ch_in_unit_interval",
-            result.value,
-            expected=min(max(result.value, 0.0), 1.0),
-            tolerance=STOCHASTIC_NSIGMA * result.stderr + ABS_FLOOR,
-        ),
-    ]
     return _report(
         "lhv",
         cfg,
-        rows,
+        _lhv_rows(_lhv_experiment(alpha, cfg.samples, cfg.seed), alpha, cfg.samples),
         "hidden variable simulation of the teleportation test at the simulable fraction",
     )
 
 
 def cmd_hardy(cfg: RunConfig) -> dict:
-    report = hardytoy.exhaustive_verify()
-    rows = [
-        _row("hardy_successes", report.successes, expected=report.total, tolerance=0.0),
-        _row("hardy_partition_ok", float(report.partition_ok), expected=1.0, tolerance=0.0),
-        _row("hardy_message_map_ok", float(report.message_map_ok), expected=1.0, tolerance=0.0),
-    ]
     return _report(
         "hardy",
         cfg,
-        rows,
+        _hardy_rows(),
         "exact teleportation of one of four hidden values using a two-bit message",
     )
 
 
 def cmd_gisin(cfg: RunConfig) -> dict:
     seeds = _child_seeds(cfg.seed, 2)
-    analytic = classical.gisin_fidelity_analytic()
-    rows = [
-        _row("gisin_fidelity_analytic", analytic, expected=analytic, tolerance=ANALYTIC_TOL),
-        _mc_row("gisin_fidelity_mc", classical.gisin_scheme_fidelity(cfg.samples, seeds[0]), analytic),
-        _mc_row("z_scheme_fidelity", classical.z_scheme_fidelity(cfg.samples, seeds[1]), 2 / 3),
-    ]
     return _report(
         "gisin",
         cfg,
-        rows,
+        _gisin_rows(cfg.samples, seeds[0]) + _z_rows(cfg.samples, seeds[1]),
         "classical measure-and-prepare baselines: 2/3 for the z scheme, about 0.8724 for the tetrahedron scheme",
     )
 
@@ -237,51 +261,18 @@ def cmd_reproduce(cfg: RunConfig) -> dict:
     setting = bellcheck.violation_setting()
     grouping = bellcheck.OutcomeGrouping()
     seeds = _child_seeds(cfg.seed, 5)
+    singlet = bellcheck.teleport_ch_value(setting, grouping, qcore.singlet_projector())
     rows = [
-        _row(
-            "singlet_ch_value",
-            bellcheck.teleport_ch_value(setting, grouping, qcore.singlet_projector()),
-            expected=(1 - math.sqrt(2)) / 2,
-            tolerance=ANALYTIC_TOL,
-        )
+        _row("singlet_ch_value", singlet, expected=(1 - math.sqrt(2)) / 2, tolerance=ANALYTIC_TOL),
+        *_scan_rows(cfg),
+        *_teleport_rows("teleport_fidelity_alpha_half", 0.5, cfg.samples, seeds[0]),
+        *_teleport_rows("teleport_fidelity_alpha_threshold", 2**-0.5, cfg.samples, seeds[1]),
+        *_z_rows(cfg.samples, seeds[2]),
+        *_gisin_rows(cfg.samples, seeds[3]),
+        *_hardy_rows(),
     ]
-    rows.extend(_scan_rows(cfg))
-    rows.append(
-        _mc_row(
-            "teleport_fidelity_alpha_half",
-            teleport.average_fidelity(qcore.werner_alpha(0.5), cfg.samples, seeds[0]),
-            0.75,
-        )
-    )
-    threshold = 2**-0.5
-    rows.append(
-        _mc_row(
-            "teleport_fidelity_alpha_threshold",
-            teleport.average_fidelity(qcore.werner_alpha(threshold), cfg.samples, seeds[1]),
-            (1 + threshold) / 2,
-        )
-    )
-    rows.append(_mc_row("z_scheme_fidelity", classical.z_scheme_fidelity(cfg.samples, seeds[2]), 2 / 3))
-    analytic = classical.gisin_fidelity_analytic()
-    rows.append(_row("gisin_fidelity_analytic", analytic, expected=analytic, tolerance=ANALYTIC_TOL))
-    rows.append(_mc_row("gisin_fidelity_mc", classical.gisin_scheme_fidelity(cfg.samples, seeds[3]), analytic))
-
-    toy = hardytoy.exhaustive_verify()
-    rows.append(_row("hardy_successes", toy.successes, expected=toy.total, tolerance=0.0))
-
-    result = lhv.lhv_teleport_experiment(
-        setting, grouping, lhv.LhvConfig(samples=cfg.samples, seed=seeds[4])
-    )
-    rows.append(
-        _row(
-            "lhv_ch_value",
-            result.value,
-            stderr=result.stderr,
-            samples=cfg.samples,
-            expected=(2 - math.sqrt(2)) / 4,
-            tolerance=STOCHASTIC_NSIGMA * result.stderr + ABS_FLOOR,
-        )
-    )
+    result = _lhv_experiment(0.5, cfg.samples, seeds[4])
+    rows += _lhv_rows(result, 0.5, cfg.samples)
     oracle = bellcheck.probability_table(setting, grouping, qcore.werner_alpha(0.5)).joints
     deviation = np.abs(result.table.joints - oracle)
     worst = np.unravel_index(np.argmax(deviation), deviation.shape)
@@ -381,22 +372,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.samples < MIN_SAMPLES:
             raise UsageError(f"samples must be >= {MIN_SAMPLES}, a standard error needs two")
+        if args.seed < 0:
+            raise UsageError("seed must be >= 0")
         cfg = RunConfig(
-            command=args.command,
             alpha=args.alpha,
             samples=args.samples,
             seed=args.seed,
             grid=_parse_grid(args.grid) if args.grid else None,
-            output_format=args.output_format,
-            output_path=args.out,
         )
         report = _COMMANDS[args.command](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = _emit_json(report) if cfg.output_format == "json" else _emit_csv(report)
-    if cfg.output_path:
-        Path(cfg.output_path).write_text(text, encoding="utf-8", newline="\n")
+    text = _emit_json(report) if args.output_format == "json" else _emit_csv(report)
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
     else:
         sys.stdout.write(text)
     return 0 if _all_pass(report) else 1

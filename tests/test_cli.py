@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from telelocal import bellcheck, cli
+from telelocal import bellcheck, classical, cli
 
 
 def _run(argv, capsys):
@@ -77,6 +77,57 @@ def test_reports_are_byte_identical_per_config(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_reproduce_rows_come_from_the_other_commands(capsys):
+    samples, seed = 20000, 7
+    code, out = _run(["reproduce", "--samples", str(samples), "--seed", str(seed)], capsys)
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert [row["name"] for row in rows] == [
+        "singlet_ch_value",
+        "threshold_closed_form_root",
+        "threshold_first_grid_violation",
+        "teleport_fidelity_alpha_half",
+        "teleport_fidelity_alpha_threshold",
+        "z_scheme_fidelity",
+        "gisin_fidelity_analytic",
+        "gisin_fidelity_mc",
+        "hardy_successes",
+        "hardy_partition_ok",
+        "hardy_message_map_ok",
+        "lhv_ch_value",
+        "lhv_ch_in_unit_interval",
+        "lhv_max_cell_deviation",
+    ]
+    seeds = cli._child_seeds(seed, 5)
+    n = ["--samples", str(samples)]
+
+    def command_rows(argv):
+        code, out = _run(argv, capsys)
+        assert code == 0
+        return json.loads(out)["results"]
+
+    shared = (
+        command_rows(["scan"])
+        + command_rows(["teleport", "--alpha", "0.5", *n, "--seed", str(seeds[0])])
+        + command_rows(["teleport", "--alpha", repr(2**-0.5), *n, "--seed", str(seeds[1])])
+        + command_rows(["hardy"])
+        + command_rows(["lhv", "--alpha", "0.5", *n, "--seed", str(seeds[4])])
+    )
+    mine = rows[1:5] + rows[8:13]
+    assert len(shared) == len(mine)
+    for theirs, ours in zip(shared, mine):
+        assert {**theirs, "name": None} == {**ours, "name": None}, ours["name"]
+    z = classical.z_scheme_fidelity(samples, seeds[2])
+    gisin = classical.gisin_scheme_fidelity(samples, seeds[3])
+    for row, est, expected in (
+        (rows[5], z, 2 / 3),
+        (rows[7], gisin, classical.gisin_fidelity_analytic()),
+    ):
+        assert (row["value"], row["stderr"], row["samples"]) == (est.value, est.stderr, samples)
+        assert row["expected"] == expected and row["pass"] is True
+    assert rows[6]["value"] == rows[6]["expected"] == classical.gisin_fidelity_analytic()
+
+
 def test_out_file_and_stdout_match(tmp_path, capsys):
     path = tmp_path / "r.json"
     code, out = _run(["hardy", "--out", str(path)], capsys)
@@ -105,6 +156,10 @@ def test_usage_errors_exit_2(capsys):
     assert cli.main(["scan", "--grid", "0:2:0.5"]) == 2
     assert cli.main(["scan", "--grid=-0.5:1:0.5"]) == 2
     assert cli.main(["reproduce", "--grid", "0:2:0.5"]) == 2
+    for grid in ("nan:1:0.1", "0:1:nan", "0:nan:0.1", "0:1:inf", "0:1:5e-324"):
+        assert cli.main(["scan", "--grid", grid]) == 2
+    assert cli.main(["teleport", "--seed", "-1"]) == 2
+    assert cli.main(["reproduce", "--seed", "-1"]) == 2
     capsys.readouterr()
 
 
