@@ -16,7 +16,8 @@ The package splits into small focused modules:
 ``hardytoy``
     An exact discrete analogue of teleportation with four hidden states.
 ``classical``
-    Measure-and-prepare baselines that bound what classical strategies reach.
+    Classical baselines: measuring the unknown ket along z, and a sender who
+    knows the state's Bloch vector and sends the nearest tetrahedron vertex.
 ``cli``
     The ``telelocal`` command line front end.
 """

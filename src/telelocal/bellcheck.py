@@ -31,6 +31,14 @@ OUT_PLUS, OUT_MINUS = 0, 1
 
 _TABLE_ATOL = 1e-9
 
+# the four cells of the CH combination, each (sign, table index)
+CH_TERMS = (
+    (+1, (SETTING_T, OUT_PLUS, SETTING_S, OUT_MINUS)),
+    (+1, (SETTING_U, OUT_MINUS, SETTING_R, OUT_PLUS)),
+    (+1, (SETTING_U, OUT_PLUS, SETTING_S, OUT_PLUS)),
+    (-1, (SETTING_T, OUT_PLUS, SETTING_R, OUT_PLUS)),
+)
+
 
 @dataclass(frozen=True)
 class TeleportBellSetting:
@@ -84,10 +92,11 @@ class ProbabilityTable:
         joints = np.asarray(self.joints, dtype=float)
         if joints.shape != (2, 2, 2, 2):
             raise ValueError("table must have shape (2, 2, 2, 2)")
-        if joints.min() < -_TABLE_ATOL or joints.max() > 1 + _TABLE_ATOL:
+        # both checks read "not within tolerance", so NaN joints fail them
+        if not (joints.min() >= -_TABLE_ATOL and joints.max() <= 1 + _TABLE_ATOL):
             raise ValueError("joint probabilities out of range")
         block_sums = joints.sum(axis=(1, 3))
-        if np.abs(block_sums - 1.0).max() > _TABLE_ATOL:
+        if not np.abs(block_sums - 1.0).max() <= _TABLE_ATOL:
             raise ValueError("per settings pair, the four joints must sum to 1")
         object.__setattr__(self, "joints", joints)
         if self.stderr is not None:
@@ -147,14 +156,8 @@ def probability_table(setting: TeleportBellSetting, grouping: OutcomeGrouping, r
 
 
 def ch_value(table: ProbabilityTable) -> float:
-    """The combination Pr(t,s-) + Pr(u-,r) + Pr(u,s) - Pr(t,r)."""
-    j = table.joints
-    return float(
-        j[SETTING_T, OUT_PLUS, SETTING_S, OUT_MINUS]
-        + j[SETTING_U, OUT_MINUS, SETTING_R, OUT_PLUS]
-        + j[SETTING_U, OUT_PLUS, SETTING_S, OUT_PLUS]
-        - j[SETTING_T, OUT_PLUS, SETTING_R, OUT_PLUS]
-    )
+    """The combination Pr(t,s-) + Pr(u-,r) + Pr(u,s) - Pr(t,r), summed over CH_TERMS."""
+    return float(sum(sign * table.joints[cell] for sign, cell in CH_TERMS))
 
 
 def teleport_ch_value(setting: TeleportBellSetting, grouping: OutcomeGrouping, rho) -> float:

@@ -1,14 +1,16 @@
-"""Classical measure-and-prepare baselines for teleporting an unknown qubit.
+"""Classical baselines for sending a qubit with a two-bit message.
 
-Both schemes let the sender measure the unknown ket directly and send a
-classical message. The z scheme measures spin-z and prepares the
-corresponding pole, averaging to fidelity 2/3. The tetrahedron scheme
-measures the four-outcome POVM built from a regular tetrahedron of Bloch
-vectors and prepares the region's vertex, averaging to
+The z scheme is measure-and-prepare on the unknown ket: the sender
+measures spin-z and the receiver prepares the pole found. Each sample
+scores the fidelity (1 + m_z^2)/2 expected over that outcome, which
+averages to 2/3 over uniform Bloch vectors m. The tetrahedron scheme
+takes the argmax of v . m over the vertices v of a regular tetrahedron,
+using the input's known Bloch vector m rather than a measurement of the
+ket, and the receiver prepares that vertex. It averages to
 
     1/2 + sqrt(3/2) arctan(sqrt(2)) / pi  ~  0.8724
 
-which is the best known classical strategy of this type.
+the value of a sender who knows the state (Gisin, PLA 210, 157, 1996).
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ class Tetrahedron:
         if v.shape != (4, 3):
             raise ValueError("expected four three-component vertices")
         norms = np.linalg.norm(v, axis=1)
-        if np.abs(norms - 1.0).max() > qcore.ATOL_STRUCTURAL:
+        # "not within tolerance", so that NaN vertices are rejected too
+        if not np.abs(norms - 1.0).max() <= qcore.ATOL_STRUCTURAL:
             raise ValueError("vertices must be unit vectors")
         gram = v @ v.T
         off = gram[~np.eye(4, dtype=bool)]
-        if np.abs(off + 1 / 3).max() > qcore.ATOL_STRUCTURAL:
+        if not np.abs(off + 1 / 3).max() <= qcore.ATOL_STRUCTURAL:
             raise ValueError("pairwise vertex dot products must equal -1/3")
         object.__setattr__(self, "vertices", v)
 
@@ -59,23 +62,6 @@ def tetrahedron_vertices() -> Tetrahedron:
     )
 
 
-def region_index(m, tetrahedron: Tetrahedron | None = None) -> int:
-    """Index of the vertex nearest to the unit Bloch vector m, lowest index on ties."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3,):
-        raise ValueError("Bloch vector must have three components")
-    qcore._require_unit_vector(m, "Bloch vector")
-    tet = tetrahedron_vertices() if tetrahedron is None else tetrahedron
-    return int(np.argmax(tet.vertices @ m))
-
-
-def gisin_trial_fidelity(m, tetrahedron: Tetrahedron | None = None) -> float:
-    """Fidelity (1 + m . v)/2 of the vertex v prepared for the region of m."""
-    tet = tetrahedron_vertices() if tetrahedron is None else tetrahedron
-    idx = region_index(m, tet)
-    return float((1.0 + tet.vertices[idx] @ np.asarray(m, dtype=float)) / 2)
-
-
 def gisin_scheme_fidelity(
     samples: int, seed: int, tetrahedron: Tetrahedron | None = None
 ) -> MonteCarloEstimate:
@@ -92,13 +78,6 @@ def gisin_scheme_fidelity(
 def gisin_fidelity_analytic() -> float:
     """Closed form 1/2 + sqrt(3/2) arctan(sqrt(2)) / pi."""
     return 0.5 + math.sqrt(1.5) * math.atan(math.sqrt(2)) / math.pi
-
-
-def z_scheme_expected_fidelity(m_z: float) -> float:
-    """Expected fidelity (1 + m_z^2)/2 of the z scheme for a fixed input."""
-    if not -1.0 <= m_z <= 1.0:
-        raise ValueError("m_z must lie in [-1, 1]")
-    return (1.0 + m_z * m_z) / 2
 
 
 def z_scheme_fidelity(samples: int, seed: int) -> MonteCarloEstimate:

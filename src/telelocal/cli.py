@@ -3,7 +3,8 @@
 Every command produces a deterministic report (JSON by default, CSV on
 request) made of named result rows. Rows that carry an expected value
 and tolerance also carry a pass flag; the process exits 0 when all
-flagged rows pass, 1 when any fails, 2 on usage errors.
+flagged rows pass, 1 when any fails, 2 on usage errors and when the
+report cannot be written to `--out`.
 
 Stochastic rows use a tolerance of four standard errors plus a small
 absolute floor that absorbs double precision rounding when an estimator
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("scan", ("grid",), "scan the CH value over the singlet fraction"),
         ("lhv", ("alpha", "samples", "seed"), "hidden variable simulation of the teleportation test"),
         ("hardy", (), "verify the exact four-state toy protocol"),
-        ("gisin", ("samples", "seed"), "classical measure-and-prepare baselines"),
+        ("gisin", ("samples", "seed"), "classical baselines: the z and tetrahedron schemes"),
         ("teleport", ("alpha", "samples", "seed"), "Monte Carlo average teleportation fidelity"),
     ):
         p = sub.add_parser(name, help=help_text)
@@ -386,7 +387,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     text = _emit_json(report) if args.output_format == "json" else _emit_csv(report)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8", newline="\n")
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if _all_pass(report) else 1

@@ -11,16 +11,12 @@ hidden pairs:
     B3: (0,1) (1,2) (2,3) (3,0)
 
 Every outcome pins down the difference i = (x2 - x1) mod 4, which is the
-two-bit message; the receiver recovers the input as (x3 - i) mod 4. The
-measurement disturbs the measured pair by resampling it uniformly over
-the outcome's compatible pairs, which is what blocks signalling.
+two-bit message; the receiver recovers the input as (x3 - i) mod 4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 TOY_TABLES: tuple[tuple[tuple[int, int], ...], ...] = (
     ((0, 0), (1, 1), (2, 2), (3, 3)),
@@ -28,14 +24,6 @@ TOY_TABLES: tuple[tuple[tuple[int, int], ...], ...] = (
     ((0, 2), (1, 3), (2, 0), (3, 1)),
     ((0, 1), (1, 2), (2, 3), (3, 0)),
 )
-
-
-@dataclass(frozen=True)
-class ToyOutcome:
-    """A joint measurement outcome and its compatible hidden pairs."""
-
-    index: int
-    compatible_pairs: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -56,95 +44,30 @@ class ToyVerifyReport:
         return self.successes == self.total and self.partition_ok and self.message_map_ok
 
 
-@dataclass(frozen=True)
-class ToyTranscript:
-    """Full record of one protocol run."""
-
-    x1: int
-    x2: int
-    x3: int
-    outcome: ToyOutcome
-    message: int
-    disturbed_pair: tuple[int, int]
-    x3_final: int
-
-
-def _outcomes(tables=None) -> tuple[ToyOutcome, ...]:
-    tables = TOY_TABLES if tables is None else tuple(tuple(map(tuple, t)) for t in tables)
-    return tuple(ToyOutcome(index=k, compatible_pairs=rows) for k, rows in enumerate(tables))
-
-
-def _message_map(tables=None) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[int, int], int, int], ...]]:
+def _message_map(tables) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[int, int], int, int], ...]]:
     """Per-outcome message derived from the first row, plus rows that disagree."""
-    outcomes = _outcomes(tables)
     derived = []
     errors = []
-    for outcome in outcomes:
-        first = (outcome.compatible_pairs[0][1] - outcome.compatible_pairs[0][0]) % 4
+    for k, rows in enumerate(tables):
+        first = (rows[0][1] - rows[0][0]) % 4
         derived.append(first)
-        for pair in outcome.compatible_pairs:
+        for pair in rows:
             row_i = (pair[1] - pair[0]) % 4
             if row_i != first:
-                errors.append((outcome.index, pair, first, row_i))
+                errors.append((k, pair, first, row_i))
     return tuple(derived), tuple(errors)
 
 
-_messages, _errors = _message_map()
+_messages, _errors = _message_map(TOY_TABLES)
 if _errors:
     raise AssertionError(f"inconsistent canonical tables: {_errors!r}")
 # outcome index -> transmitted message, derived and checked at import
 MESSAGE_MAP: tuple[int, ...] = _messages
 
 
-def prepare_pair(rng: np.random.Generator) -> tuple[int, int]:
-    """A correlated resource pair (x, x) with x uniform over 0..3."""
-    x = int(rng.integers(4))
-    return x, x
-
-
-def joint_measurement(x1: int, x2: int, tables=None) -> ToyOutcome:
-    """The unique outcome whose table contains the hidden pair (x1, x2)."""
-    for outcome in _outcomes(tables):
-        if (x1, x2) in outcome.compatible_pairs:
-            return outcome
-    raise ValueError(f"hidden pair ({x1}, {x2}) appears in no outcome table")
-
-
-def post_measurement_resample(outcome: ToyOutcome, rng: np.random.Generator) -> tuple[int, int]:
-    """Uniform draw over the outcome's compatible pairs (the disturbance step)."""
-    return outcome.compatible_pairs[int(rng.integers(len(outcome.compatible_pairs)))]
-
-
-def classical_message(outcome: ToyOutcome) -> int:
-    """The difference (x2 - x1) mod 4 shared by every row of the outcome."""
-    rows = {(x2 - x1) % 4 for x1, x2 in outcome.compatible_pairs}
-    if len(rows) != 1:
-        raise ValueError(f"outcome {outcome.index} rows disagree on the message: {sorted(rows)}")
-    return rows.pop()
-
-
 def bob_correction(x3: int, message: int) -> int:
     """Shift the receiver's hidden value by the message: (x3 - i) mod 4."""
     return (x3 - message) % 4
-
-
-def run_toy_protocol(x1: int, rng: np.random.Generator) -> ToyTranscript:
-    """One full run: prepare, measure, disturb, signal, correct."""
-    if x1 not in (0, 1, 2, 3):
-        raise ValueError("input value must be in 0..3")
-    x2, x3 = prepare_pair(rng)
-    outcome = joint_measurement(x1, x2)
-    message = classical_message(outcome)
-    disturbed = post_measurement_resample(outcome, rng)
-    return ToyTranscript(
-        x1=x1,
-        x2=x2,
-        x3=x3,
-        outcome=outcome,
-        message=message,
-        disturbed_pair=disturbed,
-        x3_final=bob_correction(x3, message),
-    )
 
 
 def exhaustive_verify(tables=None) -> ToyVerifyReport:
@@ -154,14 +77,14 @@ def exhaustive_verify(tables=None) -> ToyVerifyReport:
     one outcome; the message check requires each outcome's rows to agree
     on (x2 - x1) mod 4. The replay uses the first-row message.
     """
-    outcomes = _outcomes(tables)
+    tables = TOY_TABLES if tables is None else tuple(tuple(map(tuple, rows)) for rows in tables)
     seen: dict[tuple[int, int], int] = {}
     partition_errors = []
-    for outcome in outcomes:
-        for pair in outcome.compatible_pairs:
+    for k, rows in enumerate(tables):
+        for pair in rows:
             if pair in seen:
-                partition_errors.append(f"pair {pair} in outcomes {seen[pair]} and {outcome.index}")
-            seen[pair] = outcome.index
+                partition_errors.append(f"pair {pair} in outcomes {seen[pair]} and {k}")
+            seen[pair] = k
     for x1 in range(4):
         for x2 in range(4):
             if (x1, x2) not in seen:

@@ -31,12 +31,7 @@ import numpy as np
 
 from . import qcore
 from .bellcheck import (
-    OUT_MINUS,
-    OUT_PLUS,
-    SETTING_R,
-    SETTING_S,
-    SETTING_T,
-    SETTING_U,
+    CH_TERMS,
     OutcomeGrouping,
     ProbabilityTable,
     TeleportBellSetting,
@@ -74,10 +69,6 @@ class MeasurementSpec:
             raise ValueError("kind must be 'projective' or 'povm'")
         ops = qcore.check_effects(self.operators, projective=self.kind == "projective")
         object.__setattr__(self, "operators", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.operators.shape[1]
 
     @property
     def outcomes(self) -> int:
@@ -187,11 +178,5 @@ def lhv_teleport_experiment(
             joints[ia, :, ib, :] = est.probs
             errors[ia, :, ib, :] = est.stderr
     table = ProbabilityTable(joints=joints, stderr=errors)
-    cells = (
-        (SETTING_T, OUT_PLUS, SETTING_S, OUT_MINUS),
-        (SETTING_U, OUT_MINUS, SETTING_R, OUT_PLUS),
-        (SETTING_U, OUT_PLUS, SETTING_S, OUT_PLUS),
-        (SETTING_T, OUT_PLUS, SETTING_R, OUT_PLUS),
-    )
-    stderr = float(np.sqrt(sum(errors[c] ** 2 for c in cells)))
+    stderr = float(np.sqrt(sum(errors[cell] ** 2 for _, cell in CH_TERMS)))
     return LhvChResult(value=ch_value(table), stderr=stderr, table=table)

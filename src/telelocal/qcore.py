@@ -32,7 +32,8 @@ def _as_complex(a) -> np.ndarray:
 
 
 def _require_unit_vector(v: np.ndarray, name: str, atol: float = 1e-9) -> None:
-    if abs(np.linalg.norm(v) - 1.0) > atol:
+    # written so that a NaN norm fails the check too
+    if not abs(np.linalg.norm(v) - 1.0) <= atol:
         raise ValueError(f"{name} must be a unit vector, got norm {np.linalg.norm(v)!r}")
 
 
@@ -68,17 +69,6 @@ def projector(ket) -> np.ndarray:
     """Rank-one projector |ket><ket|."""
     ket = _as_complex(ket)
     return np.outer(ket, ket.conj())
-
-
-def bloch_to_ket(m) -> np.ndarray:
-    """Unit Bloch vector (x, y, z) to the ket (cos(t/2), e^{i phi} sin(t/2))."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3,):
-        raise ValueError("Bloch vector must have three components")
-    _require_unit_vector(m, "Bloch vector")
-    theta = np.arccos(np.clip(m[2], -1.0, 1.0))
-    phi = np.arctan2(m[1], m[0])
-    return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
 
 
 def ket_to_bloch(chi) -> np.ndarray:
@@ -127,17 +117,18 @@ def check_effects(ops, projective: bool = False) -> np.ndarray:
     ops = _as_complex(ops)
     if ops.ndim != 3 or ops.shape[1:] != (2, 2):
         raise ValueError("effects must have shape (outcomes, 2, 2)")
-    if np.abs(ops.sum(axis=0) - IDENTITY_2).max() > ATOL_STRUCTURAL:
+    # every test is written as "not within tolerance", so NaN entries fail it
+    if not np.abs(ops.sum(axis=0) - IDENTITY_2).max() <= ATOL_STRUCTURAL:
         raise ValueError("effects must sum to the identity")
 
     def reject(flags: np.ndarray, what: str) -> None:
         if flags.any():
             raise ValueError(f"effect {int(np.argmax(flags))} is not {what}")
 
-    reject(np.abs(ops - ops.conj().swapaxes(1, 2)).max(axis=(1, 2)) > ATOL_STRUCTURAL, "hermitian")
-    reject(np.linalg.eigvalsh(ops)[:, 0] < -ATOL_PSD, "positive semidefinite")
+    reject(~(np.abs(ops - ops.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= ATOL_STRUCTURAL), "hermitian")
+    reject(~(np.linalg.eigvalsh(ops)[:, 0] >= -ATOL_PSD), "positive semidefinite")
     if projective:
-        reject(np.abs(ops @ ops - ops).max(axis=(1, 2)) > ATOL_PSD, "a projector")
+        reject(~(np.abs(ops @ ops - ops).max(axis=(1, 2)) <= ATOL_PSD), "a projector")
     return ops
 
 
@@ -157,23 +148,6 @@ def bell_basis() -> np.ndarray:
 
 def singlet_projector() -> np.ndarray:
     return projector(bell_basis()[0])
-
-
-def _swap_operator(d: int) -> np.ndarray:
-    v = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            v[i * d + j, j * d + i] = 1.0
-    return v
-
-
-def werner_general(d: int) -> np.ndarray:
-    """The d x d Werner state I/d^3 + (2/d^2) P_anti with P_anti = (I - V)/2."""
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError("dimension must be an integer >= 2")
-    eye = np.eye(d * d, dtype=complex)
-    p_anti = (eye - _swap_operator(d)) / 2
-    return eye / d**3 + (2 / d**2) * p_anti
 
 
 def werner_alpha(alpha: float) -> np.ndarray:

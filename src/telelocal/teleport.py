@@ -60,14 +60,12 @@ class TeleportPovm:
     """The four POVM elements induced by an input ket, in Bell order."""
 
     elements: np.ndarray  # shape (4, 2, 2)
-    source_state: np.ndarray  # shape (2,)
 
     def __post_init__(self):
         elements = qcore.check_effects(self.elements)
         if elements.shape[0] != 4:
             raise ValueError("expected four 2x2 elements")
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "source_state", np.asarray(self.source_state, dtype=complex))
 
 
 def povm_from_input(chi) -> TeleportPovm:
@@ -88,7 +86,7 @@ def povm_from_input(chi) -> TeleportPovm:
         ],
         dtype=complex,
     )
-    return TeleportPovm(elements=elements, source_state=chi)
+    return TeleportPovm(elements=elements)
 
 
 def correction_unitary(k: int) -> np.ndarray:

@@ -4,13 +4,14 @@ Frozen values come from an independent reference computation (explicit
 four-by-four traces, no shared code with the package).
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from telelocal import bellcheck, qcore
+from telelocal import bellcheck, lhv, qcore
 
 RNG_SEED = 20240813
 
@@ -39,6 +40,11 @@ def test_setting_validation():
         bellcheck.TeleportBellSetting(chi=np.array([1.0, 1.0]), chi_prime=good.chi_prime, r=good.r, s=good.s)
     with pytest.raises(ValueError):
         bellcheck.TeleportBellSetting(chi=good.chi, chi_prime=good.chi_prime, r=np.array([0.0, 0.0, 2.0]), s=good.s)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            dataclasses.replace(good, r=np.array([bad, 0.0, 0.0]))
+        with pytest.raises(ValueError):
+            dataclasses.replace(good, chi=np.array([bad, 0.0]))
 
 
 def test_grouping_validation():
@@ -60,6 +66,13 @@ def test_probability_table_validation():
         bellcheck.ProbabilityTable(joints=bad)
     with pytest.raises(ValueError):
         bellcheck.ProbabilityTable(joints=joints, stderr=np.zeros((2, 2)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            bellcheck.ProbabilityTable(joints=np.full((2, 2, 2, 2), bad))
+        poisoned = joints.copy()
+        poisoned[1, 0, 1, 1] = bad
+        with pytest.raises(ValueError):
+            bellcheck.ProbabilityTable(joints=poisoned)
 
 
 def test_grouped_effects_are_binary_povms_with_pinned_coefficients():
@@ -130,14 +143,32 @@ def test_table_blocks_sum_to_one():
 
 
 def test_ch_value_cell_wiring():
-    joints = np.zeros((2, 2, 2, 2))
-    # make each block a valid distribution, then read off the four used cells
-    joints[..., 0] = 0.25
-    joints[..., 1] = 0.25
-    joints[bellcheck.SETTING_T, bellcheck.OUT_PLUS, bellcheck.SETTING_S, bellcheck.OUT_MINUS] = 0.25
+    t, u, r, s = bellcheck.SETTING_T, bellcheck.SETTING_U, bellcheck.SETTING_R, bellcheck.SETTING_S
+    plus, minus = bellcheck.OUT_PLUS, bellcheck.OUT_MINUS
+    # sixteen distinct cells, each settings block a distribution over (+, -) x (+, -)
+    joints = np.empty((2, 2, 2, 2))
+    joints[t, :, s, :] = [[0.10, 0.20], [0.30, 0.40]]
+    joints[u, :, r, :] = [[0.05, 0.15], [0.35, 0.45]]
+    joints[u, :, s, :] = [[0.07, 0.13], [0.31, 0.49]]
+    joints[t, :, r, :] = [[0.11, 0.19], [0.33, 0.37]]
     table = bellcheck.ProbabilityTable(joints=joints)
     # value = j[T,+,S,-] + j[U,-,R,+] + j[U,+,S,+] - j[T,+,R,+]
-    assert abs(bellcheck.ch_value(table) - (0.25 + 0.25 + 0.25 - 0.25)) < 1e-15
+    assert abs(bellcheck.ch_value(table) - (0.20 + 0.35 + 0.07 - 0.11)) < 1e-15
+    assert bellcheck.CH_TERMS == (
+        (+1, (t, plus, s, minus)),
+        (+1, (u, minus, r, plus)),
+        (+1, (u, plus, s, plus)),
+        (-1, (t, plus, r, plus)),
+    )
+
+    # the hidden variable experiment adds the same four cells' errors in quadrature
+    result = lhv.lhv_teleport_experiment(
+        bellcheck.violation_setting(), bellcheck.OutcomeGrouping(), lhv.LhvConfig(samples=2_000, seed=3)
+    )
+    e = result.table.stderr
+    cells = (e[t, plus, s, minus], e[u, minus, r, plus], e[u, plus, s, plus], e[t, plus, r, plus])
+    assert result.stderr == math.sqrt(sum(c**2 for c in cells))
+    assert result.value == bellcheck.ch_value(result.table)
 
 
 def test_closed_form_root():

@@ -4,9 +4,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from telelocal import classical
+from telelocal import classical, qcore
 
 GISIN_ANALYTIC = 0.8724286556585266
+
+
+def _score(monkeypatch, scheme, m, **kwargs) -> float:
+    """A scheme's Monte Carlo score for the one Bloch vector m, drawn in place of uniform ones."""
+    rows = np.asarray(m, dtype=float)[None]
+    monkeypatch.setattr(qcore, "random_bloch_vectors", lambda rng, n: np.repeat(rows, n, axis=0))
+    return scheme(1, seed=0, **kwargs).value
 
 
 def test_canonical_tetrahedron_geometry():
@@ -24,24 +31,31 @@ def test_tetrahedron_validation():
     squashed = classical.tetrahedron_vertices().vertices * 0.9
     with pytest.raises(ValueError):
         classical.Tetrahedron(vertices=squashed)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            classical.Tetrahedron(vertices=np.full((4, 3), bad))
+        poisoned = classical.tetrahedron_vertices().vertices.copy()
+        poisoned[2, 1] = bad
+        with pytest.raises(ValueError):
+            classical.Tetrahedron(vertices=poisoned)
 
 
-def test_region_index_frozen_cases():
+def test_region_index_frozen_cases(monkeypatch):
+    # the scheme prepares the vertex nearest to m: vertex 1 here
     m = np.array([np.sin(2.0) * np.cos(0.4), np.sin(2.0) * np.sin(0.4), np.cos(2.0)])
-    assert classical.region_index(m) == 1
-    assert abs(classical.gisin_trial_fidelity(m) - 0.964167762229614) < 1e-12
-    # north pole is vertex 0; the antipode ties across vertices 1..3 and
-    # resolves to the lowest index among them
-    assert classical.region_index(np.array([0.0, 0.0, 1.0])) == 0
-    assert classical.region_index(np.array([0.0, 0.0, -1.0])) == 1
-    with pytest.raises(ValueError):
-        classical.region_index(np.array([0.0, 1.0]))
+    vertex = classical.tetrahedron_vertices().vertices[1]
+    assert abs(_score(monkeypatch, classical.gisin_scheme_fidelity, m) - 0.964167762229614) < 1e-12
+    assert abs(0.964167762229614 - (1 + vertex @ m) / 2) < 1e-12
+    # north pole is vertex 0; the antipode sits at -1/3 from vertices 1..3
+    assert _score(monkeypatch, classical.gisin_scheme_fidelity, [0.0, 0.0, 1.0]) == 1.0
+    assert abs(_score(monkeypatch, classical.gisin_scheme_fidelity, [0.0, 0.0, -1.0]) - 2 / 3) < 1e-15
 
 
-def test_trial_fidelity_peaks_on_vertices():
+def test_trial_fidelity_peaks_on_vertices(monkeypatch):
     tet = classical.tetrahedron_vertices()
     for vertex in tet.vertices:
-        assert abs(classical.gisin_trial_fidelity(vertex, tet) - 1.0) < 1e-12
+        score = _score(monkeypatch, classical.gisin_scheme_fidelity, vertex, tetrahedron=tet)
+        assert abs(score - 1.0) < 1e-12
 
 
 def test_gisin_analytic_value():
@@ -72,11 +86,11 @@ def test_gisin_scheme_is_rotation_invariant():
     assert abs(est.value - GISIN_ANALYTIC) <= 4 * est.stderr
 
 
-def test_z_scheme_expected_fidelity():
-    assert abs(classical.z_scheme_expected_fidelity(0.5) - 0.625) < 1e-15
-    assert abs(classical.z_scheme_expected_fidelity(-1.0) - 1.0) < 1e-15
-    with pytest.raises(ValueError):
-        classical.z_scheme_expected_fidelity(1.5)
+def test_z_scheme_expected_fidelity(monkeypatch):
+    # per input the score is (1 + m_z^2)/2, averaged over the spin-z outcome
+    assert abs(_score(monkeypatch, classical.z_scheme_fidelity, [0.75**0.5, 0.0, 0.5]) - 0.625) < 1e-15
+    assert abs(_score(monkeypatch, classical.z_scheme_fidelity, [0.0, 0.0, -1.0]) - 1.0) < 1e-15
+    assert abs(_score(monkeypatch, classical.z_scheme_fidelity, [0.0, 1.0, 0.0]) - 0.5) < 1e-15
 
 
 def test_z_scheme_monte_carlo_converges_to_two_thirds():

@@ -136,6 +136,14 @@ def test_out_file_and_stdout_match(tmp_path, capsys):
     assert json.loads(path.read_text())["command"] == "hardy"
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    assert cli.main(["hardy", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not path.exists()
+
+
 def test_seed_changes_stochastic_output(capsys):
     _, out1 = _run(["teleport", "--samples", "400", "--seed", "1", "--alpha", "0.3"], capsys)
     _, out2 = _run(["teleport", "--samples", "400", "--seed", "2", "--alpha", "0.3"], capsys)

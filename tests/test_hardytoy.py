@@ -1,8 +1,5 @@
 """Unit tests for the exact four-state toy teleportation protocol."""
 
-import numpy as np
-import pytest
-
 from telelocal import hardytoy
 
 
@@ -19,27 +16,25 @@ def test_message_map_is_derived_at_import():
 
 
 def test_joint_measurement_finds_the_unique_outcome():
-    assert hardytoy.joint_measurement(0, 0).index == 0
-    assert hardytoy.joint_measurement(2, 1).index == 1
-    assert hardytoy.joint_measurement(1, 3).index == 2
-    assert hardytoy.joint_measurement(3, 0).index == 3
+    # the measured pair (x1, x2) lies in exactly one outcome table
+    for pair, expected in (((0, 0), 0), ((2, 1), 1), ((1, 3), 2), ((3, 0), 3)):
+        assert [k for k, rows in enumerate(hardytoy.TOY_TABLES) if pair in rows] == [expected]
 
 
 def test_joint_measurement_rejects_unmapped_pairs():
-    # drop one pair from the tables so (3, 3) belongs nowhere
-    broken = [list(rows) for rows in hardytoy.TOY_TABLES]
-    broken[0] = [(0, 0), (1, 1), (2, 2)]
-    with pytest.raises(ValueError):
-        hardytoy.joint_measurement(3, 3, tables=broken)
+    # drop a pair: (3, 3) belongs to no outcome and its case cannot teleport
+    missing = [list(rows) for rows in hardytoy.TOY_TABLES]
+    missing[0] = [(0, 0), (1, 1), (2, 2)]
+    report = hardytoy.exhaustive_verify(tables=missing)
+    assert report.partition_errors == ("pair (3, 3) in no outcome",)
+    assert report.teleport_failures == ((3, 3, -1),)
+    assert report.successes == 15 and report.message_map_ok and not report.passed
 
 
 def test_classical_message_consistency():
-    for outcome_index, expected in enumerate(hardytoy.MESSAGE_MAP):
-        outcome = hardytoy.joint_measurement(*hardytoy.TOY_TABLES[outcome_index][0])
-        assert hardytoy.classical_message(outcome) == expected
-    bad = hardytoy.ToyOutcome(index=0, compatible_pairs=((0, 0), (1, 2)))
-    with pytest.raises(ValueError):
-        hardytoy.classical_message(bad)
+    # every row of outcome k carries the message MESSAGE_MAP[k]
+    for k, rows in enumerate(hardytoy.TOY_TABLES):
+        assert {(x2 - x1) % 4 for x1, x2 in rows} == {hardytoy.MESSAGE_MAP[k]}
 
 
 def test_bob_correction_inverts_the_shift():
@@ -48,33 +43,13 @@ def test_bob_correction_inverts_the_shift():
             assert hardytoy.bob_correction((x + msg) % 4, msg) == x
 
 
-def test_resample_stays_compatible():
-    rng = np.random.default_rng(5)
-    outcome = hardytoy.joint_measurement(1, 2)
-    for _ in range(20):
-        assert hardytoy.post_measurement_resample(outcome, rng) in outcome.compatible_pairs
-
-
 def test_protocol_always_teleports_exactly():
-    rng = np.random.default_rng(6)
-    for _ in range(200):
-        x1 = int(rng.integers(4))
-        t = hardytoy.run_toy_protocol(x1, rng)
-        assert t.x3_final == t.x1 == x1
-        assert t.x2 == t.x3  # the resource pair is perfectly correlated
-        assert (t.x1, t.x2) in t.outcome.compatible_pairs
-        assert t.disturbed_pair in t.outcome.compatible_pairs
-        assert t.message == hardytoy.MESSAGE_MAP[t.outcome.index]
-    with pytest.raises(ValueError):
-        hardytoy.run_toy_protocol(4, rng)
-
-
-def test_disturbance_hides_the_original_pair():
-    # over many runs each compatible pair shows up after the measurement
-    rng = np.random.default_rng(7)
-    outcome = hardytoy.joint_measurement(0, 0)
-    seen = {hardytoy.post_measurement_resample(outcome, rng) for _ in range(200)}
-    assert seen == set(outcome.compatible_pairs)
+    # replay every (input, shared value) by hand: the resource pair is
+    # (x, x), the measured pair (x1, x) picks its outcome's message
+    for x1 in range(4):
+        for x in range(4):
+            (k,) = [k for k, rows in enumerate(hardytoy.TOY_TABLES) if (x1, x) in rows]
+            assert hardytoy.bob_correction(x, hardytoy.MESSAGE_MAP[k]) == x1
 
 
 def test_exhaustive_verify_passes_on_canonical_tables():
@@ -100,3 +75,11 @@ def test_exhaustive_verify_flags_broken_tables():
     assert not report.message_map_ok
     assert report.successes < 16
     assert not report.passed
+
+    # trade a row between outcomes 0 and 2: each holds one row of the other's message
+    inconsistent = [list(rows) for rows in hardytoy.TOY_TABLES]
+    inconsistent[0][1], inconsistent[2][3] = inconsistent[2][3], inconsistent[0][1]
+    report = hardytoy.exhaustive_verify(tables=inconsistent)
+    assert report.partition_ok and report.successes == 14
+    assert report.message_errors == ((0, (3, 1), 0, 2), (2, (1, 1), 2, 0))
+    assert not report.message_map_ok and not report.passed

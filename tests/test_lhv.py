@@ -4,6 +4,7 @@ Expected joint probabilities are frozen from an independent reference
 computation of Tr[W (A x B)] on the singlet-fraction state at alpha 1/2.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -50,8 +51,12 @@ def test_measurement_spec_validation():
     skew[1, 0, 1] = -0.5
     with pytest.raises(ValueError):
         _spec("povm", skew)  # not hermitian
-    spec = _spec("povm", tilted)
-    assert spec.dim == 2 and spec.outcomes == 2
+    assert _spec("povm", tilted).outcomes == 2
+    for bad in (np.nan, np.inf):
+        poisoned = tilted.copy()
+        poisoned[1, 1, 1] = bad
+        with pytest.raises(ValueError):
+            _spec("povm", poisoned)
 
 
 def _overlap(kets, ops) -> np.ndarray:
@@ -226,6 +231,35 @@ def test_estimate_joint_reproducible():
     b = lhv.estimate_joint(alice, bob, cfg)
     npt.assert_allclose(a.probs, b.probs, atol=0)
     npt.assert_allclose(a.stderr, b.stderr, atol=0)
+
+
+def test_estimate_joint_reproducible_and_chunk_invariant(monkeypatch):
+    r_projs = np.stack([qcore.spin_projector(R_AXIS, +1), qcore.spin_projector(R_AXIS, -1)])
+    # the minimum rule with the receiver (a POVM is involved) and with the sender
+    pairs = (
+        (_grouped_effect_povm(), _spec("projective", r_projs)),
+        (_spec("projective", Z_PROJS), _spec("projective", Z_PROJS)),
+    )
+    haar_kets, default_chunk = qcore.haar_kets, lhv._CHUNK
+    chunk_rows = []
+    monkeypatch.setattr(qcore, "haar_kets", lambda rng, n: chunk_rows.append(n) or haar_kets(rng, n))
+    # alpha 0.25 also takes the white-noise path
+    for (alice, bob), alpha in itertools.product(pairs, (0.5, 0.25)):
+        w = qcore.werner_alpha(alpha)
+        expected = np.array(
+            [[np.trace(w @ qcore.tensor(a, b)).real for b in bob.operators] for a in alice.operators]
+        )
+        for chunk, rows in ((default_chunk, [1500]), (400, [400, 400, 400, 300])):
+            monkeypatch.setattr(lhv, "_CHUNK", chunk)
+            chunk_rows.clear()
+            cfg = lhv.LhvConfig(samples=1500, seed=29)
+            a = lhv.estimate_joint(alice, bob, cfg, alpha=alpha)
+            assert chunk_rows == rows
+            b = lhv.estimate_joint(alice, bob, cfg, alpha=alpha)
+            npt.assert_array_equal(a.probs, b.probs)
+            npt.assert_array_equal(a.stderr, b.stderr)
+            assert a.samples == 1500 and np.all(a.stderr > 0.0)
+            assert np.all(np.abs(a.probs - expected) <= 4 * a.stderr)
 
 
 def test_teleport_experiment_reproduces_the_ch_value():

@@ -45,16 +45,20 @@ def test_partial_trace_is_trace_preserving_and_validates():
 
 
 def test_bloch_round_trip():
+    # the ket spanning the + projector along m has Bloch vector m
     rng = np.random.default_rng(RNG_SEED + 2)
     for m in qcore.random_bloch_vectors(rng, 25):
-        ket = qcore.bloch_to_ket(m)
+        ket = np.linalg.eigh(qcore.spin_projector(m, +1))[1][:, 1]
         assert abs(np.linalg.norm(ket) - 1.0) < 1e-12
         npt.assert_allclose(qcore.ket_to_bloch(ket), m, atol=1e-12)
 
 
 def test_bloch_poles():
-    npt.assert_allclose(qcore.bloch_to_ket([0.0, 0.0, 1.0]), [1.0, 0.0], atol=1e-15)
-    npt.assert_allclose(np.abs(qcore.bloch_to_ket([0.0, 0.0, -1.0])), [0.0, 1.0], atol=1e-15)
+    s = np.sqrt(0.5)
+    npt.assert_allclose(qcore.ket_to_bloch([1.0, 0.0]), [0.0, 0.0, 1.0], atol=1e-15)
+    npt.assert_allclose(qcore.ket_to_bloch([0.0, 1j]), [0.0, 0.0, -1.0], atol=1e-15)
+    npt.assert_allclose(qcore.ket_to_bloch([s, s]), [1.0, 0.0, 0.0], atol=1e-15)
+    npt.assert_allclose(qcore.ket_to_bloch([s, 1j * s]), [0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_spin_projector_properties():
@@ -106,18 +110,16 @@ def test_werner_alpha_entries_and_limits():
 
 
 def test_werner_general_qubit_case_reduces_to_half_singlet_fraction():
-    npt.assert_allclose(qcore.werner_general(2), qcore.werner_alpha(0.5), atol=1e-14)
-    for d in (2, 3, 4):
-        w = qcore.werner_general(d)
-        assert qcore.is_density(w)
+    # Werner's d x d state I/d^3 + (2/d^2) (I - V)/2, with V the swap, at d = 2
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    npt.assert_allclose(np.eye(4) / 8 + (np.eye(4) - swap) / 4, qcore.werner_alpha(0.5), atol=1e-15)
+    rng = np.random.default_rng(RNG_SEED + 10)
+    for alpha in (0.0, 0.5, 0.9):
+        w = qcore.werner_alpha(alpha)
         # invariant under U x U conjugation
-        rng = np.random.default_rng(RNG_SEED + d)
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        u, _ = np.linalg.qr(g)
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         uu = qcore.tensor(u, u)
         npt.assert_allclose(uu @ w @ uu.conj().T, w, atol=1e-12)
-    with pytest.raises(ValueError):
-        qcore.werner_general(1)
 
 
 def test_fidelity_definition_and_validation():
@@ -192,8 +194,10 @@ def test_random_density_is_density():
 
 
 def test_unit_vector_guard():
-    with pytest.raises(ValueError):
-        qcore.bloch_to_ket([0.0, 0.0, 2.0])
+    qcore.spin_projector([0.0, 0.6, 0.8])
+    for bad in ([0.0, 0.0, 2.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [np.nan] * 3):
+        with pytest.raises(ValueError, match="unit vector"):
+            qcore.spin_projector(bad)
 
 
 def test_check_effects_names_the_first_bad_effect():
@@ -208,3 +212,8 @@ def test_check_effects_names_the_first_bad_effect():
     qcore.check_effects(tilted)
     with pytest.raises(ValueError, match="effect 0 is not a projector"):
         qcore.check_effects(tilted, projective=True)
+    for bad in (np.nan, np.inf):
+        poisoned = z.copy()
+        poisoned[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="sum to the identity"):
+            qcore.check_effects(poisoned)

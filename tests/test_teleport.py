@@ -63,6 +63,9 @@ def test_povm_structure():
 def test_povm_rejects_non_unit_input():
     with pytest.raises(ValueError):
         teleport.povm_from_input(np.array([1.0, 1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            teleport.povm_from_input(np.array([bad, 0.0]))
 
 
 def test_probabilities_match_frozen_reference():
@@ -247,4 +250,6 @@ def test_average_fidelity_validates_inputs():
 def test_povm_container_validation():
     bad = np.stack([np.eye(2, dtype=complex)] * 4)
     with pytest.raises(ValueError):
-        teleport.TeleportPovm(elements=bad, source_state=np.array([1.0, 0.0], dtype=complex))
+        teleport.TeleportPovm(elements=bad)
+    with pytest.raises(ValueError):
+        teleport.TeleportPovm(elements=np.full((4, 2, 2), np.nan, dtype=complex))
