@@ -103,6 +103,9 @@ class ProbabilityTable:
             stderr = np.asarray(self.stderr, dtype=float)
             if stderr.shape != (2, 2, 2, 2):
                 raise ValueError("stderr must match the table shape")
+            # "not within range", so NaN fails too; inf stays (fewer than two samples)
+            if not (stderr >= 0).all():
+                raise ValueError("standard errors must be non-negative")
             object.__setattr__(self, "stderr", stderr)
 
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .estimates import MonteCarloEstimate, run_chunks
+from .estimates import CHUNK, MonteCarloEstimate, run_chunks
 
-_CHUNK = 250_000
+_CHUNK = CHUNK
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,8 @@ def gisin_scheme_fidelity(
     """Monte Carlo average fidelity of the tetrahedron scheme over uniform m."""
     tet = tetrahedron_vertices() if tetrahedron is None else tetrahedron
 
-    def chunk(rng, n):
-        dots = qcore.random_bloch_vectors(rng, n) @ tet.vertices.T
+    def chunk(states, coins, n):
+        dots = qcore.random_bloch_vectors(states, n) @ tet.vertices.T
         return (1.0 + dots[np.arange(n), np.argmax(dots, axis=1)]) / 2
 
     return run_chunks(chunk, samples, seed, _CHUNK).scalar_estimate()
@@ -83,7 +83,7 @@ def gisin_fidelity_analytic() -> float:
 def z_scheme_fidelity(samples: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo average of the z scheme over uniform m; converges to 2/3."""
 
-    def chunk(rng, n):
-        return (1.0 + np.square(qcore.random_bloch_vectors(rng, n)[:, 2])) / 2
+    def chunk(states, coins, n):
+        return (1.0 + np.square(qcore.random_bloch_vectors(states, n)[:, 2])) / 2
 
     return run_chunks(chunk, samples, seed, _CHUNK).scalar_estimate()

@@ -36,7 +36,7 @@ class ToyVerifyReport:
     partition_ok: bool
     partition_errors: tuple[str, ...]
     message_map_ok: bool
-    message_errors: tuple[tuple[int, tuple[int, int], int, int], ...]
+    message_errors: tuple[tuple[int, tuple[int, ...], int, int], ...]
     message_map: tuple[int, ...]
 
     @property
@@ -44,11 +44,19 @@ class ToyVerifyReport:
         return self.successes == self.total and self.partition_ok and self.message_map_ok
 
 
-def _message_map(tables) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[int, int], int, int], ...]]:
-    """Per-outcome message derived from the first row, plus rows that disagree."""
+def _message_map(tables) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...], int, int], ...]]:
+    """Per-outcome message derived from the first row, plus rows that disagree.
+
+    An outcome with no rows carries no message: it gets -1 and is listed
+    as the error (k, (), -1, -1).
+    """
     derived = []
     errors = []
     for k, rows in enumerate(tables):
+        if not rows:
+            derived.append(-1)
+            errors.append((k, (), -1, -1))
+            continue
         first = (rows[0][1] - rows[0][0]) % 4
         derived.append(first)
         for pair in rows:

@@ -183,14 +183,13 @@ def is_density(m, tol: float = 1e-10) -> bool:
 def haar_kets(rng: np.random.Generator, n: int, dim: int = 2) -> np.ndarray:
     """n Haar-uniform unit kets of the given dimension, one per row.
 
-    Sampled by normalizing 2*dim independent standard Gaussians: one
-    (n, dim) draw for the real parts, then one for the imaginary parts.
-    They are stored side by side as floats and normalized with real
-    arithmetic; the result is a complex view of that buffer.
+    Sampled by normalizing 2*dim independent standard Gaussians, drawn as
+    one (n, dim, 2) block with the real and imaginary parts side by side,
+    so row i takes the i-th run of 2*dim normals of the stream however n
+    is split across calls. The block is normalized in place with real
+    arithmetic; the result is a complex view of it.
     """
-    z = np.empty((n, dim, 2))
-    z[..., 0] = rng.standard_normal((n, dim))
-    z[..., 1] = rng.standard_normal((n, dim))
+    z = rng.standard_normal((n, dim, 2))
     z /= np.sqrt(np.einsum("ijk,ijk->i", z, z))[:, None, None]
     return z.view(complex)[..., 0]
 

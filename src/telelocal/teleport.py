@@ -35,11 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .estimates import MonteCarloEstimate, run_chunks
+from .estimates import CHUNK, MonteCarloEstimate, run_chunks
 
 ROUTE_AGREEMENT_ATOL = 1e-12
 _PROBABILITY_FLOOR = 1e-12
-_CHUNK = 200_000
+_CHUNK = CHUNK
 
 # Bell-ket coefficient matrices C_k with Phi_k = sum_ij C_k[i, j] |ij>
 _BELL_COEFF = qcore.bell_basis().reshape(4, 2, 2)
@@ -168,9 +168,11 @@ def _bloch_forms(rho: np.ndarray) -> np.ndarray:
 def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo average of <chi| final |chi> over Haar-uniform input kets.
 
-    Each sample draws a Haar ket and a Bell outcome with the ket's outcome
-    probabilities, then scores the corrected overlap divided by the
-    outcome probability; both come from the real forms of _bloch_forms.
+    Each sample draws a Haar ket from the state stream and a Bell outcome,
+    with the ket's outcome probabilities, from one uniform of the coin
+    stream (see estimates.run_chunks), then scores the corrected overlap
+    divided by the outcome probability; both come from the real forms of
+    _bloch_forms. The result does not depend on the chunk size.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -178,10 +180,10 @@ def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
     forms = _bloch_forms(rho)
     prob_forms = 2 * forms[:, :, 0].T
 
-    def chunk(rng, m):
-        rows = qcore.bloch_rows(qcore.haar_kets(rng, m))
+    def chunk(states, coins, m):
+        rows = qcore.bloch_rows(qcore.haar_kets(states, m))
         probs = rows @ prob_forms
-        draws = rng.random(m)
+        draws = coins.random(m)
         ks = np.minimum((draws[:, None] > np.cumsum(probs, axis=1)).sum(axis=1), 3)
         p_k = np.take_along_axis(probs, ks[:, None], axis=1)[:, 0]
         return np.einsum("sa,sab,sb->s", rows, forms[ks], rows) / p_k

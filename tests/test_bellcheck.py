@@ -66,6 +66,13 @@ def test_probability_table_validation():
         bellcheck.ProbabilityTable(joints=bad)
     with pytest.raises(ValueError):
         bellcheck.ProbabilityTable(joints=joints, stderr=np.zeros((2, 2)))
+    # a streaming estimate of fewer than two samples reports an infinite stderr
+    bellcheck.ProbabilityTable(joints=joints, stderr=np.full((2, 2, 2, 2), np.inf))
+    for bad in (np.nan, -1.0):
+        stderr = np.full((2, 2, 2, 2), 0.01)
+        stderr[0, 1, 1, 0] = bad
+        with pytest.raises(ValueError, match="standard errors"):
+            bellcheck.ProbabilityTable(joints=joints, stderr=stderr)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             bellcheck.ProbabilityTable(joints=np.full((2, 2, 2, 2), bad))

@@ -75,9 +75,9 @@ def test_empty_chunk_changes_nothing():
 
 
 def _draw(sizes):
-    def sample_chunk(rng, m):
+    def sample_chunk(states, coins, m):
         sizes.append(m)
-        return rng.random((m, 2, 3))
+        return states.random((m, 2, 3)) + coins.random((m, 1, 1))
 
     return sample_chunk
 
@@ -87,10 +87,10 @@ def test_run_chunks_sizes_and_stream_match_a_hand_written_loop():
     moments = run_chunks(_draw(sizes), samples=1000, seed=5, chunk=300, cell_shape=(2, 3))
     assert sizes == [300, 300, 300, 100]
     assert moments.cell_shape == (2, 3) and moments.count == 1000
-    rng = np.random.default_rng(5)
+    states, coins = (np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(2))
     by_hand = StreamingMoments((2, 3))
     for m in (300, 300, 300, 100):
-        by_hand.add(rng.random((m, 2, 3)))
+        by_hand.add(states.random((m, 2, 3)) + coins.random((m, 1, 1)))
     assert np.array_equal(moments.mean(), by_hand.mean())
     assert np.array_equal(moments.stderr(), by_hand.stderr())
     sizes.clear()

@@ -83,3 +83,16 @@ def test_exhaustive_verify_flags_broken_tables():
     assert report.partition_ok and report.successes == 14
     assert report.message_errors == ((0, (3, 1), 0, 2), (2, (1, 1), 2, 0))
     assert not report.message_map_ok and not report.passed
+
+
+def test_exhaustive_verify_reports_an_empty_outcome():
+    # outcome 3 has no rows: its four pairs belong to no outcome and it carries no message
+    empty = [list(rows) for rows in hardytoy.TOY_TABLES]
+    empty[3] = []
+    report = hardytoy.exhaustive_verify(tables=empty)
+    assert report.message_errors == ((3, (), -1, -1),)
+    assert report.message_map == (0, 3, 2, -1)
+    assert report.partition_errors == tuple(f"pair {p} in no outcome" for p in ((0, 1), (1, 2), (2, 3), (3, 0)))
+    assert report.teleport_failures == ((0, 1, -1), (1, 2, -1), (2, 3, -1), (3, 0, -1))
+    assert report.successes == 12
+    assert not report.message_map_ok and not report.partition_ok and not report.passed

@@ -243,16 +243,19 @@ def test_estimate_joint_reproducible_and_chunk_invariant(monkeypatch):
     haar_kets, default_chunk = qcore.haar_kets, lhv._CHUNK
     chunk_rows = []
     monkeypatch.setattr(qcore, "haar_kets", lambda rng, n: chunk_rows.append(n) or haar_kets(rng, n))
+    chunkings = ((default_chunk, [1500]), (1, [1] * 1500), (7, [7] * 214 + [2]), (400, [400, 400, 400, 300]))
     # alpha 0.25 also takes the white-noise path
     for (alice, bob), alpha in itertools.product(pairs, (0.5, 0.25)):
         w = qcore.werner_alpha(alpha)
         expected = np.array(
             [[np.trace(w @ qcore.tensor(a, b)).real for b in bob.operators] for a in alice.operators]
         )
-        for chunk, rows in ((default_chunk, [1500]), (400, [400, 400, 400, 300])):
+        cfg = lhv.LhvConfig(samples=1500, seed=29)
+        monkeypatch.setattr(lhv, "_CHUNK", default_chunk)
+        reference = lhv.estimate_joint(alice, bob, cfg, alpha=alpha)
+        for chunk, rows in chunkings:
             monkeypatch.setattr(lhv, "_CHUNK", chunk)
             chunk_rows.clear()
-            cfg = lhv.LhvConfig(samples=1500, seed=29)
             a = lhv.estimate_joint(alice, bob, cfg, alpha=alpha)
             assert chunk_rows == rows
             b = lhv.estimate_joint(alice, bob, cfg, alpha=alpha)
@@ -260,6 +263,9 @@ def test_estimate_joint_reproducible_and_chunk_invariant(monkeypatch):
             npt.assert_array_equal(a.stderr, b.stderr)
             assert a.samples == 1500 and np.all(a.stderr > 0.0)
             assert np.all(np.abs(a.probs - expected) <= 4 * a.stderr)
+            # every sample reads the same hidden ket and noise coin however the chunks split
+            npt.assert_allclose(a.probs, reference.probs, rtol=0, atol=1e-12)
+            npt.assert_allclose(a.stderr, reference.stderr, rtol=0, atol=1e-12)
 
 
 def test_teleport_experiment_reproduces_the_ch_value():

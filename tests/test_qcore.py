@@ -151,11 +151,16 @@ def test_haar_kets_keep_the_gaussian_stream():
     for dim in (2, 4):
         rng, hand = np.random.default_rng(RNG_SEED + 7), np.random.default_rng(RNG_SEED + 7)
         kets = qcore.haar_kets(rng, 500, dim)
-        z = hand.standard_normal((500, dim)) + 1j * hand.standard_normal((500, dim))
+        z = hand.standard_normal((500, dim, 2))
+        z = z[..., 0] + 1j * z[..., 1]
         assert kets.shape == (500, dim) and kets.dtype == complex
         npt.assert_allclose(kets, z / np.linalg.norm(z, axis=1, keepdims=True), rtol=0, atol=1e-15)
         # no normal skipped or added
         assert rng.standard_normal() == hand.standard_normal()
+        # row i reads the same normals however the rows are split across calls
+        split, whole = np.random.default_rng(RNG_SEED + 8), np.random.default_rng(RNG_SEED + 8)
+        parts = [qcore.haar_kets(split, n, dim) for n in (173, 1, 326)]
+        npt.assert_array_equal(np.concatenate(parts), qcore.haar_kets(whole, 500, dim))
 
 
 def test_bloch_rows_match_ket_to_bloch():

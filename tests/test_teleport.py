@@ -193,11 +193,11 @@ def test_bloch_forms_match_the_three_qubit_route():
 
 
 def test_average_fidelity_replays_the_three_qubit_protocol():
-    # the estimator's stream in one chunk: all Haar kets, then one uniform draw per sample
+    # the estimator's two streams: Haar kets from the first, one uniform draw per sample from the second
     rho = qcore.random_density(np.random.default_rng(RNG_SEED + 9), 4)
-    rng = np.random.default_rng(5)
-    kets = qcore.haar_kets(rng, 300)
-    draws = rng.random(300)
+    states, coins = (np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(2))
+    kets = qcore.haar_kets(states, 300)
+    draws = coins.random(300)
     fids = []
     for chi, draw in zip(kets, draws):
         probs = teleport.bell_measurement_probabilities(chi, rho)
@@ -229,7 +229,9 @@ def test_average_fidelity_reproducible_and_chunk_invariant(monkeypatch):
     haar_kets = qcore.haar_kets
     chunk_rows = []
     monkeypatch.setattr(qcore, "haar_kets", lambda rng, n: chunk_rows.append(n) or haar_kets(rng, n))
-    for chunk, rows in ((teleport._CHUNK, [1500]), (400, [400, 400, 400, 300])):
+    reference = teleport.average_fidelity(rho, samples=1500, seed=9)
+    chunkings = ((teleport._CHUNK, [1500]), (1, [1] * 1500), (7, [7] * 214 + [2]), (400, [400, 400, 400, 300]))
+    for chunk, rows in chunkings:
         monkeypatch.setattr(teleport, "_CHUNK", chunk)
         chunk_rows.clear()
         a = teleport.average_fidelity(rho, samples=1500, seed=9)
@@ -238,6 +240,9 @@ def test_average_fidelity_reproducible_and_chunk_invariant(monkeypatch):
         assert a == b
         assert a.samples == 1500 and a.stderr > 0.0
         assert abs(a.value - expected) <= 4 * a.stderr
+        # every sample reads the same kets and outcome draws however the chunks split
+        assert abs(a.value - reference.value) <= 1e-12
+        assert abs(a.stderr - reference.stderr) <= 1e-12
 
 
 def test_average_fidelity_validates_inputs():
