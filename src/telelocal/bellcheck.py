@@ -169,20 +169,19 @@ def teleport_ch_value(setting: TeleportBellSetting, grouping: OutcomeGrouping, r
 
 
 def _slope(setting: TeleportBellSetting) -> float:
-    """c (r_x + s_x) - d (r_y - s_y): four times the rate at which the CH value falls with alpha."""
-    a, b = setting.chi
-    ap, bp = setting.chi_prime
-    c = (a * b.conjugate() + a.conjugate() * b).real
-    d = (-1j * (ap * bp.conjugate() - ap.conjugate() * bp)).real
-    return c * (setting.r[0] + setting.s[0]) - d * (setting.r[1] - setting.s[1])
+    """Sum of sign r_e . r_f over CH_TERMS: four times the rate at which the CH value falls with alpha."""
+    sender = qcore.pauli_rows(grouped_alice_effects(setting, OutcomeGrouping()))
+    receiver = qcore.pauli_rows(bob_projectors(setting))
+    return float(sum(sign * sender[cell[:2]][1:] @ receiver[cell[2:]][1:] for sign, cell in CH_TERMS))
 
 
 def closed_form_value(alpha: float, setting: TeleportBellSetting) -> float:
     """CH value on the singlet-fraction family, for the default grouping.
 
-    Equals (2 - alpha * (c (r_x + s_x) - d (r_y - s_y))) / 4 with
-    c = a b* + a* b from chi and d = -i (a' b'* - a'* b') from chi_prime.
-    At alpha = 1 this reduces to (2 - c (r_x + s_x) + d (r_y - s_y)) / 4.
+    The family has Pauli correlations R = diag(1, -alpha, -alpha, -alpha),
+    so a cell is (t_e t_f - alpha r_e . r_f) / 4 for the sender's and the
+    receiver's Pauli rows (t, r). Every t is 1 and the CH signs sum to 2,
+    so the value is (2 - alpha * sum of sign r_e . r_f) / 4.
     """
     return (2 - alpha * _slope(setting)) / 4
 
@@ -235,13 +234,8 @@ def threshold_scan(setting: TeleportBellSetting, alpha_grid) -> ThresholdReport:
 
 
 def horodecki_t(rho) -> np.ndarray:
-    """Correlation matrix T_ij = Tr[rho sigma_i x sigma_j]."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError("state must be two-qubit")
-    # rho4[a, c, b, d] = <a c|rho|b d>, so the trace pairs sigma_i[b, a] and sigma_j[d, c]
-    paulis = qcore.PAULI_BASIS[1:]
-    return np.einsum("iba,jdc,acbd->ij", paulis, paulis, rho.reshape(2, 2, 2, 2)).real
+    """Correlation matrix T_ij = Tr[rho sigma_i x sigma_j], the Pauli block of qcore.pauli_correlations."""
+    return qcore.pauli_correlations(rho)[1:, 1:]
 
 
 class ChshResult(NamedTuple):

@@ -16,7 +16,6 @@ the value of a sender who knows the state (Gisin, PLA 210, 157, 1996).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,50 +25,25 @@ from .estimates import CHUNK, MonteCarloEstimate, run_chunks
 _CHUNK = CHUNK
 
 
-@dataclass(frozen=True)
-class Tetrahedron:
-    """Four unit Bloch vectors with pairwise dot product -1/3."""
-
-    vertices: np.ndarray  # shape (4, 3)
-
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        if v.shape != (4, 3):
-            raise ValueError("expected four three-component vertices")
-        norms = np.linalg.norm(v, axis=1)
-        # "not within tolerance", so that NaN vertices are rejected too
-        if not np.abs(norms - 1.0).max() <= qcore.ATOL_STRUCTURAL:
-            raise ValueError("vertices must be unit vectors")
-        gram = v @ v.T
-        off = gram[~np.eye(4, dtype=bool)]
-        if not np.abs(off + 1 / 3).max() <= qcore.ATOL_STRUCTURAL:
-            raise ValueError("pairwise vertex dot products must equal -1/3")
-        object.__setattr__(self, "vertices", v)
-
-
-def tetrahedron_vertices() -> Tetrahedron:
-    """Canonical orientation with one vertex at the north pole."""
+def tetrahedron_vertices() -> np.ndarray:
+    """The four unit vertices, shape (4, 3), one at the north pole; pairwise dot products are -1/3."""
     r = 2 * math.sqrt(2) / 3
-    return Tetrahedron(
-        vertices=np.array(
-            [
-                [0.0, 0.0, 1.0],
-                [r, 0.0, -1 / 3],
-                [-r / 2, math.sqrt(2 / 3), -1 / 3],
-                [-r / 2, -math.sqrt(2 / 3), -1 / 3],
-            ]
-        )
+    return np.array(
+        [
+            [0.0, 0.0, 1.0],
+            [r, 0.0, -1 / 3],
+            [-r / 2, math.sqrt(2 / 3), -1 / 3],
+            [-r / 2, -math.sqrt(2 / 3), -1 / 3],
+        ]
     )
 
 
-def gisin_scheme_fidelity(
-    samples: int, seed: int, tetrahedron: Tetrahedron | None = None
-) -> MonteCarloEstimate:
+def gisin_scheme_fidelity(samples: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo average fidelity of the tetrahedron scheme over uniform m."""
-    tet = tetrahedron_vertices() if tetrahedron is None else tetrahedron
+    vertices = tetrahedron_vertices()
 
     def chunk(states, coins, n):
-        dots = qcore.random_bloch_vectors(states, n) @ tet.vertices.T
+        dots = qcore.random_bloch_vectors(states, n) @ vertices.T
         return (1.0 + dots[np.arange(n), np.argmax(dots, axis=1)]) / 2
 
     return run_chunks(chunk, samples, seed, _CHUNK).scalar_estimate()

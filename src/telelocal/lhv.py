@@ -13,11 +13,12 @@ overlap <lambda|E|lambda> = (t + r . m)/2. Two response rules appear
   with the winner's weight in each effect, (t -/+ r . n)/2, which for
   projectors is the deterministic least-overlap outcome.
 
-Exactly one party holds the minimum rule; the joint statistics then
-reproduce Tr[W (A x B)] for the singlet-fraction state at alpha = 1/2.
-It sits with the sender when both parties are projective and with the
-receiver as soon as a POVM is involved, so a receiver POVM whose
-vectors r are not parallel is rejected.
+The sender answers by the overlap rule and the receiver holds the
+minimum rule, so a receiver POVM whose vectors r are not parallel is
+rejected. Since E[m | n . m > 0] = n/2, the joint averaged over the
+hidden ket is t_a t_b / 4 - (r_a . n)(r_b . n) / 8: symmetric in the two
+roles, and with r_b parallel to n equal to Tr[W (A x B)] for the
+singlet-fraction state at alpha = 1/2.
 
 Fractions alpha < 1/2 mix in a state-independent white-noise responder
 (t/2 for each effect) with weight 1 - 2 alpha.
@@ -93,11 +94,6 @@ class LhvChResult:
     table: ProbabilityTable
 
 
-def bloch_coefficients(operators: np.ndarray) -> np.ndarray:
-    """Rows (t, r_x, r_y, r_z) with E_k = (t I + r . sigma)/2, one per qubit effect."""
-    return np.einsum("aji,kij->ka", qcore.PAULI_BASIS, operators).real
-
-
 def minimum_rule(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Axis n of a commuting family and the two responses of the minimum rule.
 
@@ -124,9 +120,9 @@ def estimate_joint(
     """Monte Carlo joint outcome probabilities under the hidden variable model.
 
     Matches Tr[W (A x B)] on the singlet-fraction state at the given
-    alpha, which must lie in [0, 1/2]. The minimum rule sits with the
-    sender only in the all-projective case; any POVM moves it to the
-    receiver so that POVM elements are always answered by overlap.
+    alpha, which must lie in [0, 1/2]. The sender answers by the overlap
+    rule and the receiver by the minimum rule, which needs its effects to
+    commute.
 
     Each sample takes its hidden ket from the state stream and, when
     alpha < 1/2, one uniform of the coin stream that picks the
@@ -135,10 +131,9 @@ def estimate_joint(
     """
     if not 0.0 <= alpha <= 0.5:
         raise ValueError("alpha must lie in [0, 1/2]")
-    alice_coeffs, bob_coeffs = bloch_coefficients(alice.operators), bloch_coefficients(bob.operators)
-    receiver_minimum = alice.kind == "povm" or bob.kind == "povm"
-    axis, responses = minimum_rule(bob_coeffs if receiver_minimum else alice_coeffs)
-    overlap = (alice_coeffs if receiver_minimum else bob_coeffs).T / 2
+    alice_coeffs, bob_coeffs = qcore.pauli_rows(alice.operators), qcore.pauli_rows(bob.operators)
+    axis, responses = minimum_rule(bob_coeffs)
+    overlap = alice_coeffs.T / 2
     noise = np.outer(alice_coeffs[:, 0], bob_coeffs[:, 0]) / 4
     mix = 2.0 * alpha
 
@@ -147,8 +142,7 @@ def estimate_joint(
         by_overlap = rows @ overlap
         # np.take gathers whole rows far faster than fancy indexing does
         by_minimum = np.take(responses, (rows[:, 1:] @ axis <= 0).astype(np.intp), axis=0)
-        pa, pb = (by_overlap, by_minimum) if receiver_minimum else (by_minimum, by_overlap)
-        joint = np.einsum("si,sj->sij", pa, pb)
+        joint = np.einsum("si,sj->sij", by_overlap, by_minimum)
         if mix < 1.0:
             joint[coins.random(m) >= mix] = noise
         return joint

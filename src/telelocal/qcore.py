@@ -7,6 +7,7 @@ Conventions used throughout the package:
 * the Bell basis is ordered (psi-, psi+, phi-, phi+), where
   psi-+ = (|01> -+ |10>)/sqrt(2) and phi-+ = (|00> -+ |11>)/sqrt(2)
 * tensor products follow numpy's kron index convention
+* in the Pauli layer an effect (t I + r . sigma)/2 is the real row (t, r)
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 # sigma_0 = I, sigma_x, sigma_y, sigma_z
 PAULI_BASIS = np.stack([IDENTITY_2, *PAULIS])
+# row 4a + b: sigma_a x sigma_b (hermitian) conjugated, so row . vec(rho) = Tr[rho sigma_a x sigma_b]
+_PAULI_PAIRS = np.stack([np.kron(a, b) for a in PAULI_BASIS for b in PAULI_BASIS]).reshape(16, 16).conj()
 
 
 def _as_complex(a) -> np.ndarray:
@@ -106,6 +109,22 @@ def bloch_rows(kets: np.ndarray) -> np.ndarray:
     rows[:, 2] = 2 * (ar * bi - ai * br)
     rows[:, 3] = (ar * ar + ai * ai) - (br * br + bi * bi)
     return rows
+
+
+def pauli_rows(ops) -> np.ndarray:
+    """Rows (t, r) = Tr[sigma_a E] with E = (t I + r . sigma)/2, for a stack of effects (..., 2, 2)."""
+    return np.einsum("aji,...ij->...a", PAULI_BASIS, _as_complex(ops)).real
+
+
+def pauli_correlations(rho) -> np.ndarray:
+    """Real R_ab = Tr[rho sigma_a x sigma_b] of a two-qubit density matrix (else ValueError).
+
+    For effects with Pauli rows e and f, Tr[rho (E x F)] = e R f / 4.
+    """
+    rho = _as_complex(rho)
+    if rho.shape != (4, 4) or not is_density(rho):
+        raise ValueError("state must be a two-qubit density matrix")
+    return (_PAULI_PAIRS @ rho.ravel()).real.reshape(4, 4)
 
 
 def check_effects(ops, projective: bool = False) -> np.ndarray:

@@ -17,15 +17,19 @@ With the singlet as the shared pair the receiver's conditional states
 are (-a,-b), (-a,b), (b,a), (-b,a), which the correction unitaries
 -I, -sigma_z, sigma_x, i sigma_y map back onto (a, b) exactly.
 
+In qcore's Pauli layer A_k is the row s_k * (1, m)/2, m the input's Bloch
+vector and s_k[a] the sign of sigma_a x sigma_a in Bell state k.
+
 The Monte Carlo average fidelity works on real Bloch vectors. The input
 projector is (I + m . sigma)/2, so every outcome probability is affine
 and every corrected overlap quadratic in m~ = (1, m): outcome k has
 probability 2 m~ . G[k][:, 0] and corrected overlap m~^T G[k] m~ for
-real 4x4 forms G[k] built once per pair by pushing I, sigma_x, sigma_y,
-sigma_z through outcome k's map of the pair and its correction. These
-are exact identities, the same affine structure behind the generic-pair
-closed form (2F + 1)/3 (Horodecki, Horodecki & Horodecki, PRA 60, 1888,
-1999). The complex three-qubit route above stays as their oracle.
+the real 4x4 forms G[k] = diag(s_k) R diag(c_k) / 8, where R is the
+pair's qcore.pauli_correlations and c_k[b] = Tr[U_k sigma_b U_k* sigma_b]/2
+the sign the correction puts on sigma_b. These are exact identities,
+the same affine structure behind the generic-pair closed form
+(2F + 1)/3 (Horodecki, Horodecki & Horodecki, PRA 60, 1888, 1999). The
+complex three-qubit route above stays as their oracle.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ ROUTE_AGREEMENT_ATOL = 1e-12
 _PROBABILITY_FLOOR = 1e-12
 _CHUNK = CHUNK
 
-# Bell-ket coefficient matrices C_k with Phi_k = sum_ij C_k[i, j] |ij>
-_BELL_COEFF = qcore.bell_basis().reshape(4, 2, 2)
+# s_k[a]: the sign of sigma_a x sigma_a in Bell state k, sigma_0 = I
+_SENDER_SIGNS = np.array([[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]])
 
 _CORRECTIONS = np.array(
     [
@@ -52,6 +56,10 @@ _CORRECTIONS = np.array(
         [[0, 1], [-1, 0]],  # i sigma_y
     ],
     dtype=complex,
+)
+# c_k[b] = Tr[U_k sigma_b U_k* sigma_b]/2: the sign correction k puts on sigma_b
+_CORRECTION_SIGNS = (
+    np.einsum("kij,bjl,kml,bmi->kb", _CORRECTIONS, qcore.PAULI_BASIS, _CORRECTIONS.conj(), qcore.PAULI_BASIS).real / 2
 )
 
 
@@ -69,24 +77,13 @@ class TeleportPovm:
 
 
 def povm_from_input(chi) -> TeleportPovm:
-    """POVM on the sender's half of the pair induced by the input ket."""
+    """POVM on the sender's half of the pair induced by the input ket, from its Pauli rows."""
     chi = np.asarray(chi, dtype=complex)
     if chi.shape != (2,):
         raise ValueError("input ket must have dimension 2")
     qcore._require_unit_vector(chi, "input ket")
-    a, b = chi
-    aa, bb = abs(a) ** 2, abs(b) ** 2
-    ab = a * b.conjugate()
-    elements = 0.5 * np.array(
-        [
-            [[bb, -ab], [-ab.conjugate(), aa]],
-            [[bb, ab], [ab.conjugate(), aa]],
-            [[aa, -ab.conjugate()], [-ab, bb]],
-            [[aa, ab.conjugate()], [ab, bb]],
-        ],
-        dtype=complex,
-    )
-    return TeleportPovm(elements=elements)
+    rows = _SENDER_SIGNS * qcore.bloch_rows(chi[None]) / 2
+    return TeleportPovm(elements=np.tensordot(rows, qcore.PAULI_BASIS, axes=1) / 2)
 
 
 def correction_unitary(k: int) -> np.ndarray:
@@ -154,15 +151,10 @@ def _bloch_forms(rho: np.ndarray) -> np.ndarray:
     With m~ = (1, m) for an input ket of Bloch vector m, outcome k has
     probability 2 m~ . G[k][:, 0] and corrected overlap
     <chi| U_k N_k U_k* |chi> = m~^T G[k] m~, where N_k is the receiver's
-    unnormalized conditional state. Row a of G[k] is the input Pauli
-    sigma_a pushed through outcome k's map of rho and the correction
-    U_k; column b reads it out against sigma_b.
+    unnormalized conditional state: G[k] = diag(s_k) R diag(c_k) / 8.
+    Raises ValueError unless rho is a two-qubit density matrix.
     """
-    rho4 = rho.reshape(2, 2, 2, 2)
-    bob = np.einsum("kij,ail,klp,jnpq->kanq", _BELL_COEFF.conj(), qcore.PAULI_BASIS, _BELL_COEFF, rho4)
-    u = _CORRECTIONS[:, None]
-    corrected = u @ bob @ u.conj().swapaxes(-1, -2)
-    return np.einsum("bqn,kanq->kab", qcore.PAULI_BASIS, corrected).real / 4
+    return _SENDER_SIGNS[:, :, None] * qcore.pauli_correlations(rho) * _CORRECTION_SIGNS[:, None, :] / 8
 
 
 def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
@@ -174,9 +166,6 @@ def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
     divided by the outcome probability; both come from the real forms of
     _bloch_forms. The result does not depend on the chunk size.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError("shared pair must be a two-qubit state")
     forms = _bloch_forms(rho)
     prob_forms = 2 * forms[:, :, 0].T
 

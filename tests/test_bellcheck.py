@@ -243,6 +243,8 @@ def test_horodecki_t_of_the_singlet_fraction_family():
         npt.assert_allclose(bellcheck.horodecki_t(rho), by_trace, rtol=0, atol=1e-13)
     with pytest.raises(ValueError):
         bellcheck.horodecki_t(np.eye(2) / 2)
+    with pytest.raises(ValueError, match="density matrix"):
+        bellcheck.chsh_criterion(3 * np.eye(4))
 
 
 def test_chsh_criterion_frozen_values():

@@ -9,41 +9,26 @@ from telelocal import classical, qcore
 GISIN_ANALYTIC = 0.8724286556585266
 
 
-def _score(monkeypatch, scheme, m, **kwargs) -> float:
+def _score(monkeypatch, scheme, m) -> float:
     """A scheme's Monte Carlo score for the one Bloch vector m, drawn in place of uniform ones."""
     rows = np.asarray(m, dtype=float)[None]
     monkeypatch.setattr(qcore, "random_bloch_vectors", lambda rng, n: np.repeat(rows, n, axis=0))
-    return scheme(1, seed=0, **kwargs).value
+    return scheme(1, seed=0).value
 
 
 def test_canonical_tetrahedron_geometry():
-    tet = classical.tetrahedron_vertices()
-    v = tet.vertices
+    v = classical.tetrahedron_vertices()
+    assert v.shape == (4, 3)
     npt.assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-14)
     dots = v @ v.T
     npt.assert_allclose(dots[~np.eye(4, dtype=bool)], -1 / 3, atol=1e-14)
     npt.assert_allclose(v[0], [0.0, 0.0, 1.0], atol=1e-15)
 
 
-def test_tetrahedron_validation():
-    with pytest.raises(ValueError):
-        classical.Tetrahedron(vertices=np.eye(4, 3))
-    squashed = classical.tetrahedron_vertices().vertices * 0.9
-    with pytest.raises(ValueError):
-        classical.Tetrahedron(vertices=squashed)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError):
-            classical.Tetrahedron(vertices=np.full((4, 3), bad))
-        poisoned = classical.tetrahedron_vertices().vertices.copy()
-        poisoned[2, 1] = bad
-        with pytest.raises(ValueError):
-            classical.Tetrahedron(vertices=poisoned)
-
-
 def test_region_index_frozen_cases(monkeypatch):
     # the scheme prepares the vertex nearest to m: vertex 1 here
     m = np.array([np.sin(2.0) * np.cos(0.4), np.sin(2.0) * np.sin(0.4), np.cos(2.0)])
-    vertex = classical.tetrahedron_vertices().vertices[1]
+    vertex = classical.tetrahedron_vertices()[1]
     assert abs(_score(monkeypatch, classical.gisin_scheme_fidelity, m) - 0.964167762229614) < 1e-12
     assert abs(0.964167762229614 - (1 + vertex @ m) / 2) < 1e-12
     # north pole is vertex 0; the antipode sits at -1/3 from vertices 1..3
@@ -52,9 +37,8 @@ def test_region_index_frozen_cases(monkeypatch):
 
 
 def test_trial_fidelity_peaks_on_vertices(monkeypatch):
-    tet = classical.tetrahedron_vertices()
-    for vertex in tet.vertices:
-        score = _score(monkeypatch, classical.gisin_scheme_fidelity, vertex, tetrahedron=tet)
+    for vertex in classical.tetrahedron_vertices():
+        score = _score(monkeypatch, classical.gisin_scheme_fidelity, vertex)
         assert abs(score - 1.0) < 1e-12
 
 
@@ -69,21 +53,6 @@ def test_gisin_monte_carlo_converges_to_the_analytic_value():
     assert est.stderr < 1e-3
     again = classical.gisin_scheme_fidelity(150_000, seed=31)
     assert est == again
-
-
-def test_gisin_scheme_is_rotation_invariant():
-    # a rotated tetrahedron covers the sphere the same way
-    angle = 0.7
-    rot = np.array(
-        [
-            [np.cos(angle), -np.sin(angle), 0.0],
-            [np.sin(angle), np.cos(angle), 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    tilted = classical.Tetrahedron(vertices=classical.tetrahedron_vertices().vertices @ rot.T)
-    est = classical.gisin_scheme_fidelity(150_000, seed=32, tetrahedron=tilted)
-    assert abs(est.value - GISIN_ANALYTIC) <= 4 * est.stderr
 
 
 def test_z_scheme_expected_fidelity(monkeypatch):

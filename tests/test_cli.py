@@ -1,10 +1,12 @@
 """Tests for the telelocal command line interface and report formats."""
 
+import ast
 import dataclasses
 import json
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -258,3 +260,20 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "hardy"
+
+
+def test_the_package_never_imports_the_benchmark():
+    # perfbench modules import each other by bare name, so any of those names counts too
+    root = Path(__file__).resolve().parents[1]
+    bench = {"perfbench"} | {path.stem for path in (root / "perfbench").glob("*.py")}
+    sources = sorted((root / "src" / "telelocal").rglob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert not {name.split(".")[0] for name in names} & bench, f"{path.name} imports {names}"

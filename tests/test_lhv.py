@@ -61,13 +61,13 @@ def test_measurement_spec_validation():
 
 def _overlap(kets, ops) -> np.ndarray:
     rows = qcore.bloch_rows(np.atleast_2d(kets))
-    return rows @ lhv.bloch_coefficients(np.asarray(ops, dtype=complex)).T / 2
+    return rows @ qcore.pauli_rows(ops).T / 2
 
 
 def _minimum(kets, ops) -> np.ndarray:
     # row 0 of the responses answers where n . m > 0, row 1 elsewhere
     rows = qcore.bloch_rows(np.atleast_2d(kets))
-    axis, responses = lhv.minimum_rule(lhv.bloch_coefficients(np.asarray(ops, dtype=complex)))
+    axis, responses = lhv.minimum_rule(qcore.pauli_rows(ops))
     return responses[(rows[:, 1:] @ axis <= 0).astype(int)]
 
 
@@ -109,13 +109,13 @@ def test_bloch_rules_match_the_ket_rules():
         npt.assert_allclose(_minimum(kets, ops), _ket_minimum(kets, ops), rtol=0, atol=1e-12)
 
 
-def test_sender_minimum_rule_is_anticorrelated():
+def test_receiver_minimum_rule_is_anticorrelated():
     # hidden ket along |0>: the least-overlap projector is |1><1|, outcome 1
     npt.assert_allclose(_minimum(E0, Z_PROJS), [[0.0, 1.0]], atol=1e-15)
     npt.assert_allclose(_minimum(np.array([0.0, 1.0]), Z_PROJS), [[1.0, 0.0]], atol=1e-15)
 
 
-def test_receiver_overlap_rule_values():
+def test_sender_overlap_rule_values():
     assert abs(_overlap(E0, Z_PROJS)[0, 0] - 1.0) < 1e-15
     assert abs(_overlap(E0, Z_PROJS)[0, 1]) < 1e-15
     assert abs(_overlap(E0, X_PROJS)[0, 0] - 0.5) < 1e-15
@@ -165,6 +165,16 @@ def test_estimate_joint_validation():
     big[1] = np.eye(4) * 0.5
     with pytest.raises(ValueError):
         lhv.estimate_joint(alice, _spec("povm", big), cfg)
+
+
+def test_receiver_holds_the_minimum_rule_for_a_projective_pair(monkeypatch):
+    # every hidden ket is one fixed ket: the sender answers with its overlaps,
+    # the receiver with the one-hot least-overlap outcome
+    ket = np.array([np.cos(0.4), np.sin(0.4) * np.exp(0.3j)])
+    monkeypatch.setattr(qcore, "haar_kets", lambda rng, n: np.repeat(ket[None], n, axis=0))
+    est = lhv.estimate_joint(_spec("projective", Z_PROJS), _spec("projective", X_PROJS), lhv.LhvConfig(50, 3))
+    receiver = np.eye(2)[np.argmin(_ket_overlap(ket[None], X_PROJS)[0])]
+    npt.assert_allclose(est.probs, np.outer(_ket_overlap(ket[None], Z_PROJS)[0], receiver), rtol=0, atol=1e-15)
 
 
 def test_projective_pair_matches_quantum_statistics():
@@ -235,7 +245,7 @@ def test_estimate_joint_reproducible():
 
 def test_estimate_joint_reproducible_and_chunk_invariant(monkeypatch):
     r_projs = np.stack([qcore.spin_projector(R_AXIS, +1), qcore.spin_projector(R_AXIS, -1)])
-    # the minimum rule with the receiver (a POVM is involved) and with the sender
+    # a POVM sender and an all-projective pair
     pairs = (
         (_grouped_effect_povm(), _spec("projective", r_projs)),
         (_spec("projective", Z_PROJS), _spec("projective", Z_PROJS)),

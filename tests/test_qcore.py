@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from telelocal import qcore
+from telelocal import bellcheck, qcore, teleport
 
 RNG_SEED = 20240811
 
@@ -222,3 +222,36 @@ def test_check_effects_names_the_first_bad_effect():
         poisoned[1, 0, 1] = bad
         with pytest.raises(ValueError, match="sum to the identity"):
             qcore.check_effects(poisoned)
+
+
+def test_pauli_layer_matches_the_trace_oracles():
+    rng = np.random.default_rng(RNG_SEED + 11)
+    for _ in range(30):
+        rho = qcore.random_density(rng, 4)
+        corr = qcore.pauli_correlations(rho)
+        for a, sa in enumerate(qcore.PAULI_BASIS):
+            for b, sb in enumerate(qcore.PAULI_BASIS):
+                assert abs(corr[a, b] - np.trace(rho @ qcore.tensor(sa, sb)).real) <= 1e-14
+        kets = qcore.haar_kets(rng, 2)
+        axes = qcore.random_bloch_vectors(rng, 2)
+        setting = bellcheck.TeleportBellSetting(chi=kets[0], chi_prime=kets[1], r=axes[0], s=axes[1])
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        weights = rng.dirichlet(np.ones(3), size=2).T
+        families = (
+            bellcheck.grouped_alice_effects(setting, bellcheck.OutcomeGrouping()).reshape(4, 2, 2),
+            bellcheck.bob_projectors(setting).reshape(4, 2, 2),
+            np.stack([u @ np.diag(w) @ u.conj().T for w in weights]),  # commuting three-outcome POVM
+        )
+        effects = np.concatenate(families)
+        rows = qcore.pauli_rows(effects)
+        for e, row_e in zip(effects, rows):
+            for f, row_f in zip(effects, rows):
+                assert abs(row_e @ corr @ row_f / 4 - teleport.joint_probability(rho, e, f)) <= 1e-14
+
+
+def test_pauli_correlations_refuse_what_is_not_a_two_qubit_state():
+    skew = qcore.werner_alpha(0.5)
+    skew[0, 3] = 0.1
+    for bad in (np.eye(4), 3 * np.eye(4), np.full((4, 4), np.nan), skew, np.eye(2) / 2):
+        with pytest.raises(ValueError, match="two-qubit density matrix"):
+            qcore.pauli_correlations(bad)

@@ -192,6 +192,14 @@ def test_bloch_forms_match_the_three_qubit_route():
                 assert abs(row @ forms[k] @ row - probs[k] * qcore.fidelity(chi, corrected)) <= 1e-12
 
 
+def test_bloch_forms_of_the_singlet_fraction_family_are_diagonal():
+    # the structure behind the (1 + alpha)/2 rows: every outcome has the same form
+    for alpha in (0.0, 0.5, 2**-0.5, 1.0):
+        forms = teleport._bloch_forms(qcore.werner_alpha(alpha))
+        for k in range(4):
+            npt.assert_allclose(forms[k], np.diag([1.0, alpha, alpha, alpha]) / 8, rtol=0, atol=1e-16)
+
+
 def test_average_fidelity_replays_the_three_qubit_protocol():
     # the estimator's two streams: Haar kets from the first, one uniform draw per sample from the second
     rho = qcore.random_density(np.random.default_rng(RNG_SEED + 9), 4)
@@ -248,6 +256,12 @@ def test_average_fidelity_reproducible_and_chunk_invariant(monkeypatch):
 def test_average_fidelity_validates_inputs():
     with pytest.raises(ValueError):
         teleport.average_fidelity(np.eye(2) / 2, samples=10, seed=0)
+    skew = qcore.werner_alpha(0.5)
+    skew[0, 3] = 0.1
+    # trace 4, NaN entries, not hermitian: none is a state
+    for bad in (np.eye(4), np.full((4, 4), np.nan), skew):
+        with pytest.raises(ValueError, match="density matrix"):
+            teleport.average_fidelity(bad, samples=1000, seed=1)
     with pytest.raises(ValueError):
         teleport.average_fidelity(qcore.werner_alpha(0.5), samples=0, seed=0)
 
