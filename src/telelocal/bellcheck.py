@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qcore
-from .teleport import joint_probability, povm_from_input
+from .teleport import joint_probability, povm_from_input, sender_rows
 
 SETTING_T, SETTING_U = 0, 1
 SETTING_R, SETTING_S = 0, 1
@@ -169,10 +169,17 @@ def teleport_ch_value(setting: TeleportBellSetting, grouping: OutcomeGrouping, r
 
 
 def _slope(setting: TeleportBellSetting) -> float:
-    """Sum of sign r_e . r_f over CH_TERMS: four times the rate at which the CH value falls with alpha."""
-    sender = qcore.pauli_rows(grouped_alice_effects(setting, OutcomeGrouping()))
+    """Sum of sign r_e . r_f over CH_TERMS: four times the rate at which the CH value falls with alpha.
+
+    A sender setting's + row sums its grouped sender_rows; the - row sums
+    the complement, whose vector r is the opposite one.
+    """
+    grouping = OutcomeGrouping()
+    settings = ((setting.chi, grouping.t_set), (setting.chi_prime, grouping.u_set))
+    plus = np.stack([sender_rows(ket)[list(group)].sum(axis=0)[1:] for ket, group in settings])
+    sender = np.stack([plus, -plus], axis=1)
     receiver = qcore.pauli_rows(bob_projectors(setting))
-    return float(sum(sign * sender[cell[:2]][1:] @ receiver[cell[2:]][1:] for sign, cell in CH_TERMS))
+    return float(sum(sign * sender[cell[:2]] @ receiver[cell[2:]][1:] for sign, cell in CH_TERMS))
 
 
 def closed_form_value(alpha: float, setting: TeleportBellSetting) -> float:

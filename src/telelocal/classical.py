@@ -43,8 +43,9 @@ def gisin_scheme_fidelity(samples: int, seed: int) -> MonteCarloEstimate:
     vertices = tetrahedron_vertices()
 
     def chunk(states, coins, n):
-        dots = qcore.random_bloch_vectors(states, n) @ vertices.T
-        return (1.0 + dots[np.arange(n), np.argmax(dots, axis=1)]) / 2
+        # component-major: one row of n samples per vertex
+        dots = vertices @ qcore.random_bloch_vectors(states, n).T
+        return (1.0 + dots.max(axis=0)) / 2
 
     return run_chunks(chunk, samples, seed, _CHUNK).scalar_estimate()
 

@@ -25,10 +25,15 @@ class StreamingMoments:
     """Accumulates per-cell mean and sum of squared deviations over chunks.
 
     ``add`` takes arrays of shape (chunk, *cell_shape); the estimate is per
-    cell. Each chunk's (count, mean, M2) is merged into the running totals
-    with the pairwise update of Chan, Golub & LeVeque (1979), which avoids
-    the cancellation of raw sums of squares. With fewer than two samples
-    the standard error is reported as inf.
+    cell. A chunk is reduced as one contiguous row of samples per cell: a
+    component-major chunk, the (chunk, *cell_shape) transpose view of a
+    C-ordered (*cell_shape, chunk) buffer, is read in place, any other
+    layout is copied into that order first, so the result does not depend
+    on the layout. Each cell's mean is a pairwise sum over its row, and the
+    chunk's (count, mean, M2) is merged into the running totals with the
+    pairwise update of Chan, Golub & LeVeque (1979), which avoids the
+    cancellation of raw sums of squares. With fewer than two samples the
+    standard error is reported as inf.
     """
 
     def __init__(self, cell_shape: tuple[int, ...] = ()):
@@ -44,14 +49,15 @@ class StreamingMoments:
         n = values.shape[0]
         if n == 0:
             return
-        # a strided mean over axis 0 is slow on cell-shaped chunks; scalar
-        # cells keep numpy's pairwise sum, which is also the more exact one
-        mean = np.einsum("i...->...", values) / n if self.cell_shape else values.mean(axis=0)
-        deviations = values - mean
-        m2 = np.einsum("i...,i...->...", deviations, deviations)
+        # (cells, n); a free view for component-major chunks and scalar cells
+        rows = np.ascontiguousarray(values.reshape(n, -1).T)
+        mean = rows.sum(axis=1) / n
+        deviations = rows - mean[:, None]
+        m2 = np.einsum("ij,ij->i", deviations, deviations).reshape(self.cell_shape)
         # free the chunk-sized temporary before the small merge results are
         # allocated; held longer, it measurably raised peak memory
         del deviations
+        mean = mean.reshape(self.cell_shape)
         total = self._count + n
         delta = mean - self._mean
         self._mean = self._mean + delta * (n / total)
@@ -90,9 +96,11 @@ def run_chunks(
     This is the only place that builds generators. ``SeedSequence(seed)``
     spawns two: ``states`` for Haar kets and Bloch vectors, ``coins`` for
     outcome draws and the white-noise mix. Each call returns an array of
-    shape (m, *cell_shape) and takes its rows' values from each stream in
-    row order, so row i reads the same numbers wherever the chunks split
-    and the results do not depend on ``chunk``.
+    shape (m, *cell_shape), best the transpose view of a component-major
+    (*cell_shape, m) buffer, which StreamingMoments.add reads without a
+    copy. It takes its rows' values from each stream in row order, so row
+    i reads the same numbers wherever the chunks split and the results do
+    not depend on ``chunk``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -133,19 +133,31 @@ def estimate_joint(
         raise ValueError("alpha must lie in [0, 1/2]")
     alice_coeffs, bob_coeffs = qcore.pauli_rows(alice.operators), qcore.pauli_rows(bob.operators)
     axis, responses = minimum_rule(bob_coeffs)
-    overlap = alice_coeffs.T / 2
-    noise = np.outer(alice_coeffs[:, 0], bob_coeffs[:, 0]) / 4
+    overlap = alice_coeffs / 2
+    # the receiver's answer per group: 0 where n . m > 0, 1 elsewhere, 2 white noise (t/2)
+    by_group = np.column_stack([*responses, bob_coeffs[:, 0] / 2])
     mix = 2.0 * alpha
 
     def chunk(states, coins, m):
-        rows = qcore.bloch_rows(qcore.haar_kets(states, m))
-        by_overlap = rows @ overlap
-        # np.take gathers whole rows far faster than fancy indexing does
-        by_minimum = np.take(responses, (rows[:, 1:] @ axis <= 0).astype(np.intp), axis=0)
-        joint = np.einsum("si,sj->sij", by_overlap, by_minimum)
+        # component-major: one contiguous row of m samples per component
+        cols = qcore.bloch_rows(qcore.haar_kets(states, m)).T
+        group = np.zeros(m, dtype=np.intp)
         if mix < 1.0:
-            joint[coins.random(m) >= mix] = noise
-        return joint
+            noise = coins.random(m) >= mix
+            # a zero Bloch vector makes the sender's overlap t/2, so the noise
+            # joint is (t_a/2)(t_b/2) = t_a t_b / 4 exactly, and its n . m = 0
+            # adds the second 1 of group 2 below
+            cols[1:] *= ~noise
+            group += noise
+        group += axis @ cols[1:] <= 0
+        # np.take gathers whole columns far faster than fancy indexing does
+        by_minimum = np.take(by_group, group, axis=1)
+        by_overlap = overlap @ cols
+        # free the chunk-sized inputs before the joint is allocated; held
+        # longer, they raised the chunk's peak memory
+        del cols, group
+        joint = by_overlap[:, None, :] * by_minimum[None, :, :]
+        return joint.transpose(2, 0, 1)
 
     moments = run_chunks(chunk, cfg.samples, cfg.seed, _CHUNK, (alice.outcomes, bob.outcomes))
     return JointEstimate(probs=moments.mean(), stderr=moments.stderr(), samples=cfg.samples)

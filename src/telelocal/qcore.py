@@ -99,16 +99,18 @@ def bloch_rows(kets: np.ndarray) -> np.ndarray:
 
     With a = ar + i ai and b = br + i bi, x + i y = 2 a* b and z = |a|^2 - |b|^2,
     written out in real arithmetic on the real and imaginary parts, so no
-    complex temporaries are built.
+    complex temporaries are built. The four components are filled as
+    contiguous rows of a (4, n) buffer and returned as its (n, 4) transpose
+    view, so ``bloch_rows(kets).T`` is component-major at no cost.
     """
     parts = np.ascontiguousarray(kets, dtype=complex).view(float)
     ar, ai, br, bi = parts.T
-    rows = np.empty((parts.shape[0], 4))
-    rows[:, 0] = 1.0
-    rows[:, 1] = 2 * (ar * br + ai * bi)
-    rows[:, 2] = 2 * (ar * bi - ai * br)
-    rows[:, 3] = (ar * ar + ai * ai) - (br * br + bi * bi)
-    return rows
+    cols = np.empty((4, parts.shape[0]))
+    cols[0] = 1.0
+    cols[1] = 2 * (ar * br + ai * bi)
+    cols[2] = 2 * (ar * bi - ai * br)
+    cols[3] = (ar * ar + ai * ai) - (br * br + bi * bi)
+    return cols.T
 
 
 def pauli_rows(ops) -> np.ndarray:
@@ -203,14 +205,15 @@ def haar_kets(rng: np.random.Generator, n: int, dim: int = 2) -> np.ndarray:
     """n Haar-uniform unit kets of the given dimension, one per row.
 
     Sampled by normalizing 2*dim independent standard Gaussians, drawn as
-    one (n, dim, 2) block with the real and imaginary parts side by side,
-    so row i takes the i-th run of 2*dim normals of the stream however n
-    is split across calls. The block is normalized in place with real
-    arithmetic; the result is a complex view of it.
+    one (n, 2*dim) block with the real and imaginary parts of each entry
+    side by side, so row i takes the i-th run of 2*dim normals of the
+    stream however n is split across calls. The block is normalized in
+    place in real arithmetic, each of its 2*dim columns divided by the
+    row norms; the result is a complex view of it.
     """
-    z = rng.standard_normal((n, dim, 2))
-    z /= np.sqrt(np.einsum("ijk,ijk->i", z, z))[:, None, None]
-    return z.view(complex)[..., 0]
+    z = rng.standard_normal((n, 2 * dim))
+    np.divide(z.T, np.sqrt(np.einsum("ij,ij->i", z, z)), out=z.T)
+    return z.view(complex)
 
 
 def random_bloch_vectors(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -17,8 +17,8 @@ With the singlet as the shared pair the receiver's conditional states
 are (-a,-b), (-a,b), (b,a), (-b,a), which the correction unitaries
 -I, -sigma_z, sigma_x, i sigma_y map back onto (a, b) exactly.
 
-In qcore's Pauli layer A_k is the row s_k * (1, m)/2, m the input's Bloch
-vector and s_k[a] the sign of sigma_a x sigma_a in Bell state k.
+In qcore's Pauli layer A_k is the row s_k * (1, m)/2 (sender_rows), m the
+input's Bloch vector and s_k[a] the sign of sigma_a x sigma_a in Bell state k.
 
 The Monte Carlo average fidelity works on real Bloch vectors. The input
 projector is (I + m . sigma)/2, so every outcome probability is affine
@@ -76,14 +76,18 @@ class TeleportPovm:
         object.__setattr__(self, "elements", elements)
 
 
-def povm_from_input(chi) -> TeleportPovm:
-    """POVM on the sender's half of the pair induced by the input ket, from its Pauli rows."""
+def sender_rows(chi) -> np.ndarray:
+    """Pauli rows s_k * (1, m)/2 of the sender's four POVM elements for the input ket, shape (4, 4)."""
     chi = np.asarray(chi, dtype=complex)
     if chi.shape != (2,):
         raise ValueError("input ket must have dimension 2")
     qcore._require_unit_vector(chi, "input ket")
-    rows = _SENDER_SIGNS * qcore.bloch_rows(chi[None]) / 2
-    return TeleportPovm(elements=np.tensordot(rows, qcore.PAULI_BASIS, axes=1) / 2)
+    return _SENDER_SIGNS * qcore.bloch_rows(chi[None]) / 2
+
+
+def povm_from_input(chi) -> TeleportPovm:
+    """POVM on the sender's half of the pair induced by the input ket, from its Pauli rows."""
+    return TeleportPovm(elements=np.tensordot(sender_rows(chi), qcore.PAULI_BASIS, axes=1) / 2)
 
 
 def correction_unitary(k: int) -> np.ndarray:
@@ -164,17 +168,35 @@ def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
     with the ket's outcome probabilities, from one uniform of the coin
     stream (see estimates.run_chunks), then scores the corrected overlap
     divided by the outcome probability; both come from the real forms of
-    _bloch_forms. The result does not depend on the chunk size.
+    _bloch_forms. The overlap m~^T G[k] m~ is evaluated as
+    (s_k * m~)^T (R/8) (c_k * m~), so a chunk gathers signs instead of
+    forms. The result does not depend on the chunk size.
     """
     forms = _bloch_forms(rho)
-    prob_forms = 2 * forms[:, :, 0].T
+    prob_forms = 2 * forms[:, :, 0]
+    # R/8 = diag(s_0) G[0]: the correction -I keeps every sigma_b, so c_0 = 1
+    correlations = _SENDER_SIGNS[0][:, None] * forms[0]
+    sender_signs, correction_signs = _SENDER_SIGNS.T.astype(float), _CORRECTION_SIGNS.T
 
     def chunk(states, coins, m):
-        rows = qcore.bloch_rows(qcore.haar_kets(states, m))
-        probs = rows @ prob_forms
+        # component-major: one contiguous row of m samples per component
+        cols = qcore.bloch_rows(qcore.haar_kets(states, m)).T
+        probs = prob_forms @ cols
         draws = coins.random(m)
-        ks = np.minimum((draws[:, None] > np.cumsum(probs, axis=1)).sum(axis=1), 3)
-        p_k = np.take_along_axis(probs, ks[:, None], axis=1)[:, 0]
-        return np.einsum("sa,sab,sb->s", rows, forms[ks], rows) / p_k
+        # the outcome is how many of the first three running sums lie below
+        # the draw, so a draw above a total rounded below 1 still gets 3
+        total = probs[0].copy()
+        ks = (draws > total).astype(np.intp)
+        for p in probs[1:3]:
+            total += p
+            ks += draws > total
+        p_k = np.take(probs, ks * m + np.arange(m))
+        sent = np.take(sender_signs, ks, axis=1)
+        sent *= cols
+        received = np.take(correction_signs, ks, axis=1)
+        received *= cols
+        scores = np.einsum("as,as->s", sent, correlations @ received)
+        scores /= p_k
+        return scores
 
     return run_chunks(chunk, samples, seed, _CHUNK).scalar_estimate()

@@ -74,6 +74,33 @@ def test_empty_chunk_changes_nothing():
     npt.assert_allclose(acc.stderr(), [1.0, 1.0])
 
 
+def test_component_major_chunks_reduce_like_sample_major_ones():
+    # the same numbers as C-ordered (n, 2, 2) chunks and as (2, 2, n) buffers seen through their transpose
+    rng = np.random.default_rng(10)
+    data = rng.random((1000, 2, 2))
+    sample_major, component_major = StreamingMoments((2, 2)), StreamingMoments((2, 2))
+    for chunk in np.array_split(data, [300, 301, 777]):
+        sample_major.add(np.ascontiguousarray(chunk))
+        buffer = np.ascontiguousarray(chunk.transpose(1, 2, 0))
+        component_major.add(buffer.transpose(2, 0, 1))
+    assert np.array_equal(sample_major.mean(), component_major.mean())
+    assert np.array_equal(sample_major.stderr(), component_major.stderr())
+    npt.assert_allclose(component_major.mean(), data.mean(axis=0), rtol=1e-14)
+    npt.assert_allclose(component_major.stderr(), data.std(axis=0, ddof=1) / np.sqrt(1000), rtol=1e-12)
+
+
+def test_constant_cell_shaped_chunks_have_zero_stderr():
+    # dyadic cells, like the white-noise joints t_a t_b / 4 of projectors, so every sum is exact
+    cells = np.array([[0.25, 0.125], [0.5, 0.375]])
+    sample_major, component_major = StreamingMoments((2, 2)), StreamingMoments((2, 2))
+    for n in (5, 1, 300):
+        sample_major.add(np.broadcast_to(cells, (n, 2, 2)))
+        component_major.add(np.broadcast_to(cells[..., None], (2, 2, n)).transpose(2, 0, 1))
+    for acc in (sample_major, component_major):
+        assert np.array_equal(acc.mean(), cells)
+        assert np.array_equal(acc.stderr(), np.zeros((2, 2)))
+
+
 def _draw(sizes):
     def sample_chunk(states, coins, m):
         sizes.append(m)

@@ -175,6 +175,22 @@ def test_bloch_rows_match_ket_to_bloch():
         npt.assert_allclose(rows[:, 1:], [qcore.ket_to_bloch(k) for k in batch], rtol=0, atol=1e-15)
 
 
+def test_bloch_rows_are_a_view_of_component_major_rows():
+    kets = qcore.haar_kets(np.random.default_rng(RNG_SEED + 10), 1000)
+    cols = qcore.bloch_rows(kets).T
+    assert cols.shape == (4, 1000) and cols.flags.c_contiguous
+    a, b = kets[:, 0], kets[:, 1]
+    by_hand = np.stack(
+        [
+            np.ones(1000),
+            2 * (a.real * b.real + a.imag * b.imag),
+            2 * (a.real * b.imag - a.imag * b.real),
+            (a.real**2 + a.imag**2) - (b.real**2 + b.imag**2),
+        ]
+    )
+    assert np.array_equal(cols, by_hand)
+
+
 def test_bloch_rows_of_a_chunk_stay_within_24_mb():
     tracemalloc.start()
     try:

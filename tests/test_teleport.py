@@ -10,6 +10,7 @@ import numpy.testing as npt
 import pytest
 
 from telelocal import qcore, teleport
+from telelocal.estimates import StreamingMoments
 
 RNG_SEED = 20240812
 
@@ -215,6 +216,38 @@ def test_average_fidelity_replays_the_three_qubit_protocol():
     est = teleport.average_fidelity(rho, samples=300, seed=5)
     assert abs(est.value - np.mean(fids)) <= 1e-12
     assert abs(est.stderr - np.std(fids, ddof=1) / np.sqrt(300)) <= 1e-12
+
+
+def test_average_fidelity_picks_outcomes_at_the_cumulative_boundaries(monkeypatch):
+    # draws exactly on each running sum of the outcome probabilities, at 0 and above the total
+    rho = qcore.random_density(np.random.default_rng(RNG_SEED + 10), 4)
+    kets = np.repeat(qcore.haar_kets(np.random.default_rng(RNG_SEED + 11), 5), 6, axis=0)
+    probs = 2 * teleport._bloch_forms(rho)[:, :, 0] @ qcore.bloch_rows(kets).T
+    totals = np.cumsum(probs, axis=0)
+    draws = np.column_stack([np.zeros(5), *totals[:, ::6], np.nextafter(totals[3, ::6], 2.0)]).ravel()
+    assert np.array_equal(draws.reshape(5, 6)[:, 1:5], totals[:, ::6].T)
+
+    class Coins:
+        def random(self, m):
+            return draws[:m]
+
+    values = []
+
+    def one_chunk(sample_chunk, samples, seed, chunk):
+        values.extend(sample_chunk(None, Coins(), samples))
+        moments = StreamingMoments()
+        moments.add(np.array(values))
+        return moments
+
+    monkeypatch.setattr(qcore, "haar_kets", lambda rng, n: kets[:n])
+    monkeypatch.setattr(teleport, "run_chunks", one_chunk)
+    teleport.average_fidelity(rho, samples=30, seed=0)
+    for i, (chi, draw) in enumerate(zip(kets, draws)):
+        k = min(int((draw > np.cumsum(probs[:, i])).sum()), 3)
+        assert k == [0, 0, 1, 2, 3, 3][i % 6]
+        u = teleport.correction_unitary(k)
+        expected = qcore.fidelity(chi, u @ teleport.bob_conditional_state(chi, rho, k) @ u.conj().T)
+        assert abs(values[i] - expected) <= 1e-12
 
 
 def test_average_fidelity_on_generic_pairs_matches_the_closed_form():
