@@ -10,8 +10,10 @@ input ket (a, b):
     A_3 = [[|a|^2,  a* b], [ a b*, |b|^2]] / 2      (outcome phi+)
 
 Outcome probabilities are computed both through this reduction and
-through the explicit three-qubit projection; the two routes must agree
-to 1e-12 and the implementation checks that on every call.
+through the explicit three-qubit route, where the bra <B_k| x I of Bell
+outcome k takes |chi><chi| x rho to the receiver's unnormalized state
+N_k, whose trace is the probability; the two routes must agree to 1e-12
+and the implementation checks that on every call.
 
 With the singlet as the shared pair the receiver's conditional states
 are (-a,-b), (-a,b), (b,a), (-b,a), which the correction unitaries
@@ -21,13 +23,12 @@ In qcore's Pauli layer A_k is the row s_k * (1, m)/2 (sender_rows), m the
 input's Bloch vector and s_k[a] the sign of sigma_a x sigma_a in Bell state k.
 
 The Monte Carlo average fidelity works on real Bloch vectors. The input
-projector is (I + m . sigma)/2, so every outcome probability is affine
-and every corrected overlap quadratic in m~ = (1, m): outcome k has
-probability 2 m~ . G[k][:, 0] and corrected overlap m~^T G[k] m~ for
-the real 4x4 forms G[k] = diag(s_k) R diag(c_k) / 8, where R is the
-pair's qcore.pauli_correlations and c_k[b] = Tr[U_k sigma_b U_k* sigma_b]/2
-the sign the correction puts on sigma_b. These are exact identities,
-the same affine structure behind the generic-pair closed form
+projector is (I + m . sigma)/2, so with m~ = (1, m), R the pair's
+qcore.pauli_correlations and c_k[b] = Tr[U_k sigma_b U_k* sigma_b]/2 the
+sign the correction puts on sigma_b, outcome k has probability
+(s_k * m~) . R[:, 0] / 4 and corrected overlap
+<chi| U_k N_k U_k* |chi> = (s_k * m~)^T (R/8) (c_k * m~). These are exact
+identities, the same affine structure behind the generic-pair closed form
 (2F + 1)/3 (Horodecki, Horodecki & Horodecki, PRA 60, 1888, 1999). The
 complex three-qubit route above stays as their oracle.
 """
@@ -45,8 +46,10 @@ ROUTE_AGREEMENT_ATOL = 1e-12
 _PROBABILITY_FLOOR = 1e-12
 _CHUNK = CHUNK
 
-# s_k[a]: the sign of sigma_a x sigma_a in Bell state k, sigma_0 = I
-_SENDER_SIGNS = np.array([[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]])
+# s_k[a]: the sign of sigma_a x sigma_a in Bell state k, sigma_0 = I (each Bell state's R is diagonal)
+_SENDER_SIGNS = np.rint([np.diag(qcore.pauli_correlations(qcore.projector(b))) for b in qcore.bell_basis()])
+# <B_k| x I: Bell outcome k's bra on (input, sender half), the identity on the receiver, shape (4, 2, 8)
+_BELL_BRAS = np.stack([np.kron(b.conj()[None], qcore.IDENTITY_2) for b in qcore.bell_basis()])
 
 _CORRECTIONS = np.array(
     [
@@ -107,27 +110,23 @@ def joint_probability(rho, alice_op, bob_proj) -> float:
     return float(np.trace(rho @ qcore.tensor(alice_op, bob_proj)).real)
 
 
-def _three_qubit_probabilities(chi, rho) -> np.ndarray:
+def _receiver_states(chi, rho) -> np.ndarray:
+    """Receiver's unnormalized states N_k = (<B_k| x I)(|chi><chi| x rho)(|B_k> x I), shape (4, 2, 2)."""
     big = qcore.tensor(qcore.projector(chi), rho)
-    probs = np.empty(4)
-    for k in range(4):
-        p3 = qcore.tensor(qcore.projector(qcore.bell_basis()[k]), qcore.IDENTITY_2)
-        probs[k] = np.trace(p3 @ big).real
-    return probs
+    return _BELL_BRAS @ big @ _BELL_BRAS.conj().swapaxes(1, 2)
 
 
 def bell_measurement_probabilities(chi, rho) -> np.ndarray:
     """Probabilities of the four Bell outcomes for input chi and shared pair rho.
 
-    Computed through the three-qubit projection and through the induced
-    POVM acting on the sender's reduced state; raises if the routes
-    disagree beyond 1e-12.
+    Computed as the traces of the receiver's states N_k and through the
+    induced POVM acting on the sender's reduced state; raises if the
+    routes disagree beyond 1e-12.
     """
-    chi = np.asarray(chi, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError("shared pair must be a two-qubit state")
-    probs = _three_qubit_probabilities(chi, rho)
+    probs = np.trace(_receiver_states(chi, rho), axis1=1, axis2=2).real
     rho_a = qcore.partial_trace(rho, (2, 2), trace_out="B")
     povm = povm_from_input(chi)
     reduced = np.einsum("kij,ji->k", povm.elements, rho_a).real
@@ -137,28 +136,14 @@ def bell_measurement_probabilities(chi, rho) -> np.ndarray:
 
 
 def bob_conditional_state(chi, rho, k: int) -> np.ndarray:
-    """Receiver's normalized state after Bell outcome k, before correction."""
+    """Receiver's normalized state N_k / Tr N_k after Bell outcome k, before correction."""
     if k not in (0, 1, 2, 3):
         raise ValueError("outcome index must be 0..3")
-    big = qcore.tensor(qcore.projector(chi), np.asarray(rho, dtype=complex))
-    p3 = qcore.tensor(qcore.projector(qcore.bell_basis()[k]), qcore.IDENTITY_2)
-    selected = p3 @ big @ p3
-    prob = np.trace(selected).real
+    state = _receiver_states(chi, rho)[k]
+    prob = np.trace(state).real
     if prob <= _PROBABILITY_FLOOR:
         raise ValueError(f"outcome {k} has probability {prob!r}, conditional state undefined")
-    return qcore.partial_trace(selected, (4, 2), trace_out="A") / prob
-
-
-def _bloch_forms(rho: np.ndarray) -> np.ndarray:
-    """Real 4x4 forms G[k] of the four Bell outcomes for the shared pair rho.
-
-    With m~ = (1, m) for an input ket of Bloch vector m, outcome k has
-    probability 2 m~ . G[k][:, 0] and corrected overlap
-    <chi| U_k N_k U_k* |chi> = m~^T G[k] m~, where N_k is the receiver's
-    unnormalized conditional state: G[k] = diag(s_k) R diag(c_k) / 8.
-    Raises ValueError unless rho is a two-qubit density matrix.
-    """
-    return _SENDER_SIGNS[:, :, None] * qcore.pauli_correlations(rho) * _CORRECTION_SIGNS[:, None, :] / 8
+    return state / prob
 
 
 def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
@@ -167,21 +152,19 @@ def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
     Each sample draws a Haar ket from the state stream and a Bell outcome,
     with the ket's outcome probabilities, from one uniform of the coin
     stream (see estimates.run_chunks), then scores the corrected overlap
-    divided by the outcome probability; both come from the real forms of
-    _bloch_forms. The overlap m~^T G[k] m~ is evaluated as
-    (s_k * m~)^T (R/8) (c_k * m~), so a chunk gathers signs instead of
-    forms. The result does not depend on the chunk size.
+    (s_k * m~)^T (R/8) (c_k * m~) divided by the outcome probability
+    (s_k * m~) . R[:, 0] / 4, both read from one R = pauli_correlations(rho),
+    so a chunk gathers signs. The result does not depend on the chunk size.
+    Raises ValueError unless rho is a two-qubit density matrix.
     """
-    forms = _bloch_forms(rho)
-    prob_forms = 2 * forms[:, :, 0]
-    # R/8 = diag(s_0) G[0]: the correction -I keeps every sigma_b, so c_0 = 1
-    correlations = _SENDER_SIGNS[0][:, None] * forms[0]
-    sender_signs, correction_signs = _SENDER_SIGNS.T.astype(float), _CORRECTION_SIGNS.T
+    correlations = qcore.pauli_correlations(rho) / 8
+    prob_rows = 2 * _SENDER_SIGNS * correlations[:, 0]
+    sender_signs, correction_signs = _SENDER_SIGNS.T, _CORRECTION_SIGNS.T
 
     def chunk(states, coins, m):
         # component-major: one contiguous row of m samples per component
         cols = qcore.bloch_rows(qcore.haar_kets(states, m)).T
-        probs = prob_forms @ cols
+        probs = prob_rows @ cols
         draws = coins.random(m)
         # the outcome is how many of the first three running sums lie below
         # the draw, so a draw above a total rounded below 1 still gets 3

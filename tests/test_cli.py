@@ -8,9 +8,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from telelocal import bellcheck, classical, cli
+from telelocal import bellcheck, classical, cli, lhv, qcore
 
 
 def _run(argv, capsys):
@@ -225,6 +226,32 @@ def test_scan_without_a_closed_form_root_fails_instead_of_raising(monkeypatch, c
         "threshold_closed_form_root,,,0.7071067811865476,1e-09,false",
         "threshold_first_grid_violation,0.71,,,1e-09,false",
     ]
+
+
+def test_lhv_cell_deviation_fails_on_any_cell_outside_its_band(monkeypatch, capsys):
+    # the largest deviation lies inside its own 4-sigma band, a smaller one far outside its tiny band
+    setting = bellcheck.violation_setting()
+    joints = bellcheck.probability_table(setting, bellcheck.OutcomeGrouping(), qcore.werner_alpha(0.5)).joints
+    stderr = np.full(joints.shape, 0.01)
+    # each move keeps its settings block summing to 1
+    joints[0, 0, 0, 0] += 0.01
+    joints[0, 1, 0, 0] -= 0.01
+    joints[1, 0, 1, 1] += 1e-6
+    joints[1, 1, 1, 1] -= 1e-6
+    stderr[1, :, 1, :] = 1e-9
+    result = lhv.LhvChResult(
+        value=bellcheck.closed_form_value(0.5, setting),
+        stderr=0.01,
+        table=bellcheck.ProbabilityTable(joints, stderr=stderr),
+    )
+    monkeypatch.setattr(cli, "_lhv_experiment", lambda alpha, samples, seed: result)
+    code, out = _run(["reproduce", "--samples", "2000"], capsys)
+    assert code == 1
+    rows = {row["name"]: row for row in json.loads(out)["results"]}
+    row = rows.pop("lhv_max_cell_deviation")
+    assert row["value"] == pytest.approx(0.01) and row["value"] <= row["tolerance"]
+    assert row["pass"] is False
+    assert all(other["pass"] for other in rows.values() if "pass" in other)
 
 
 def test_flags_a_command_ignores_exit_2(capsys):

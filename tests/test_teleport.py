@@ -174,31 +174,43 @@ def _singlet_fraction_fidelity(rho) -> float:
     return (2 * qcore.fidelity(qcore.bell_basis()[0], rho) + 1) / 3
 
 
-def test_bloch_forms_match_the_three_qubit_route():
+def test_pauli_route_matches_the_three_qubit_route():
+    # the probability and the corrected overlap average_fidelity scores, against the receiver's N_k
     rng = np.random.default_rng(RNG_SEED + 6)
     for _ in range(20):
         rho = qcore.random_density(rng, 4)
-        forms = teleport._bloch_forms(rho)
+        r = qcore.pauli_correlations(rho)
         kets = qcore.haar_kets(rng, 20)
         rows = qcore.bloch_rows(kets)
         for chi, row in zip(kets, rows):
             npt.assert_allclose(row, [1.0, *qcore.ket_to_bloch(chi)], atol=1e-12)
             probs = teleport.bell_measurement_probabilities(chi, rho)
             for k in range(4):
-                assert abs(2 * row @ forms[k][:, 0] - probs[k]) <= 1e-12
+                sent = teleport._SENDER_SIGNS[k] * row
+                assert abs(sent @ r[:, 0] / 4 - probs[k]) <= 1e-12
                 if probs[k] <= 1e-12:
                     continue
                 u = teleport.correction_unitary(k)
                 corrected = u @ teleport.bob_conditional_state(chi, rho, k) @ u.conj().T
-                assert abs(row @ forms[k] @ row - probs[k] * qcore.fidelity(chi, corrected)) <= 1e-12
+                overlap = sent @ (r / 8) @ (teleport._CORRECTION_SIGNS[k] * row)
+                assert abs(overlap - probs[k] * qcore.fidelity(chi, corrected)) <= 1e-12
 
 
-def test_bloch_forms_of_the_singlet_fraction_family_are_diagonal():
-    # the structure behind the (1 + alpha)/2 rows: every outcome has the same form
+def test_pauli_route_of_the_singlet_fraction_family_is_diagonal():
+    # the structure behind the (1 + alpha)/2 rows: every outcome scores the same form
     for alpha in (0.0, 0.5, 2**-0.5, 1.0):
-        forms = teleport._bloch_forms(qcore.werner_alpha(alpha))
-        for k in range(4):
-            npt.assert_allclose(forms[k], np.diag([1.0, alpha, alpha, alpha]) / 8, rtol=0, atol=1e-16)
+        r = qcore.pauli_correlations(qcore.werner_alpha(alpha))
+        npt.assert_allclose(r, np.diag([1.0, -alpha, -alpha, -alpha]), rtol=0, atol=1e-15)
+    signs = teleport._SENDER_SIGNS * teleport._CORRECTION_SIGNS
+    assert np.array_equal(signs, np.tile([1.0, -1.0, -1.0, -1.0], (4, 1)))
+
+
+def test_sign_tables_rest_on_two_exact_facts():
+    # s_k is read off the diagonal of each Bell state's R, so R must be diagonal
+    for b, signs in zip(qcore.bell_basis(), teleport._SENDER_SIGNS):
+        npt.assert_allclose(qcore.pauli_correlations(qcore.projector(b)), np.diag(signs), rtol=0, atol=1e-15)
+    # every correction keeps the identity, so the probability is column 0 of the overlap form
+    assert np.array_equal(teleport._CORRECTION_SIGNS[:, 0], np.ones(4))
 
 
 def test_average_fidelity_replays_the_three_qubit_protocol():
@@ -222,7 +234,7 @@ def test_average_fidelity_picks_outcomes_at_the_cumulative_boundaries(monkeypatc
     # draws exactly on each running sum of the outcome probabilities, at 0 and above the total
     rho = qcore.random_density(np.random.default_rng(RNG_SEED + 10), 4)
     kets = np.repeat(qcore.haar_kets(np.random.default_rng(RNG_SEED + 11), 5), 6, axis=0)
-    probs = 2 * teleport._bloch_forms(rho)[:, :, 0] @ qcore.bloch_rows(kets).T
+    probs = 2 * teleport._SENDER_SIGNS * (qcore.pauli_correlations(rho) / 8)[:, 0] @ qcore.bloch_rows(kets).T
     totals = np.cumsum(probs, axis=0)
     draws = np.column_stack([np.zeros(5), *totals[:, ::6], np.nextafter(totals[3, ::6], 2.0)]).ravel()
     assert np.array_equal(draws.reshape(5, 6)[:, 1:5], totals[:, ::6].T)
@@ -305,3 +317,26 @@ def test_povm_container_validation():
         teleport.TeleportPovm(elements=bad)
     with pytest.raises(ValueError):
         teleport.TeleportPovm(elements=np.full((4, 2, 2), np.nan, dtype=complex))
+    # a valid POVM, but with three elements
+    with pytest.raises(ValueError, match="four"):
+        teleport.TeleportPovm(elements=np.stack([np.eye(2, dtype=complex) / 3] * 3))
+
+
+def test_bell_probabilities_raise_when_the_routes_disagree(monkeypatch):
+    # the reduced route reads the POVM of |0> instead of CHI_A's
+    povm_from_input = teleport.povm_from_input
+    monkeypatch.setattr(teleport, "povm_from_input", lambda chi: povm_from_input(np.array([1.0, 0.0])))
+    with pytest.raises(RuntimeError, match="disagree"):
+        teleport.bell_measurement_probabilities(CHI_A, _rho_a())
+
+
+def test_bell_probabilities_need_a_two_qubit_pair():
+    with pytest.raises(ValueError, match="two-qubit state"):
+        teleport.bell_measurement_probabilities(CHI_A, np.eye(2) / 2)
+
+
+def test_bob_conditional_state_rejects_outcomes_outside_0_to_3():
+    # without the check, -1 would silently read outcome 3
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match="outcome index"):
+            teleport.bob_conditional_state(CHI_A, _rho_a(), k)
