@@ -2,14 +2,34 @@
 
 from __future__ import annotations
 
+import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-# rows per Monte Carlo chunk, sized so that a chunk's arrays stay in a 2 MB
-# L2 cache; results do not depend on it (see run_chunks)
-CHUNK = 16_384
+# rows per Monte Carlo chunk: a chunk's arrays stay in a core's 2 MB L2
+# cache, and the chunks in flight, one per worker, keep peak memory low;
+# results do not depend on it (see run_chunks)
+CHUNK = 8_192
+# rows per stream block: part of the definition of every estimate's random
+# streams, not a setting (see run_chunks)
+BLOCK = 65_536
+
+# the worker pool of run_chunks, built by the first call with more than one block
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool but not its threads, so it builds its own
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass(frozen=True)
@@ -32,8 +52,9 @@ class StreamingMoments:
     on the layout. Each cell's mean is a pairwise sum over its row, and the
     chunk's (count, mean, M2) is merged into the running totals with the
     pairwise update of Chan, Golub & LeVeque (1979), which avoids the
-    cancellation of raw sums of squares. With fewer than two samples the
-    standard error is reported as inf.
+    cancellation of raw sums of squares; ``merge`` folds in another
+    accumulator's totals with the same update. With fewer than two samples
+    the standard error is reported as inf.
     """
 
     def __init__(self, cell_shape: tuple[int, ...] = ()):
@@ -57,7 +78,17 @@ class StreamingMoments:
         # free the chunk-sized temporary before the small merge results are
         # allocated; held longer, it measurably raised peak memory
         del deviations
-        mean = mean.reshape(self.cell_shape)
+        self._update(n, mean.reshape(self.cell_shape), m2)
+
+    def merge(self, other: StreamingMoments) -> None:
+        """Fold in the samples another accumulator of the same cell shape has seen."""
+        if other.cell_shape != self.cell_shape:
+            raise ValueError(f"cells of shape {other.cell_shape}, expected {self.cell_shape}")
+        if other._count:
+            self._update(other._count, other._mean, other._m2)
+
+    def _update(self, n: int, mean: np.ndarray, m2: np.ndarray) -> None:
+        # into an empty accumulator (count 0) this copies mean and m2 exactly
         total = self._count + n
         delta = mean - self._mean
         self._mean = self._mean + delta * (n / total)
@@ -84,6 +115,28 @@ class StreamingMoments:
         return MonteCarloEstimate(float(self.mean()), float(self.stderr()), self._count)
 
 
+def _executor():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            try:
+                workers = len(os.sched_getaffinity(0))
+            except AttributeError:  # no sched_getaffinity on this platform
+                workers = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="telelocal-block")
+        return _pool
+
+
+def _block_moments(sample_chunk, seed: int, block: int, rows: int, chunk: int, cell_shape) -> StreamingMoments:
+    states, coins = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2 * block + s,))) for s in (0, 1))
+    moments = StreamingMoments(cell_shape)
+    for start in range(0, rows, chunk):
+        moments.add(sample_chunk(states, coins, min(chunk, rows - start)))
+    return moments
+
+
 def run_chunks(
     sample_chunk: Callable[[np.random.Generator, np.random.Generator, int], np.ndarray],
     samples: int,
@@ -93,22 +146,43 @@ def run_chunks(
 ) -> StreamingMoments:
     """Moments of ``sample_chunk(states, coins, m)`` over ``samples`` rows in chunks of at most ``chunk``.
 
-    This is the only place that builds generators. ``SeedSequence(seed)``
-    spawns two: ``states`` for Haar kets and Bloch vectors, ``coins`` for
-    outcome draws and the white-noise mix. Each call returns an array of
-    shape (m, *cell_shape), best the transpose view of a component-major
+    This is the only place that builds generators. The rows form stream
+    blocks of ``BLOCK`` rows (the last may be shorter). Block b has its own
+    ``states`` stream, for Haar kets and Bloch vectors, from
+    ``SeedSequence(seed, spawn_key=(2b,))`` and ``coins`` stream, for
+    outcome draws and the white-noise mix, from ``spawn_key=(2b + 1,)``;
+    block 0 is ``SeedSequence(seed).spawn(2)``. Each call returns an array
+    of shape (m, *cell_shape), best the transpose view of a component-major
     (*cell_shape, m) buffer, which StreamingMoments.add reads without a
-    copy. It takes its rows' values from each stream in row order, so row
-    i reads the same numbers wherever the chunks split and the results do
-    not depend on ``chunk``.
+    copy, and takes its rows' values from each stream in row order, so the
+    results do not depend on ``chunk``.
+
+    A single block runs in the caller's thread. More blocks run on a pool
+    of one worker thread per CPU, built on first use (NumPy's generators
+    and array loops release the GIL), and are merged in block order, so
+    the result does not depend on the number of workers. Hence
+    ``sample_chunk`` must not mutate shared state, since several blocks
+    call it at once, and must not call ``run_chunks`` itself: the pool is
+    bounded, so a block waiting on blocks queued behind it can wait forever.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    states, coins = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    sizes = [min(BLOCK, samples - start) for start in range(0, samples, BLOCK)]
+    if len(sizes) == 1:
+        return _block_moments(sample_chunk, seed, 0, samples, chunk, cell_shape)
+    pool = _executor()
+    futures = [pool.submit(_block_moments, sample_chunk, seed, b, n, chunk, cell_shape) for b, n in enumerate(sizes)]
     moments = StreamingMoments(cell_shape)
-    remaining = samples
-    while remaining > 0:
-        m = min(remaining, chunk)
-        moments.add(sample_chunk(states, coins, m))
-        remaining -= m
+    try:
+        for future in futures:
+            moments.merge(future.result())
+    except BaseException:
+        # drop the blocks that have not started and let the running ones end,
+        # so that no block of this call still runs when the error surfaces
+        from concurrent.futures import wait
+
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        raise
     return moments

@@ -123,10 +123,15 @@ def pauli_correlations(rho) -> np.ndarray:
 
     For effects with Pauli rows e and f, Tr[rho (E x F)] = e R f / 4.
     """
+    return (_PAULI_PAIRS @ two_qubit_density(rho).ravel()).real.reshape(4, 4)
+
+
+def two_qubit_density(rho) -> np.ndarray:
+    """rho as a complex array; ValueError unless it is a two-qubit density matrix."""
     rho = _as_complex(rho)
     if rho.shape != (4, 4) or not is_density(rho):
         raise ValueError("state must be a two-qubit density matrix")
-    return (_PAULI_PAIRS @ rho.ravel()).real.reshape(4, 4)
+    return rho
 
 
 def check_effects(ops, projective: bool = False) -> np.ndarray:

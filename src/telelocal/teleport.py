@@ -111,8 +111,11 @@ def joint_probability(rho, alice_op, bob_proj) -> float:
 
 
 def _receiver_states(chi, rho) -> np.ndarray:
-    """Receiver's unnormalized states N_k = (<B_k| x I)(|chi><chi| x rho)(|B_k> x I), shape (4, 2, 2)."""
-    big = qcore.tensor(qcore.projector(chi), rho)
+    """Receiver's unnormalized states N_k = (<B_k| x I)(|chi><chi| x rho)(|B_k> x I), shape (4, 2, 2).
+
+    Raises ValueError unless rho is a two-qubit density matrix.
+    """
+    big = qcore.tensor(qcore.projector(chi), qcore.two_qubit_density(rho))
     return _BELL_BRAS @ big @ _BELL_BRAS.conj().swapaxes(1, 2)
 
 
@@ -120,8 +123,9 @@ def bell_measurement_probabilities(chi, rho) -> np.ndarray:
     """Probabilities of the four Bell outcomes for input chi and shared pair rho.
 
     Computed as the traces of the receiver's states N_k and through the
-    induced POVM acting on the sender's reduced state; raises if the
-    routes disagree beyond 1e-12.
+    induced POVM acting on the sender's reduced state; raises
+    RuntimeError if the routes disagree beyond 1e-12, and ValueError
+    unless rho is a two-qubit density matrix.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -136,7 +140,10 @@ def bell_measurement_probabilities(chi, rho) -> np.ndarray:
 
 
 def bob_conditional_state(chi, rho, k: int) -> np.ndarray:
-    """Receiver's normalized state N_k / Tr N_k after Bell outcome k, before correction."""
+    """Receiver's normalized state N_k / Tr N_k after Bell outcome k, before correction.
+
+    Raises ValueError unless rho is a two-qubit density matrix.
+    """
     if k not in (0, 1, 2, 3):
         raise ValueError("outcome index must be 0..3")
     state = _receiver_states(chi, rho)[k]

@@ -1,9 +1,15 @@
 """Unit tests for streaming Monte Carlo moment accumulation."""
 
+import os
+import subprocess
+import sys
+import time
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from telelocal import estimates
 from telelocal.estimates import MonteCarloEstimate, StreamingMoments, run_chunks
 
 
@@ -129,3 +135,119 @@ def test_run_chunks_needs_a_sample():
     for samples in (0, -3):
         with pytest.raises(ValueError):
             run_chunks(_draw([]), samples=samples, seed=0, chunk=10)
+
+
+def test_merge_matches_sequential_adds():
+    rng = np.random.default_rng(11)
+    data = rng.random((1000, 2, 3))
+    sequential, merged = StreamingMoments((2, 3)), StreamingMoments((2, 3))
+    for part in np.array_split(data, [1, 250, 600]):
+        sequential.add(part)
+        block = StreamingMoments((2, 3))
+        for chunk in np.array_split(part, 3):
+            block.add(chunk)
+        merged.merge(block)
+    assert merged.count == sequential.count == 1000
+    npt.assert_allclose(merged.mean(), sequential.mean(), rtol=1e-12)
+    npt.assert_allclose(merged.stderr(), sequential.stderr(), rtol=1e-12)
+
+
+def test_merge_with_an_empty_accumulator():
+    full = StreamingMoments((2,))
+    full.add(np.random.default_rng(12).random((50, 2)))
+    mean, stderr = full.mean(), full.stderr()
+    full.merge(StreamingMoments((2,)))
+    assert full.count == 50
+    assert np.array_equal(full.mean(), mean) and np.array_equal(full.stderr(), stderr)
+    copy = StreamingMoments((2,))
+    copy.merge(full)
+    assert copy.count == 50
+    assert np.array_equal(copy.mean(), mean) and np.array_equal(copy.stderr(), stderr)
+    with pytest.raises(ValueError):
+        copy.merge(StreamingMoments((3,)))
+
+
+def test_run_chunks_blocks_match_a_hand_written_loop(monkeypatch, worker_pool):
+    monkeypatch.setattr(estimates, "BLOCK", 500)
+    sizes = []
+    with worker_pool(1):
+        moments = run_chunks(_draw(sizes), samples=800, seed=5, chunk=300, cell_shape=(2, 3))
+    # block 0 holds rows 0-499, block 1 rows 500-799; no chunk spans a block boundary
+    assert sizes == [300, 200, 300]
+    by_hand = StreamingMoments((2, 3))
+    for block, chunks in enumerate(((300, 200), (300,))):
+        states, coins = (np.random.default_rng(np.random.SeedSequence(5, spawn_key=(2 * block + s,))) for s in (0, 1))
+        part = StreamingMoments((2, 3))
+        for m in chunks:
+            part.add(states.random((m, 2, 3)) + coins.random((m, 1, 1)))
+        by_hand.merge(part)
+    assert moments.count == 800
+    assert np.array_equal(moments.mean(), by_hand.mean())
+    assert np.array_equal(moments.stderr(), by_hand.stderr())
+    # the default pool gives the same numbers
+    default = run_chunks(_draw([]), samples=800, seed=5, chunk=300, cell_shape=(2, 3))
+    assert np.array_equal(default.mean(), moments.mean())
+    assert np.array_equal(default.stderr(), moments.stderr())
+
+
+@pytest.mark.parametrize("failing", [0, 2])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_chunks_raises_a_block_error_and_the_pool_survives(monkeypatch, worker_pool, failing, workers):
+    monkeypatch.setattr(estimates, "BLOCK", 500)
+    calls = []
+
+    def fail_in_one_block(states, coins, m):
+        if states.bit_generator.seed_seq.spawn_key == (2 * failing,):
+            raise ValueError(f"bad chunk in block {failing}")
+        time.sleep(0.02)
+        calls.append(m)
+        return _draw([])(states, coins, m)
+
+    with worker_pool(workers) as pool:
+        reference = run_chunks(_draw([]), samples=1500, seed=3, chunk=200, cell_shape=(2, 3))
+        with pytest.raises(ValueError, match=f"block {failing}"):
+            run_chunks(fail_in_one_block, samples=1500, seed=3, chunk=200, cell_shape=(2, 3))
+        # no block of the failed call runs on; on one worker, block 2 is
+        # cancelled when block 0 fails (block 1 may have started by then)
+        settled = len(calls)
+        time.sleep(0.1)
+        assert len(calls) == settled
+        if (failing, workers) == (0, 1):
+            assert settled <= 3
+        assert estimates._pool is pool
+        again = run_chunks(_draw([]), samples=1500, seed=3, chunk=200, cell_shape=(2, 3))
+    assert np.array_equal(again.mean(), reference.mean())
+    assert np.array_equal(again.stderr(), reference.stderr())
+
+
+def test_setup_and_single_block_estimates_start_no_thread():
+    # a fresh interpreter: the pool belongs to multi-block estimates only
+    script = """
+import sys, threading
+import telelocal
+from telelocal import qcore, teleport
+print("concurrent.futures" in sys.modules, threading.active_count())
+teleport.average_fidelity(qcore.werner_alpha(0.5), 20_000, 1)
+print("concurrent.futures" in sys.modules, threading.active_count())
+teleport.average_fidelity(qcore.werner_alpha(0.5), 70_000, 1)
+print("concurrent.futures" in sys.modules, threading.active_count() > 1)
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True).stdout
+    assert out.split("\n")[:3] == ["False 1", "False 1", "True True"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_builds_its_own_pool():
+    # the child inherits the parent's pool without its threads; reusing it would hang
+    script = """
+import os, signal
+from telelocal import qcore, teleport
+parent = teleport.average_fidelity(qcore.werner_alpha(0.5), 70_000, 1)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    os._exit(0 if teleport.average_fidelity(qcore.werner_alpha(0.5), 70_000, 1) == parent else 1)
+print(os.waitpid(pid, 0)[1])
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "0"

@@ -340,3 +340,17 @@ def test_bob_conditional_state_rejects_outcomes_outside_0_to_3():
     for k in (-1, 4):
         with pytest.raises(ValueError, match="outcome index"):
             teleport.bob_conditional_state(CHI_A, _rho_a(), k)
+
+
+@pytest.mark.parametrize("rho", [-np.eye(4) / 4, np.eye(4), np.eye(2) / 2], ids=["-I/4", "I", "2x2"])
+def test_exact_route_needs_a_two_qubit_density_matrix(rho):
+    # -I/4 used to give four probabilities of -0.25 and I four of 1.0
+    chi = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="two-qubit"):
+        teleport.bell_measurement_probabilities(chi, rho)
+    for k in range(4):
+        with pytest.raises(ValueError, match="two-qubit density matrix"):
+            teleport.bob_conditional_state(chi, rho, k)
+    # the same error as the Monte Carlo route
+    with pytest.raises(ValueError, match="two-qubit density matrix"):
+        teleport.average_fidelity(rho, samples=10, seed=0)
