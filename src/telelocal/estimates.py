@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from collections.abc import Callable
@@ -11,7 +12,8 @@ import numpy as np
 
 # rows per Monte Carlo chunk: a chunk's arrays stay in a core's 2 MB L2
 # cache, and the chunks in flight, one per worker, keep peak memory low;
-# results do not depend on it (see run_chunks)
+# each thread keeps one chunk's arrays in its arena (at most 1 MiB) for the
+# life of the process; results do not depend on it (see run_chunks)
 CHUNK = 8_192
 # rows per stream block: part of the definition of every estimate's random
 # streams, not a setting (see run_chunks)
@@ -115,6 +117,37 @@ class StreamingMoments:
         return MonteCarloEstimate(float(self.mean()), float(self.stderr()), self._count)
 
 
+class ChunkArena(threading.local):
+    """A per-thread bump allocator for the float64 arrays of one Monte Carlo chunk.
+
+    ``take(*shape)`` carves a C-contiguous view from one flat buffer;
+    ``reset()``, called by run_chunks before each chunk, hands the whole
+    buffer out again. A ``take`` that does not fit returns a fresh array,
+    and the next ``reset`` grows the buffer to the largest amount a chunk
+    has asked for, so after a thread's first chunk its chunks allocate
+    nothing here. Each thread has its own buffer.
+    """
+
+    def __init__(self):
+        self._buffer = np.empty(0)
+        self._used = 0
+
+    def reset(self) -> None:
+        if self._used > self._buffer.size:
+            self._buffer = np.empty(self._used)
+        self._used = 0
+
+    def take(self, *shape: int) -> np.ndarray:
+        start = self._used
+        self._used += math.prod(shape)
+        if self._used > self._buffer.size:
+            return np.empty(shape)
+        return self._buffer[start : self._used].reshape(shape)
+
+
+arena = ChunkArena()
+
+
 def _executor():
     global _pool
     with _pool_lock:
@@ -133,6 +166,7 @@ def _block_moments(sample_chunk, seed: int, block: int, rows: int, chunk: int, c
     states, coins = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2 * block + s,))) for s in (0, 1))
     moments = StreamingMoments(cell_shape)
     for start in range(0, rows, chunk):
+        arena.reset()
         moments.add(sample_chunk(states, coins, min(chunk, rows - start)))
     return moments
 
@@ -155,7 +189,10 @@ def run_chunks(
     of shape (m, *cell_shape), best the transpose view of a component-major
     (*cell_shape, m) buffer, which StreamingMoments.add reads without a
     copy, and takes its rows' values from each stream in row order, so the
-    results do not depend on ``chunk``.
+    results do not depend on ``chunk``. Its arrays may be taken from
+    ``arena``, which is reset before every chunk: a returned chunk may
+    live in the thread's arena and is valid only until that thread's next
+    chunk.
 
     A single block runs in the caller's thread. More blocks run on a pool
     of one worker thread per CPU, built on first use (NumPy's generators

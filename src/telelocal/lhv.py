@@ -40,7 +40,7 @@ from .bellcheck import (
     ch_value,
     grouped_alice_effects,
 )
-from .estimates import CHUNK, run_chunks
+from .estimates import CHUNK, arena, run_chunks
 
 _PARALLEL_ATOL = 1e-10
 _CHUNK = CHUNK
@@ -139,8 +139,9 @@ def estimate_joint(
     mix = 2.0 * alpha
 
     def chunk(states, coins, m):
-        # component-major: one contiguous row of m samples per component
-        cols = qcore.bloch_rows(qcore.haar_kets(states, m)).T
+        # component-major: one contiguous row of m samples per component,
+        # every float array in the chunk arena
+        cols = qcore.bloch_rows(qcore.haar_kets(states, m), out=arena.take(4, m)).T
         group = np.zeros(m, dtype=np.intp)
         if mix < 1.0:
             noise = coins.random(m) >= mix
@@ -149,14 +150,14 @@ def estimate_joint(
             # adds the second 1 of group 2 below
             cols[1:] *= ~noise
             group += noise
-        group += axis @ cols[1:] <= 0
-        # np.take gathers whole columns far faster than fancy indexing does
-        by_minimum = np.take(by_group, group, axis=1)
-        by_overlap = overlap @ cols
-        # free the chunk-sized inputs before the joint is allocated; held
-        # longer, they raised the chunk's peak memory
-        del cols, group
-        joint = by_overlap[:, None, :] * by_minimum[None, :, :]
+        along = np.matmul(axis, cols[1:], out=arena.take(m))
+        group += along <= 0
+        # np.take gathers whole columns far faster than fancy indexing does;
+        # mode="clip" lets it write into the arena unbuffered (group is 0..2)
+        by_minimum = np.take(by_group, group, axis=1, out=arena.take(len(by_group), m), mode="clip")
+        by_overlap = np.matmul(overlap, cols, out=arena.take(len(overlap), m))
+        joint = arena.take(len(overlap), len(by_group), m)
+        np.multiply(by_overlap[:, None, :], by_minimum[None, :, :], out=joint)
         return joint.transpose(2, 0, 1)
 
     moments = run_chunks(chunk, cfg.samples, cfg.seed, _CHUNK, (alice.outcomes, bob.outcomes))

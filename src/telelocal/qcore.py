@@ -94,22 +94,35 @@ def spin_projector(n, sign: int = +1) -> np.ndarray:
     return (IDENTITY_2 + sign * sum(c * p for c, p in zip(n, PAULIS))) / 2
 
 
-def bloch_rows(kets: np.ndarray) -> np.ndarray:
+def bloch_rows(kets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rows (1, x, y, z) holding the Bloch vector of each qubit ket (one ket per row).
 
     With a = ar + i ai and b = br + i bi, x + i y = 2 a* b and z = |a|^2 - |b|^2,
     written out in real arithmetic on the real and imaginary parts, so no
     complex temporaries are built. The four components are filled as
-    contiguous rows of a (4, n) buffer and returned as its (n, 4) transpose
-    view, so ``bloch_rows(kets).T`` is component-major at no cost.
+    contiguous rows of a (4, n) buffer, ``out`` when given, and returned as
+    its (n, 4) transpose view, so ``bloch_rows(kets).T`` is component-major
+    at no cost. Each row is accumulated in place, with at most two
+    temporary rows alive.
     """
     parts = np.ascontiguousarray(kets, dtype=complex).view(float)
     ar, ai, br, bi = parts.T
-    cols = np.empty((4, parts.shape[0]))
-    cols[0] = 1.0
-    cols[1] = 2 * (ar * br + ai * bi)
-    cols[2] = 2 * (ar * bi - ai * br)
-    cols[3] = (ar * ar + ai * ai) - (br * br + bi * bi)
+    cols = np.empty((4, parts.shape[0])) if out is None else out
+    if cols.shape != (4, parts.shape[0]):
+        raise ValueError(f"out has shape {cols.shape}, expected {(4, parts.shape[0])}")
+    one, x, y, z = cols
+    one[...] = 1.0
+    np.multiply(ar, br, out=x)
+    x += ai * bi
+    x *= 2
+    np.multiply(ar, bi, out=y)
+    y -= ai * br
+    y *= 2
+    np.multiply(ar, ar, out=z)
+    z += ai * ai
+    b_squared = br * br
+    b_squared += bi * bi
+    z -= b_squared
     return cols.T
 
 

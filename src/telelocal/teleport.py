@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .estimates import CHUNK, MonteCarloEstimate, run_chunks
+from .estimates import CHUNK, MonteCarloEstimate, arena, run_chunks
 
 ROUTE_AGREEMENT_ATOL = 1e-12
 _PROBABILITY_FLOOR = 1e-12
@@ -169,9 +169,11 @@ def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
     sender_signs, correction_signs = _SENDER_SIGNS.T, _CORRECTION_SIGNS.T
 
     def chunk(states, coins, m):
-        # component-major: one contiguous row of m samples per component
-        cols = qcore.bloch_rows(qcore.haar_kets(states, m)).T
-        probs = prob_rows @ cols
+        # component-major: one contiguous row of m samples per component,
+        # every (4, m) array in the chunk arena; mode="clip" lets np.take
+        # write into it unbuffered (each index is already 0..3)
+        cols = qcore.bloch_rows(qcore.haar_kets(states, m), out=arena.take(4, m)).T
+        probs = np.matmul(prob_rows, cols, out=arena.take(4, m))
         draws = coins.random(m)
         # the outcome is how many of the first three running sums lie below
         # the draw, so a draw above a total rounded below 1 still gets 3
@@ -181,11 +183,13 @@ def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
             total += p
             ks += draws > total
         p_k = np.take(probs, ks * m + np.arange(m))
-        sent = np.take(sender_signs, ks, axis=1)
+        # p_k is gathered, so sent reuses the rows of probs
+        sent = np.take(sender_signs, ks, axis=1, out=probs, mode="clip")
         sent *= cols
-        received = np.take(correction_signs, ks, axis=1)
+        received = np.take(correction_signs, ks, axis=1, out=arena.take(4, m), mode="clip")
         received *= cols
-        scores = np.einsum("as,as->s", sent, correlations @ received)
+        corrected = np.matmul(correlations, received, out=arena.take(4, m))
+        scores = np.einsum("as,as->s", sent, corrected)
         scores /= p_k
         return scores
 

@@ -3,14 +3,17 @@
 import os
 import subprocess
 import sys
+import threading
 import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from telelocal import estimates
-from telelocal.estimates import MonteCarloEstimate, StreamingMoments, run_chunks
+from telelocal import bellcheck, estimates, lhv, qcore, teleport
+from telelocal.estimates import ChunkArena, MonteCarloEstimate, StreamingMoments, run_chunks
 
 
 def test_scalar_moments_match_numpy_across_chunks():
@@ -251,3 +254,117 @@ print(os.waitpid(pid, 0)[1])
 """
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "0"
+
+
+def test_arena_hands_out_the_same_memory_after_a_reset():
+    arena = ChunkArena()
+    arena.take(4, 100), arena.take(100)
+    arena.reset()
+    first, second = arena.take(4, 100), arena.take(100)
+    assert first.shape == (4, 100) and second.shape == (100,)
+    assert first.flags.c_contiguous and second.flags.c_contiguous
+    assert not np.shares_memory(first, second)
+    arena.reset()
+    again, after = arena.take(4, 100), arena.take(100)
+    assert np.shares_memory(first, again) and np.shares_memory(second, after)
+
+
+def test_arena_grows_to_its_high_water_mark_at_the_next_reset():
+    arena = ChunkArena()
+    arena.take(50)
+    arena.reset()
+    inside = arena.take(50)
+    # past capacity: a fresh array, not a view of the buffer
+    outside = arena.take(3, 20)
+    assert outside.shape == (3, 20) and not np.shares_memory(inside, outside)
+    arena.reset()
+    grown = [arena.take(50), arena.take(3, 20)]
+    assert all(np.shares_memory(grown[0].base, a) for a in grown)
+    assert grown[0].base.size == 110 and not np.shares_memory(grown[0], inside)
+    # a smaller chunk does not shrink the buffer
+    arena.reset()
+    arena.take(10)
+    arena.reset()
+    assert np.shares_memory(arena.take(110), grown[0])
+
+
+def test_threads_never_share_an_arena_buffer():
+    arena = ChunkArena()
+    both_warm = threading.Barrier(2)
+
+    def warm_and_take():
+        arena.take(64)
+        arena.reset()
+        both_warm.wait(timeout=60)
+        return arena.take(64)
+
+    with ThreadPoolExecutor(2) as threads:
+        first, second = (f.result(timeout=60) for f in [threads.submit(warm_and_take) for _ in range(2)])
+    arena.reset()
+    # each thread's take is carved from a warm buffer of its own
+    assert first.base is not None and second.base is not None
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(arena.take(64), first) and not np.shares_memory(arena.take(64), second)
+
+
+def _lhv_spec():
+    setting = bellcheck.violation_setting()
+    alice = lhv.MeasurementSpec("povm", bellcheck.grouped_alice_effects(setting, bellcheck.OutcomeGrouping())[0])
+    bob = lhv.MeasurementSpec("projective", bellcheck.bob_projectors(setting)[1])
+    return alice, bob
+
+
+def _traced_peak(estimate):
+    estimate()  # warm the calling thread's arena
+    tracemalloc.start()
+    try:
+        estimate()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["teleport", "lhv"])
+def test_warmed_chunks_allocate_no_chunk_arrays(name):
+    # one block, run in this thread; after the first chunk the chunk's float
+    # arrays live in the arena, and what a chunk still allocates peaks with
+    # the (m, 4) Haar kets and their row norms, about 6 rows of CHUNK
+    # float64; a chunk that allocates its arrays afresh peaks above 8 rows
+    alice, bob = _lhv_spec()
+    rho = qcore.random_density(np.random.default_rng(41), 4)
+    estimate = {
+        "teleport": lambda: teleport.average_fidelity(rho, estimates.BLOCK, 9),
+        "lhv": lambda: lhv.estimate_joint(alice, bob, lhv.LhvConfig(estimates.BLOCK, 29), alpha=0.25),
+    }[name]
+    assert _traced_peak(estimate) < 8 * estimates.CHUNK * 8
+
+
+def test_estimates_in_two_threads_at_once_match_serial_ones():
+    alice, bob = _lhv_spec()
+    rho = qcore.random_density(np.random.default_rng(41), 4)
+
+    def fidelity():
+        return teleport.average_fidelity(rho, 1_000_000, 9)
+
+    def joint():
+        est = lhv.estimate_joint(alice, bob, lhv.LhvConfig(20_000, 29), alpha=0.25)
+        return np.stack([est.probs, est.stderr])
+
+    serial_fidelity, serial_joint = fidelity(), joint()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(2) as users:
+            running = users.submit(fidelity)
+
+            def joints_while_the_fidelity_runs():
+                done = [joint()]
+                while not running.done():
+                    done.append(joint())
+                return done
+
+            joints = users.submit(joints_while_the_fidelity_runs)
+            assert running.result(timeout=120) == serial_fidelity
+            assert all(np.array_equal(j, serial_joint) for j in joints.result(timeout=120))
+    finally:
+        sys.setswitchinterval(interval)

@@ -191,6 +191,16 @@ def test_bloch_rows_are_a_view_of_component_major_rows():
     assert np.array_equal(cols, by_hand)
 
 
+def test_bloch_rows_fill_a_given_buffer():
+    kets = qcore.haar_kets(np.random.default_rng(RNG_SEED + 11), 1000)
+    buf = np.empty((4, 1000))
+    rows = qcore.bloch_rows(kets, out=buf)
+    assert rows.base is buf and np.shares_memory(rows, buf) and rows.strides == buf.T.strides
+    assert np.array_equal(rows, qcore.bloch_rows(kets))
+    with pytest.raises(ValueError):
+        qcore.bloch_rows(kets, out=np.empty((4, 999)))
+
+
 def test_bloch_rows_of_a_chunk_stay_within_24_mb():
     tracemalloc.start()
     try:
