@@ -50,22 +50,10 @@ class TeleportBellSetting:
     s: np.ndarray
 
     def __post_init__(self):
-        chi = np.asarray(self.chi, dtype=complex)
-        chi_prime = np.asarray(self.chi_prime, dtype=complex)
-        r = np.asarray(self.r, dtype=float)
-        s = np.asarray(self.s, dtype=float)
-        for name, v in (("chi", chi), ("chi_prime", chi_prime)):
-            if v.shape != (2,):
-                raise ValueError(f"{name} must be a qubit ket")
-            qcore._require_unit_vector(v, name)
-        for name, v in (("r", r), ("s", s)):
-            if v.shape != (3,):
-                raise ValueError(f"{name} must be a three-component direction")
-            qcore._require_unit_vector(v, name)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "chi_prime", chi_prime)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
+        for name in ("chi", "chi_prime"):
+            object.__setattr__(self, name, qcore.qubit_ket(getattr(self, name), name))
+        for name in ("r", "s"):
+            object.__setattr__(self, name, qcore.unit_direction(getattr(self, name), name))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bellcheck, classical, hardytoy, lhv, qcore, teleport
+from .estimates import MonteCarloEstimate
 
 SCHEMA_VERSION = 1
 ANALYTIC_TOL = 1e-9
@@ -102,14 +103,19 @@ def _row(name: str, value, *, stderr=None, expected=None, tolerance=None, sample
     return row
 
 
-def _mc_row(name: str, estimate, expected: float) -> dict:
+def _band(stderr):
+    """Tolerance of a stochastic value (or array of values) with the given standard error."""
+    return STOCHASTIC_NSIGMA * stderr + ABS_FLOOR
+
+
+def _mc_row(name: str, estimate: MonteCarloEstimate, expected: float) -> dict:
     return _row(
         name,
         estimate.value,
         stderr=estimate.stderr,
         samples=estimate.samples,
         expected=expected,
-        tolerance=STOCHASTIC_NSIGMA * estimate.stderr + ABS_FLOOR,
+        tolerance=_band(estimate.stderr),
     )
 
 
@@ -196,21 +202,17 @@ def _lhv_experiment(alpha: float, samples: int, seed: int) -> lhv.LhvChResult:
 
 
 def _lhv_rows(result: lhv.LhvChResult, alpha: float, samples: int) -> list[dict]:
-    tolerance = STOCHASTIC_NSIGMA * result.stderr + ABS_FLOOR
     return [
-        _row(
+        _mc_row(
             "lhv_ch_value",
-            result.value,
-            stderr=result.stderr,
-            samples=samples,
-            expected=bellcheck.closed_form_value(alpha, bellcheck.violation_setting()),
-            tolerance=tolerance,
+            MonteCarloEstimate(result.value, result.stderr, samples),
+            bellcheck.closed_form_value(alpha, bellcheck.violation_setting()),
         ),
         _row(
             "lhv_ch_in_unit_interval",
             result.value,
             expected=min(max(result.value, 0.0), 1.0),
-            tolerance=tolerance,
+            tolerance=_band(result.stderr),
         ),
     ]
 
@@ -278,16 +280,16 @@ def cmd_reproduce(cfg: RunConfig) -> dict:
     oracle = bellcheck.probability_table(setting, grouping, qcore.werner_alpha(0.5)).joints
     deviation = np.abs(result.table.joints - oracle)
     worst = np.unravel_index(np.argmax(deviation), deviation.shape)
-    cell_ok = deviation <= STOCHASTIC_NSIGMA * result.table.stderr + ABS_FLOOR
+    band = _band(result.table.stderr)
     worst_row = _row(
         "lhv_max_cell_deviation",
         float(deviation[worst]),
         stderr=float(result.table.stderr[worst]),
         samples=cfg.samples,
         expected=0.0,
-        tolerance=float(STOCHASTIC_NSIGMA * result.table.stderr[worst] + ABS_FLOOR),
+        tolerance=float(band[worst]),
     )
-    worst_row["pass"] = bool(cell_ok.all())
+    worst_row["pass"] = bool((deviation <= band).all())
     rows.append(worst_row)
     return _report(
         "reproduce",

@@ -18,6 +18,8 @@ CHUNK = 8_192
 # rows per stream block: part of the definition of every estimate's random
 # streams, not a setting (see run_chunks)
 BLOCK = 65_536
+# stream blocks per pool worker submitted and not yet merged (see run_chunks)
+IN_FLIGHT_PER_WORKER = 2
 
 # the worker pool of run_chunks, built by the first call with more than one block
 _pool = None
@@ -201,25 +203,34 @@ def run_chunks(
     ``sample_chunk`` must not mutate shared state, since several blocks
     call it at once, and must not call ``run_chunks`` itself: the pool is
     bounded, so a block waiting on blocks queued behind it can wait forever.
+    At most ``IN_FLIGHT_PER_WORKER`` blocks per worker are submitted and
+    not yet merged; each further block is submitted as the oldest one is
+    merged, so memory stays bounded whatever ``samples`` is.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    sizes = [min(BLOCK, samples - start) for start in range(0, samples, BLOCK)]
-    if len(sizes) == 1:
+    if samples <= BLOCK:
         return _block_moments(sample_chunk, seed, 0, samples, chunk, cell_shape)
     pool = _executor()
-    futures = [pool.submit(_block_moments, sample_chunk, seed, b, n, chunk, cell_shape) for b, n in enumerate(sizes)]
+    pending = []
     moments = StreamingMoments(cell_shape)
     try:
-        for future in futures:
+        for b, start in enumerate(range(0, samples, BLOCK)):
+            if len(pending) == IN_FLIGHT_PER_WORKER * pool._max_workers:
+                # dropped once merged, so that an interrupt in result() still waits for it below
+                moments.merge(pending[0].result())
+                del pending[0]
+            rows = min(BLOCK, samples - start)
+            pending.append(pool.submit(_block_moments, sample_chunk, seed, b, rows, chunk, cell_shape))
+        for future in pending:
             moments.merge(future.result())
     except BaseException:
         # drop the blocks that have not started and let the running ones end,
         # so that no block of this call still runs when the error surfaces
         from concurrent.futures import wait
 
-        for future in futures:
+        for future in pending:
             future.cancel()
-        wait(futures)
+        wait(pending)
         raise
     return moments

@@ -57,12 +57,9 @@ def _message_map(tables) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[int, .
             derived.append(-1)
             errors.append((k, (), -1, -1))
             continue
-        first = (rows[0][1] - rows[0][0]) % 4
-        derived.append(first)
-        for pair in rows:
-            row_i = (pair[1] - pair[0]) % 4
-            if row_i != first:
-                errors.append((k, pair, first, row_i))
+        messages = [(pair[1] - pair[0]) % 4 for pair in rows]
+        derived.append(messages[0])
+        errors.extend((k, pair, messages[0], i) for pair, i in zip(rows, messages) if i != messages[0])
     return tuple(derived), tuple(errors)
 
 
@@ -93,10 +90,6 @@ def exhaustive_verify(tables=None) -> ToyVerifyReport:
             if pair in seen:
                 partition_errors.append(f"pair {pair} in outcomes {seen[pair]} and {k}")
             seen[pair] = k
-    for x1 in range(4):
-        for x2 in range(4):
-            if (x1, x2) not in seen:
-                partition_errors.append(f"pair ({x1}, {x2}) in no outcome")
     messages, message_errors = _message_map(tables)
 
     successes = 0
@@ -105,6 +98,7 @@ def exhaustive_verify(tables=None) -> ToyVerifyReport:
         for shared in range(4):
             pair = (x1, shared)
             if pair not in seen:
+                partition_errors.append(f"pair {pair} in no outcome")
                 failures.append((x1, shared, -1))
                 continue
             final = bob_correction(shared, messages[seen[pair]])

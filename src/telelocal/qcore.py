@@ -34,10 +34,23 @@ def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
-def _require_unit_vector(v: np.ndarray, name: str, atol: float = 1e-9) -> None:
+def _require_unit_vector(v: np.ndarray, shape: tuple[int], name: str) -> np.ndarray:
+    if v.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}")
     # written so that a NaN norm fails the check too
-    if not abs(np.linalg.norm(v) - 1.0) <= atol:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:
         raise ValueError(f"{name} must be a unit vector, got norm {np.linalg.norm(v)!r}")
+    return v
+
+
+def qubit_ket(chi, name: str) -> np.ndarray:
+    """chi as a complex array; ValueError unless it is a unit ket of shape (2,)."""
+    return _require_unit_vector(_as_complex(chi), (2,), name)
+
+
+def unit_direction(n, name: str) -> np.ndarray:
+    """n as a float array; ValueError unless it is a unit vector of shape (3,)."""
+    return _require_unit_vector(np.asarray(n, dtype=float), (3,), name)
 
 
 def tensor(*ops) -> np.ndarray:
@@ -76,19 +89,13 @@ def projector(ket) -> np.ndarray:
 
 def ket_to_bloch(chi) -> np.ndarray:
     """Expectation values of the three Pauli operators in a qubit ket."""
-    chi = _as_complex(chi)
-    if chi.shape != (2,):
-        raise ValueError("ket must have dimension 2")
-    _require_unit_vector(chi, "ket")
+    chi = qubit_ket(chi, "ket")
     return np.array([np.vdot(chi, p @ chi).real for p in PAULIS])
 
 
 def spin_projector(n, sign: int = +1) -> np.ndarray:
     """Projector onto the +/- eigenstate of the spin operator along unit n."""
-    n = np.asarray(n, dtype=float)
-    if n.shape != (3,):
-        raise ValueError("direction must have three components")
-    _require_unit_vector(n, "direction")
+    n = unit_direction(n, "direction")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     return (IDENTITY_2 + sign * sum(c * p for c, p in zip(n, PAULIS))) / 2

@@ -64,6 +64,11 @@ _CORRECTIONS = np.array(
 _CORRECTION_SIGNS = (
     np.einsum("kij,bjl,kml,bmi->kb", _CORRECTIONS, qcore.PAULI_BASIS, _CORRECTIONS.conj(), qcore.PAULI_BASIS).real / 2
 )
+# s_k * c_k is one row f = (1, -1, -1, -1) for every k, and each s_k[a] is +/-1, so c_k * m~ = f * (s_k * m~):
+# the correction folds into the correlation matrix, (R/8) (c_k * m~) = (R/8 diag f) (s_k * m~)
+_FLIP = _SENDER_SIGNS[0] * _CORRECTION_SIGNS[0]
+if not np.all(_SENDER_SIGNS * _CORRECTION_SIGNS == _FLIP):
+    raise RuntimeError("s_k * c_k differs between Bell outcomes")
 
 
 @dataclass(frozen=True)
@@ -81,11 +86,7 @@ class TeleportPovm:
 
 def sender_rows(chi) -> np.ndarray:
     """Pauli rows s_k * (1, m)/2 of the sender's four POVM elements for the input ket, shape (4, 4)."""
-    chi = np.asarray(chi, dtype=complex)
-    if chi.shape != (2,):
-        raise ValueError("input ket must have dimension 2")
-    qcore._require_unit_vector(chi, "input ket")
-    return _SENDER_SIGNS * qcore.bloch_rows(chi[None]) / 2
+    return _SENDER_SIGNS * qcore.bloch_rows(qcore.qubit_ket(chi, "input ket")[None]) / 2
 
 
 def povm_from_input(chi) -> TeleportPovm:
@@ -127,9 +128,6 @@ def bell_measurement_probabilities(chi, rho) -> np.ndarray:
     RuntimeError if the routes disagree beyond 1e-12, and ValueError
     unless rho is a two-qubit density matrix.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError("shared pair must be a two-qubit state")
     probs = np.trace(_receiver_states(chi, rho), axis1=1, axis2=2).real
     rho_a = qcore.partial_trace(rho, (2, 2), trace_out="B")
     povm = povm_from_input(chi)
@@ -166,7 +164,7 @@ def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
     """
     correlations = qcore.pauli_correlations(rho) / 8
     prob_rows = 2 * _SENDER_SIGNS * correlations[:, 0]
-    sender_signs, correction_signs = _SENDER_SIGNS.T, _CORRECTION_SIGNS.T
+    sender_signs, flipped = _SENDER_SIGNS.T, correlations * _FLIP
 
     def chunk(states, coins, m):
         # component-major: one contiguous row of m samples per component,
@@ -186,9 +184,7 @@ def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
         # p_k is gathered, so sent reuses the rows of probs
         sent = np.take(sender_signs, ks, axis=1, out=probs, mode="clip")
         sent *= cols
-        received = np.take(correction_signs, ks, axis=1, out=arena.take(4, m), mode="clip")
-        received *= cols
-        corrected = np.matmul(correlations, received, out=arena.take(4, m))
+        corrected = np.matmul(flipped, sent, out=arena.take(4, m))
         scores = np.einsum("as,as->s", sent, corrected)
         scores /= p_k
         return scores

@@ -193,6 +193,48 @@ def test_run_chunks_blocks_match_a_hand_written_loop(monkeypatch, worker_pool):
     assert np.array_equal(default.stderr(), moments.stderr())
 
 
+@pytest.mark.parametrize("workers", [1, 3, 8])
+def test_run_chunks_keeps_a_bounded_window_of_blocks_in_flight(monkeypatch, worker_pool, workers):
+    # 40 blocks of 100 rows; while the kernels are held, only the window is queued
+    monkeypatch.setattr(estimates, "BLOCK", 100)
+    reference = run_chunks(_draw([]), 4000, 5, 30, (2, 3))
+    release = threading.Event()
+    counts = {"submitted": 0, "merged": 0, "most": 0}
+    merge = StreamingMoments.merge
+
+    def counted_merge(self, other):
+        counts["merged"] += 1
+        merge(self, other)
+
+    def held_draw(states, coins, m):
+        assert release.wait(30)
+        return _draw([])(states, coins, m)
+
+    monkeypatch.setattr(StreamingMoments, "merge", counted_merge)
+    result = []
+    with worker_pool(workers) as pool:
+        submit = pool.submit
+
+        def counted_submit(*args):
+            counts["submitted"] += 1
+            counts["most"] = max(counts["most"], counts["submitted"] - counts["merged"])
+            return submit(*args)
+
+        monkeypatch.setattr(pool, "submit", counted_submit)
+        caller = threading.Thread(target=lambda: result.append(run_chunks(held_draw, 4000, 5, 30, (2, 3))))
+        caller.start()
+        time.sleep(0.2)
+        queued = counts["submitted"]
+        release.set()
+        caller.join(30)
+    assert not caller.is_alive()
+    assert queued == counts["most"] == estimates.IN_FLIGHT_PER_WORKER * workers
+    assert counts["submitted"] == counts["merged"] == 40
+    # merged in block order: the numbers of the default pool
+    assert np.array_equal(result[0].mean(), reference.mean())
+    assert np.array_equal(result[0].stderr(), reference.stderr())
+
+
 @pytest.mark.parametrize("failing", [0, 2])
 @pytest.mark.parametrize("workers", [1, 3])
 def test_run_chunks_raises_a_block_error_and_the_pool_survives(monkeypatch, worker_pool, failing, workers):

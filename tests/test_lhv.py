@@ -4,7 +4,6 @@ Expected joint probabilities are frozen from an independent reference
 computation of Tr[W (A x B)] on the singlet-fraction state at alpha 1/2.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -231,51 +230,6 @@ def test_alpha_mixing_matches_closed_form():
         [[np.trace(qcore.tensor(a, b) @ w).real for b in Z_PROJS] for a in Z_PROJS]
     )
     assert np.all(np.abs(est.probs - expected) <= 4 * est.stderr + 1e-12)
-
-
-def test_estimate_joint_reproducible():
-    cfg = lhv.LhvConfig(samples=3_000, seed=26)
-    alice = _spec("projective", Z_PROJS)
-    bob = _spec("projective", X_PROJS)
-    a = lhv.estimate_joint(alice, bob, cfg)
-    b = lhv.estimate_joint(alice, bob, cfg)
-    npt.assert_allclose(a.probs, b.probs, atol=0)
-    npt.assert_allclose(a.stderr, b.stderr, atol=0)
-
-
-def test_estimate_joint_reproducible_and_chunk_invariant(monkeypatch):
-    r_projs = np.stack([qcore.spin_projector(R_AXIS, +1), qcore.spin_projector(R_AXIS, -1)])
-    # a POVM sender and an all-projective pair
-    pairs = (
-        (_grouped_effect_povm(), _spec("projective", r_projs)),
-        (_spec("projective", Z_PROJS), _spec("projective", Z_PROJS)),
-    )
-    haar_kets, default_chunk = qcore.haar_kets, lhv._CHUNK
-    chunk_rows = []
-    monkeypatch.setattr(qcore, "haar_kets", lambda rng, n: chunk_rows.append(n) or haar_kets(rng, n))
-    chunkings = ((default_chunk, [1500]), (1, [1] * 1500), (7, [7] * 214 + [2]), (400, [400, 400, 400, 300]))
-    # alpha 0.25 also takes the white-noise path
-    for (alice, bob), alpha in itertools.product(pairs, (0.5, 0.25)):
-        w = qcore.werner_alpha(alpha)
-        expected = np.array(
-            [[np.trace(w @ qcore.tensor(a, b)).real for b in bob.operators] for a in alice.operators]
-        )
-        cfg = lhv.LhvConfig(samples=1500, seed=29)
-        monkeypatch.setattr(lhv, "_CHUNK", default_chunk)
-        reference = lhv.estimate_joint(alice, bob, cfg, alpha=alpha)
-        for chunk, rows in chunkings:
-            monkeypatch.setattr(lhv, "_CHUNK", chunk)
-            chunk_rows.clear()
-            a = lhv.estimate_joint(alice, bob, cfg, alpha=alpha)
-            assert chunk_rows == rows
-            b = lhv.estimate_joint(alice, bob, cfg, alpha=alpha)
-            npt.assert_array_equal(a.probs, b.probs)
-            npt.assert_array_equal(a.stderr, b.stderr)
-            assert a.samples == 1500 and np.all(a.stderr > 0.0)
-            assert np.all(np.abs(a.probs - expected) <= 4 * a.stderr)
-            # every sample reads the same hidden ket and noise coin however the chunks split
-            npt.assert_allclose(a.probs, reference.probs, rtol=0, atol=1e-12)
-            npt.assert_allclose(a.stderr, reference.stderr, rtol=0, atol=1e-12)
 
 
 def test_teleport_experiment_reproduces_the_ch_value():

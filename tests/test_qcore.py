@@ -109,7 +109,7 @@ def test_werner_alpha_entries_and_limits():
         qcore.werner_alpha(-0.1)
 
 
-def test_werner_general_qubit_case_reduces_to_half_singlet_fraction():
+def test_werner_alpha_half_is_werners_swap_state_and_unitarily_invariant():
     # Werner's d x d state I/d^3 + (2/d^2) (I - V)/2, with V the swap, at d = 2
     swap = np.eye(4)[[0, 2, 1, 3]]
     npt.assert_allclose(np.eye(4) / 8 + (np.eye(4) - swap) / 4, qcore.werner_alpha(0.5), atol=1e-15)
