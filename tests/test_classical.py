@@ -73,3 +73,24 @@ def test_sample_count_validation():
         classical.gisin_scheme_fidelity(0, seed=0)
     with pytest.raises(ValueError):
         classical.z_scheme_fidelity(0, seed=0)
+
+
+@pytest.mark.parametrize(
+    "scheme, expected", [(classical.gisin_scheme_fidelity, GISIN_ANALYTIC), (classical.z_scheme_fidelity, 2 / 3)]
+)
+def test_schemes_reproducible_and_chunk_invariant(monkeypatch, scheme, expected):
+    draw = qcore.random_bloch_vectors
+    chunk_rows = []
+    monkeypatch.setattr(qcore, "random_bloch_vectors", lambda rng, n: chunk_rows.append(n) or draw(rng, n))
+    reference = scheme(1500, seed=13)
+    chunkings = ((classical._CHUNK, [1500]), (1, [1] * 1500), (7, [7] * 214 + [2]), (400, [400, 400, 400, 300]))
+    for chunk, rows in chunkings:
+        monkeypatch.setattr(classical, "_CHUNK", chunk)
+        chunk_rows.clear()
+        a = scheme(1500, seed=13)
+        assert chunk_rows == rows
+        assert a == scheme(1500, seed=13)
+        assert a.samples == 1500 and a.stderr > 0.0
+        assert abs(a.value - expected) <= 4 * a.stderr
+        assert abs(a.value - reference.value) <= 1e-12
+        assert abs(a.stderr - reference.stderr) <= 1e-12

@@ -276,6 +276,27 @@ def test_average_fidelity_has_no_spurious_variance_on_the_threshold_pair():
     assert est.stderr < 1e-15
 
 
+def test_average_fidelity_reproducible_and_chunk_invariant(monkeypatch):
+    rho = qcore.random_density(np.random.default_rng(RNG_SEED + 8), 4)
+    expected = _singlet_fraction_fidelity(rho)
+    haar_kets = qcore.haar_kets
+    chunk_rows = []
+    monkeypatch.setattr(qcore, "haar_kets", lambda rng, n: chunk_rows.append(n) or haar_kets(rng, n))
+    reference = teleport.average_fidelity(rho, samples=1500, seed=9)
+    chunkings = ((teleport._CHUNK, [1500]), (1, [1] * 1500), (7, [7] * 214 + [2]), (400, [400, 400, 400, 300]))
+    for chunk, rows in chunkings:
+        monkeypatch.setattr(teleport, "_CHUNK", chunk)
+        chunk_rows.clear()
+        a = teleport.average_fidelity(rho, samples=1500, seed=9)
+        assert chunk_rows == rows
+        b = teleport.average_fidelity(rho, samples=1500, seed=9)
+        assert a == b
+        assert a.samples == 1500 and a.stderr > 0.0
+        assert abs(a.value - expected) <= 4 * a.stderr
+        # every sample reads the same kets and outcome draws however the chunks split
+        assert abs(a.value - reference.value) <= 1e-12
+        assert abs(a.stderr - reference.stderr) <= 1e-12
+
 def test_average_fidelity_validates_inputs():
     with pytest.raises(ValueError):
         teleport.average_fidelity(np.eye(2) / 2, samples=10, seed=0)
@@ -307,6 +328,10 @@ def test_bell_probabilities_raise_when_the_routes_disagree(monkeypatch):
     with pytest.raises(RuntimeError, match="disagree"):
         teleport.bell_measurement_probabilities(CHI_A, _rho_a())
 
+
+def test_bell_probabilities_need_a_two_qubit_pair():
+    with pytest.raises(ValueError, match="two-qubit density matrix"):
+        teleport.bell_measurement_probabilities(CHI_A, np.eye(2) / 2)
 
 def test_bob_conditional_state_rejects_outcomes_outside_0_to_3():
     # without the check, -1 would silently read outcome 3
