@@ -21,15 +21,17 @@ BLOCK = 65_536
 # stream blocks per pool worker submitted and not yet merged (see run_chunks)
 IN_FLIGHT_PER_WORKER = 2
 
-# the worker pool of run_chunks, built by the first call with more than one block
+# the worker pool of run_chunks and its number of threads, built by the first
+# call with more than one block
 _pool = None
+_workers = 0
 _pool_lock = threading.Lock()
 
 
 def _forget_pool() -> None:
     # a forked child inherits the pool but not its threads, so it builds its own
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    global _pool, _workers, _pool_lock
+    _pool, _workers, _pool_lock = None, 0, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -151,7 +153,7 @@ arena = ChunkArena()
 
 
 def _executor():
-    global _pool
+    global _pool, _workers
     with _pool_lock:
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
@@ -161,7 +163,8 @@ def _executor():
             except AttributeError:  # no sched_getaffinity on this platform
                 workers = os.cpu_count() or 1
             _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="telelocal-block")
-        return _pool
+            _workers = workers
+        return _pool, _workers
 
 
 def _block_moments(sample_chunk, seed: int, block: int, rows: int, chunk: int, cell_shape) -> StreamingMoments:
@@ -211,12 +214,12 @@ def run_chunks(
         raise ValueError("samples must be >= 1")
     if samples <= BLOCK:
         return _block_moments(sample_chunk, seed, 0, samples, chunk, cell_shape)
-    pool = _executor()
+    pool, workers = _executor()
     pending = []
     moments = StreamingMoments(cell_shape)
     try:
         for b, start in enumerate(range(0, samples, BLOCK)):
-            if len(pending) == IN_FLIGHT_PER_WORKER * pool._max_workers:
+            if len(pending) == IN_FLIGHT_PER_WORKER * workers:
                 # dropped once merged, so that an interrupt in result() still waits for it below
                 moments.merge(pending[0].result())
                 del pending[0]

@@ -212,39 +212,77 @@ def fidelity(chi, m) -> float:
     return float(np.vdot(chi, m @ chi).real)
 
 
-def is_density(m, tol: float = 1e-10) -> bool:
-    """True when M is hermitian, unit trace, and PSD within tol."""
+def is_density(m) -> bool:
+    """True when M is hermitian, unit trace, and PSD within ATOL_PSD."""
     m = _as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     if not np.all(np.isfinite(m)):
         return False
-    if np.abs(m - m.conj().T).max() > tol:
+    if np.abs(m - m.conj().T).max() > ATOL_PSD:
         return False
-    if abs(np.trace(m).real - 1.0) > tol or abs(np.trace(m).imag) > tol:
+    if abs(np.trace(m).real - 1.0) > ATOL_PSD or abs(np.trace(m).imag) > ATOL_PSD:
         return False
-    return bool(np.linalg.eigvalsh((m + m.conj().T) / 2).min() >= -tol)
+    return bool(np.linalg.eigvalsh((m + m.conj().T) / 2).min() >= -ATOL_PSD)
 
 
-def haar_kets(rng: np.random.Generator, n: int, dim: int = 2) -> np.ndarray:
-    """n Haar-uniform unit kets of the given dimension, one per row.
+def _state_draws(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # the state stream: row i of random((n, 2)) is the i-th pair (u, v); v
+    # becomes phi = 2 pi v - pi in place, and both are column views of the draws
+    u, phi = rng.random((n, 2)).T
+    phi *= 2 * np.pi
+    phi -= np.pi
+    return u, phi
 
-    Sampled by normalizing 2*dim independent standard Gaussians, drawn as
-    one (n, 2*dim) block with the real and imaginary parts of each entry
-    side by side, so row i takes the i-th run of 2*dim normals of the
-    stream however n is split across calls. The block is normalized in
-    place in real arithmetic, each of its 2*dim columns divided by the
-    row norms; the result is a complex view of it.
+
+def haar_kets(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n Haar-uniform qubit kets (sqrt u, sqrt(1 - u) e^{i phi}), one per row.
+
+    Row i reads the i-th pair (u, v) of ``rng.random((n, 2))``, so it takes
+    the same two uniforms of the stream however n is split across calls,
+    and phi = 2 pi v - pi. The Bloch vector of such a ket has z = 2u - 1
+    and azimuth phi, independent and uniform, so it is uniform on the
+    sphere (Archimedes) and the projector is Haar-distributed. The global
+    phase is fixed: <0|psi> = sqrt u is real and nonnegative. The kets are
+    written in real arithmetic into the (n, 4) float view of the returned
+    (n, 2) complex array, with no array other than the draws and the kets.
     """
-    z = rng.standard_normal((n, 2 * dim))
-    np.divide(z.T, np.sqrt(np.einsum("ij,ij->i", z, z)), out=z.T)
-    return z.view(complex)
+    u, phi = _state_draws(rng, n)
+    kets = np.empty((n, 2), dtype=complex)
+    ar, ai, br, bi = kets.view(float).T
+    np.cos(phi, out=br)
+    np.sin(phi, out=bi)
+    np.sqrt(u, out=ar)
+    ai[...] = 0.0
+    np.subtract(1.0, u, out=u)
+    np.sqrt(u, out=u)
+    br *= u
+    bi *= u
+    return kets
 
 
 def random_bloch_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniform points on the unit sphere, one per row."""
-    v = rng.standard_normal((n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    """n uniform points on the unit sphere, one per row: the Bloch vectors of ``haar_kets(rng, n)``.
+
+    From the same pair (u, v) per row, (r cos phi, r sin phi, 2u - 1) with
+    r = 2 sqrt(u (1 - u)) and phi = 2 pi v - pi, written into the (n, 3)
+    result with no array other than the draws and the result.
+    """
+    u, phi = _state_draws(rng, n)
+    vectors = np.empty((n, 3))
+    x, y, z = vectors.T
+    np.cos(phi, out=x)
+    np.sin(phi, out=y)
+    # z holds r until x and y are scaled
+    np.subtract(1.0, u, out=z)
+    z *= u
+    np.sqrt(z, out=z)
+    z *= 2.0
+    x *= z
+    y *= z
+    np.multiply(u, 2.0, out=z)
+    z -= 1.0
+    return vectors
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:

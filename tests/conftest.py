@@ -31,6 +31,7 @@ def worker_pool(monkeypatch):
     def use(workers):
         with ThreadPoolExecutor(max_workers=workers) as pool, monkeypatch.context() as patch:
             patch.setattr(estimates, "_pool", pool)
+            patch.setattr(estimates, "_workers", workers)
             yield pool
 
     return use

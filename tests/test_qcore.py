@@ -140,32 +140,39 @@ def test_is_density_rejects_bad_matrices():
 
 def test_haar_kets_are_normalized_and_unbiased():
     rng = np.random.default_rng(RNG_SEED + 4)
-    kets = qcore.haar_kets(rng, 4000, 2)
+    kets = qcore.haar_kets(rng, 4000)
     npt.assert_allclose(np.linalg.norm(kets, axis=1), 1.0, atol=1e-12)
     # E|<0|psi>|^2 = 1/2 for Haar qubit kets
     overlap = np.mean(np.abs(kets[:, 0]) ** 2)
     assert abs(overlap - 0.5) < 0.02
+    # the global phase is fixed: <0|psi> is real and nonnegative
+    assert np.all(kets[:, 0].imag == 0) and np.all(kets[:, 0].real >= 0)
 
 
-def test_haar_kets_keep_the_gaussian_stream():
-    for dim in (2, 4):
-        rng, hand = np.random.default_rng(RNG_SEED + 7), np.random.default_rng(RNG_SEED + 7)
-        kets = qcore.haar_kets(rng, 500, dim)
-        z = hand.standard_normal((500, dim, 2))
-        z = z[..., 0] + 1j * z[..., 1]
-        assert kets.shape == (500, dim) and kets.dtype == complex
-        npt.assert_allclose(kets, z / np.linalg.norm(z, axis=1, keepdims=True), rtol=0, atol=1e-15)
-        # no normal skipped or added
-        assert rng.standard_normal() == hand.standard_normal()
-        # row i reads the same normals however the rows are split across calls
-        split, whole = np.random.default_rng(RNG_SEED + 8), np.random.default_rng(RNG_SEED + 8)
-        parts = [qcore.haar_kets(split, n, dim) for n in (173, 1, 326)]
-        npt.assert_array_equal(np.concatenate(parts), qcore.haar_kets(whole, 500, dim))
+def test_haar_kets_keep_the_uniform_stream():
+    rng, hand = np.random.default_rng(RNG_SEED + 7), np.random.default_rng(RNG_SEED + 7)
+    kets = qcore.haar_kets(rng, 500)
+    u, v = hand.random((500, 2)).T
+    phi = 2 * np.pi * v - np.pi
+    assert kets.shape == (500, 2) and kets.dtype == complex
+    npt.assert_allclose(kets[:, 0], np.sqrt(u), rtol=0, atol=1e-15)
+    npt.assert_allclose(kets[:, 1], np.sqrt(1 - u) * np.exp(1j * phi), rtol=0, atol=1e-15)
+    # no uniform skipped or added
+    assert rng.random() == hand.random()
+    # row i reads the same uniforms however the rows are split across calls
+    split, whole = np.random.default_rng(RNG_SEED + 8), np.random.default_rng(RNG_SEED + 8)
+    parts = [qcore.haar_kets(split, n) for n in (173, 1, 326)]
+    npt.assert_array_equal(np.concatenate(parts), qcore.haar_kets(whole, 500))
+
+
+def _global_phases(rng, kets):
+    # haar_kets fixes Im<0|psi> = 0; a random global phase brings back the terms in Im<0|psi>
+    return kets * np.exp(2j * np.pi * rng.random((len(kets), 1)))
 
 
 def test_bloch_rows_match_ket_to_bloch():
     rng = np.random.default_rng(RNG_SEED + 8)
-    kets = qcore.haar_kets(rng, 60)
+    kets = _global_phases(rng, qcore.haar_kets(rng, 60))
     s = np.sqrt(0.5)
     real = np.array([[1.0, 0.0], [0.0, 1.0], [s, s], [s, -s], [0.6, -0.8]])
     for batch in (kets, kets[::3], real):
@@ -176,7 +183,8 @@ def test_bloch_rows_match_ket_to_bloch():
 
 
 def test_bloch_rows_are_a_view_of_component_major_rows():
-    kets = qcore.haar_kets(np.random.default_rng(RNG_SEED + 10), 1000)
+    rng = np.random.default_rng(RNG_SEED + 10)
+    kets = _global_phases(rng, qcore.haar_kets(rng, 1000))
     cols = qcore.bloch_rows(kets).T
     assert cols.shape == (4, 1000) and cols.flags.c_contiguous
     a, b = kets[:, 0], kets[:, 1]
@@ -216,6 +224,34 @@ def test_random_bloch_vectors_unit_norm():
     v = qcore.random_bloch_vectors(rng, 1000)
     npt.assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-12)
     assert np.abs(v.mean(axis=0)).max() < 0.05
+
+
+def test_random_bloch_vectors_are_the_bloch_vectors_of_haar_kets():
+    rng, twin = np.random.default_rng(RNG_SEED + 12), np.random.default_rng(RNG_SEED + 12)
+    vectors = qcore.random_bloch_vectors(rng, 500)
+    assert vectors.shape == (500, 3)
+    npt.assert_allclose(vectors, qcore.bloch_rows(qcore.haar_kets(twin, 500))[:, 1:], rtol=0, atol=1e-15)
+    assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [qcore.random_bloch_vectors, lambda rng, n: qcore.bloch_rows(qcore.haar_kets(rng, n))[:, 1:]],
+    ids=["random_bloch_vectors", "bloch_rows(haar_kets)"],
+)
+def test_sampled_directions_are_uniform_on_the_sphere(sample):
+    # within 4 standard errors: E[m] = 0, E[m m^T] = I/3, and z = cos(theta)
+    # and the azimuth uniform over ten equal bins each
+    n = 100_000
+    m = sample(np.random.default_rng(RNG_SEED + 13), n)
+    npt.assert_array_less(np.abs(m.mean(axis=0)), 4 * m.std(axis=0) / np.sqrt(n))
+    second = m[:, :, None] * m[:, None, :]
+    npt.assert_array_less(np.abs(second.mean(axis=0) - np.eye(3) / 3), 4 * second.std(axis=0) / np.sqrt(n))
+    bins = 10
+    band = 4 * np.sqrt(n * (1 / bins) * (1 - 1 / bins))
+    for values, lo, hi in ((m[:, 2], -1.0, 1.0), (np.arctan2(m[:, 1], m[:, 0]), -np.pi, np.pi)):
+        counts, _ = np.histogram(values, bins=bins, range=(lo, hi))
+        npt.assert_array_less(np.abs(counts - n / bins), band)
 
 
 def test_random_density_is_density():
