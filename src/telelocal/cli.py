@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bellcheck, classical, hardytoy, lhv, qcore, teleport
-from .estimates import MonteCarloEstimate
+from .estimates import MonteCarloEstimate, child_seeds
 
 SCHEMA_VERSION = 1
 ANALYTIC_TOL = 1e-9
@@ -117,10 +117,6 @@ def _mc_row(name: str, estimate: MonteCarloEstimate, expected: float) -> dict:
         expected=expected,
         tolerance=_band(estimate.stderr),
     )
-
-
-def _child_seeds(seed: int, n: int) -> list[int]:
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
 
 
 def _report(command: str, cfg: RunConfig, rows: list[dict], reference: str) -> dict:
@@ -251,7 +247,7 @@ def cmd_hardy(cfg: RunConfig) -> dict:
 
 
 def cmd_gisin(cfg: RunConfig) -> dict:
-    seeds = _child_seeds(cfg.seed, 2)
+    seeds = child_seeds(cfg.seed, 2)
     return _report(
         "gisin",
         cfg,
@@ -264,7 +260,7 @@ def cmd_gisin(cfg: RunConfig) -> dict:
 def cmd_reproduce(cfg: RunConfig) -> dict:
     setting = bellcheck.violation_setting()
     grouping = bellcheck.OutcomeGrouping()
-    seeds = _child_seeds(cfg.seed, 5)
+    seeds = child_seeds(cfg.seed, 5)
     singlet = bellcheck.teleport_ch_value(setting, grouping, qcore.singlet_projector())
     rows = [
         _row("singlet_ch_value", singlet, expected=(1 - math.sqrt(2)) / 2, tolerance=ANALYTIC_TOL),

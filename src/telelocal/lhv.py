@@ -40,7 +40,7 @@ from .bellcheck import (
     ch_value,
     grouped_alice_effects,
 )
-from .estimates import CHUNK, arena, run_chunks
+from .estimates import CHUNK, arena, child_seeds, run_chunks
 
 _PARALLEL_ATOL = 1e-10
 _CHUNK = CHUNK
@@ -52,10 +52,6 @@ class LhvConfig:
 
     samples: int
     seed: int
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -172,24 +168,23 @@ def lhv_teleport_experiment(
 ) -> LhvChResult:
     """CH combination of the hidden variable model on the teleportation test.
 
-    Each of the four settings pairs is an independent sub-experiment with
-    its own derived seed, so the four cell errors add in quadrature.
+    Settings pair (ia, ib) is an independent sub-experiment on seed
+    ``child_seeds(cfg.seed, 4)[2 * ia + ib]``, so the four cell errors add
+    in quadrature.
     """
     effects = grouped_alice_effects(setting, grouping)
     projs = bob_projectors(setting)
-    child_seeds = np.random.SeedSequence(cfg.seed).generate_state(4)
     joints = np.empty((2, 2, 2, 2))
     errors = np.empty((2, 2, 2, 2))
-    for ia in range(2):
-        for ib in range(2):
-            est = estimate_joint(
-                MeasurementSpec(kind="povm", operators=effects[ia]),
-                MeasurementSpec(kind="projective", operators=projs[ib]),
-                LhvConfig(samples=cfg.samples, seed=int(child_seeds[2 * ia + ib])),
-                alpha=alpha,
-            )
-            joints[ia, :, ib, :] = est.probs
-            errors[ia, :, ib, :] = est.stderr
+    for (ia, ib), seed in zip(np.ndindex(2, 2), child_seeds(cfg.seed, 4)):
+        est = estimate_joint(
+            MeasurementSpec(kind="povm", operators=effects[ia]),
+            MeasurementSpec(kind="projective", operators=projs[ib]),
+            LhvConfig(samples=cfg.samples, seed=seed),
+            alpha=alpha,
+        )
+        joints[ia, :, ib, :] = est.probs
+        errors[ia, :, ib, :] = est.stderr
     table = ProbabilityTable(joints=joints, stderr=errors)
     stderr = float(np.sqrt(sum(errors[cell] ** 2 for _, cell in CH_TERMS)))
     return LhvChResult(value=ch_value(table), stderr=stderr, table=table)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from telelocal import bellcheck, classical, cli, lhv, qcore
+from telelocal import bellcheck, classical, cli, estimates, lhv, qcore
 
 
 def _run(argv, capsys):
@@ -101,7 +101,7 @@ def test_reproduce_rows_come_from_the_other_commands(capsys):
         "lhv_ch_in_unit_interval",
         "lhv_max_cell_deviation",
     ]
-    seeds = cli._child_seeds(seed, 5)
+    seeds = estimates.child_seeds(seed, 5)
     n = ["--samples", str(samples)]
 
     def command_rows(argv):

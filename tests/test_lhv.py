@@ -10,7 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from telelocal import bellcheck, lhv, qcore, teleport
+from telelocal import bellcheck, estimates, lhv, qcore, teleport
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 Z_PROJS = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
@@ -152,13 +152,18 @@ def test_noncommuting_receiver_povm_rejected():
         lhv.estimate_joint(_spec("projective", Z_PROJS), _spec("povm", trine), cfg)
 
 
-def test_estimate_joint_validation():
+def test_estimate_joint_validation(monkeypatch):
     cfg = lhv.LhvConfig(samples=10, seed=0)
     alice = _spec("projective", Z_PROJS)
     with pytest.raises(ValueError):
         lhv.estimate_joint(alice, alice, cfg, alpha=0.7)
-    with pytest.raises(ValueError):
-        lhv.LhvConfig(samples=0, seed=0)
+    # run_chunks rejects a zero sample count before any hidden ket is drawn
+    monkeypatch.setattr(qcore, "haar_kets", None)
+    empty = lhv.LhvConfig(samples=0, seed=0)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        lhv.estimate_joint(alice, alice, empty)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        lhv.lhv_teleport_experiment(bellcheck.violation_setting(), bellcheck.OutcomeGrouping(), empty)
     big = np.zeros((2, 4, 4), dtype=complex)
     big[0] = np.eye(4) * 0.5
     big[1] = np.eye(4) * 0.5
@@ -243,6 +248,28 @@ def test_teleport_experiment_reproduces_the_ch_value():
     # every cell sits within noise of the quantum table
     oracle = bellcheck.probability_table(setting, grouping, qcore.werner_alpha(0.5)).joints
     assert np.all(np.abs(result.table.joints - oracle) <= 4 * result.table.stderr + 1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.25])
+def test_teleport_experiment_runs_each_settings_pair_on_its_child_seed(alpha):
+    # pair (ia, ib) is one estimate_joint call on child seed 2 ia + ib
+    setting = bellcheck.violation_setting()
+    grouping = bellcheck.OutcomeGrouping()
+    samples, seed = 2000, 31
+    result = lhv.lhv_teleport_experiment(setting, grouping, lhv.LhvConfig(samples, seed), alpha=alpha)
+    effects = bellcheck.grouped_alice_effects(setting, grouping)
+    projs = bellcheck.bob_projectors(setting)
+    seeds = estimates.child_seeds(seed, 4)
+    for ia in range(2):
+        for ib in range(2):
+            est = lhv.estimate_joint(
+                _spec("povm", effects[ia]),
+                _spec("projective", projs[ib]),
+                lhv.LhvConfig(samples, seeds[2 * ia + ib]),
+                alpha=alpha,
+            )
+            assert np.array_equal(result.table.joints[ia, :, ib, :], est.probs)
+            assert np.array_equal(result.table.stderr[ia, :, ib, :], est.stderr)
 
 
 def test_teleport_experiment_tracks_alpha():

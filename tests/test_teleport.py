@@ -118,8 +118,10 @@ def test_correction_unitaries_are_unitary_and_bounded():
     for k in range(4):
         u = teleport.correction_unitary(k)
         npt.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-15)
-    with pytest.raises(ValueError):
-        teleport.correction_unitary(4)
+    # without the check, -1 would silently read outcome 3's correction
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match="outcome index"):
+            teleport.correction_unitary(k)
 
 
 def test_perfect_teleportation_on_the_singlet():
