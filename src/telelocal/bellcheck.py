@@ -138,11 +138,8 @@ def probability_table(setting: TeleportBellSetting, grouping: OutcomeGrouping, r
     effects = grouped_alice_effects(setting, grouping)
     projs = bob_projectors(setting)
     joints = np.empty((2, 2, 2, 2))
-    for ia in range(2):
-        for a in range(2):
-            for ib in range(2):
-                for b in range(2):
-                    joints[ia, a, ib, b] = joint_probability(rho, effects[ia, a], projs[ib, b])
+    for ia, a, ib, b in np.ndindex(2, 2, 2, 2):
+        joints[ia, a, ib, b] = joint_probability(rho, effects[ia, a], projs[ib, b])
     return ProbabilityTable(joints=joints)
 
 

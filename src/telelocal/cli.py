@@ -22,7 +22,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,14 +42,6 @@ MIN_SAMPLES = 2
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    alpha: float | None
-    samples: int
-    seed: int
-    grid: tuple[float, float, float] | None
 
 
 def _parse_grid(text: str) -> tuple[float, float, float]:
@@ -119,7 +110,7 @@ def _mc_row(name: str, estimate: MonteCarloEstimate, expected: float) -> dict:
     )
 
 
-def _report(command: str, cfg: RunConfig, rows: list[dict], reference: str) -> dict:
+def _report(command: str, cfg: argparse.Namespace, rows: list[dict], reference: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -134,7 +125,7 @@ def _report(command: str, cfg: RunConfig, rows: list[dict], reference: str) -> d
     }
 
 
-def _scan_rows(cfg: RunConfig) -> list[dict]:
+def _scan_rows(cfg: argparse.Namespace) -> list[dict]:
     setting = bellcheck.violation_setting()
     grid = _grid_points(cfg.grid if cfg.grid else DEFAULT_GRID)
     scan = bellcheck.threshold_scan(setting, grid)
@@ -153,7 +144,7 @@ def _scan_rows(cfg: RunConfig) -> list[dict]:
     ]
 
 
-def cmd_scan(cfg: RunConfig) -> dict:
+def cmd_scan(cfg: argparse.Namespace) -> dict:
     return _report(
         "scan",
         cfg,
@@ -213,7 +204,7 @@ def _lhv_rows(result: lhv.LhvChResult, alpha: float, samples: int) -> list[dict]
     ]
 
 
-def cmd_teleport(cfg: RunConfig) -> dict:
+def cmd_teleport(cfg: argparse.Namespace) -> dict:
     alpha = 0.5 if cfg.alpha is None else cfg.alpha
     if not 0.0 <= alpha <= 1.0:
         raise UsageError("alpha must lie in [0, 1]")
@@ -225,7 +216,7 @@ def cmd_teleport(cfg: RunConfig) -> dict:
     )
 
 
-def cmd_lhv(cfg: RunConfig) -> dict:
+def cmd_lhv(cfg: argparse.Namespace) -> dict:
     alpha = 0.5 if cfg.alpha is None else cfg.alpha
     if not 0.0 <= alpha <= 0.5:
         raise UsageError("the hidden variable model covers alpha in [0, 1/2]")
@@ -237,7 +228,7 @@ def cmd_lhv(cfg: RunConfig) -> dict:
     )
 
 
-def cmd_hardy(cfg: RunConfig) -> dict:
+def cmd_hardy(cfg: argparse.Namespace) -> dict:
     return _report(
         "hardy",
         cfg,
@@ -246,7 +237,7 @@ def cmd_hardy(cfg: RunConfig) -> dict:
     )
 
 
-def cmd_gisin(cfg: RunConfig) -> dict:
+def cmd_gisin(cfg: argparse.Namespace) -> dict:
     seeds = child_seeds(cfg.seed, 2)
     return _report(
         "gisin",
@@ -257,7 +248,7 @@ def cmd_gisin(cfg: RunConfig) -> dict:
     )
 
 
-def cmd_reproduce(cfg: RunConfig) -> dict:
+def cmd_reproduce(cfg: argparse.Namespace) -> dict:
     setting = bellcheck.violation_setting()
     grouping = bellcheck.OutcomeGrouping()
     seeds = child_seeds(cfg.seed, 5)
@@ -374,13 +365,8 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"samples must be >= {MIN_SAMPLES}, a standard error needs two")
         if args.seed < 0:
             raise UsageError("seed must be >= 0")
-        cfg = RunConfig(
-            alpha=args.alpha,
-            samples=args.samples,
-            seed=args.seed,
-            grid=_parse_grid(args.grid) if args.grid else None,
-        )
-        report = _COMMANDS[args.command](cfg)
+        args.grid = _parse_grid(args.grid) if args.grid else None
+        report = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -32,40 +32,28 @@ class ToyVerifyReport:
 
     successes: int
     total: int
-    teleport_failures: tuple[tuple[int, int, int], ...]  # (input, shared, final)
     partition_ok: bool
-    partition_errors: tuple[str, ...]
     message_map_ok: bool
-    message_errors: tuple[tuple[int, tuple[int, ...], int, int], ...]
-    message_map: tuple[int, ...]
 
     @property
     def passed(self) -> bool:
         return self.successes == self.total and self.partition_ok and self.message_map_ok
 
 
-def _message_map(tables) -> tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...], int, int], ...]]:
-    """Per-outcome message derived from the first row, plus rows that disagree.
-
-    An outcome with no rows carries no message: it gets -1 and is listed
-    as the error (k, (), -1, -1).
-    """
+def _message_map(tables) -> tuple[tuple[int, ...], bool]:
+    """Per-outcome message of the first row (-1 for an empty outcome), and whether every row agrees."""
     derived = []
-    errors = []
-    for k, rows in enumerate(tables):
-        if not rows:
-            derived.append(-1)
-            errors.append((k, (), -1, -1))
-            continue
-        messages = [(pair[1] - pair[0]) % 4 for pair in rows]
-        derived.append(messages[0])
-        errors.extend((k, pair, messages[0], i) for pair, i in zip(rows, messages) if i != messages[0])
-    return tuple(derived), tuple(errors)
+    consistent = True
+    for rows in tables:
+        messages = [(x2 - x1) % 4 for x1, x2 in rows]
+        derived.append(messages[0] if messages else -1)
+        consistent = consistent and len(set(messages)) == 1
+    return tuple(derived), consistent
 
 
-_messages, _errors = _message_map(TOY_TABLES)
-if _errors:
-    raise AssertionError(f"inconsistent canonical tables: {_errors!r}")
+_messages, _consistent = _message_map(TOY_TABLES)
+if not _consistent:
+    raise AssertionError("inconsistent canonical tables")
 # outcome index -> transmitted message, derived and checked at import
 MESSAGE_MAP: tuple[int, ...] = _messages
 
@@ -83,36 +71,16 @@ def exhaustive_verify(tables=None) -> ToyVerifyReport:
     on (x2 - x1) mod 4. The replay uses the first-row message.
     """
     tables = TOY_TABLES if tables is None else tuple(tuple(map(tuple, rows)) for rows in tables)
-    seen: dict[tuple[int, int], int] = {}
-    partition_errors = []
-    for k, rows in enumerate(tables):
-        for pair in rows:
-            if pair in seen:
-                partition_errors.append(f"pair {pair} in outcomes {seen[pair]} and {k}")
-            seen[pair] = k
-    messages, message_errors = _message_map(tables)
-
+    seen = {pair: k for k, rows in enumerate(tables) for pair in rows}
+    messages, message_map_ok = _message_map(tables)
+    cases = [(x1, shared) for x1 in range(4) for shared in range(4)]
     successes = 0
-    failures = []
-    for x1 in range(4):
-        for shared in range(4):
-            pair = (x1, shared)
-            if pair not in seen:
-                partition_errors.append(f"pair {pair} in no outcome")
-                failures.append((x1, shared, -1))
-                continue
-            final = bob_correction(shared, messages[seen[pair]])
-            if final == x1:
-                successes += 1
-            else:
-                failures.append((x1, shared, final))
+    for x1, shared in cases:
+        if (x1, shared) in seen and bob_correction(shared, messages[seen[x1, shared]]) == x1:
+            successes += 1
     return ToyVerifyReport(
         successes=successes,
         total=16,
-        teleport_failures=tuple(failures),
-        partition_ok=not partition_errors,
-        partition_errors=tuple(partition_errors),
-        message_map_ok=not message_errors,
-        message_errors=message_errors,
-        message_map=messages,
+        partition_ok=all(case in seen for case in cases) and len(seen) == sum(map(len, tables)),
+        message_map_ok=message_map_ok,
     )

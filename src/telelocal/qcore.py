@@ -53,14 +53,9 @@ def unit_direction(n, name: str) -> np.ndarray:
     return _require_unit_vector(np.asarray(n, dtype=float), (3,), name)
 
 
-def tensor(*ops) -> np.ndarray:
-    """Kronecker product of one or more kets or operators."""
-    if not ops:
-        raise ValueError("tensor() needs at least one argument")
-    out = _as_complex(ops[0])
-    for op in ops[1:]:
-        out = np.kron(out, _as_complex(op))
-    return out
+def tensor(a, b) -> np.ndarray:
+    """Kronecker product of two kets or operators."""
+    return np.kron(_as_complex(a), _as_complex(b))
 
 
 def partial_trace(rho, dims: tuple[int, int], trace_out: str = "A") -> np.ndarray:
@@ -201,15 +196,6 @@ def werner_alpha(alpha: float) -> np.ndarray:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     return (1 - alpha) / 4 * np.eye(4, dtype=complex) + alpha * singlet_projector()
-
-
-def fidelity(chi, m) -> float:
-    """<chi|M|chi> for a ket chi and an operator M."""
-    chi = _as_complex(chi)
-    m = _as_complex(m)
-    if m.shape != (chi.shape[0], chi.shape[0]):
-        raise ValueError(f"operator shape {m.shape} does not match ket dimension {chi.shape[0]}")
-    return float(np.vdot(chi, m @ chi).real)
 
 
 def is_density(m) -> bool:

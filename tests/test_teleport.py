@@ -9,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from oracles import fidelity
 from telelocal import qcore, teleport
 from telelocal.estimates import StreamingMoments
 
@@ -114,13 +115,17 @@ def test_zero_probability_outcome_rejected():
         teleport.bob_conditional_state(chi, rho, 0)
 
 
+# -1 would silently read outcome 3, True index a (1, 4, 2, 2) stack, 1.0 fail inside NumPy
+NOT_OUTCOMES = (1.0, 2.5, True, -1, 4)
+
+
 def test_correction_unitaries_are_unitary_and_bounded():
     for k in range(4):
         u = teleport.correction_unitary(k)
         npt.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-15)
-    # without the check, -1 would silently read outcome 3's correction
-    for k in (-1, 4):
-        with pytest.raises(ValueError, match="outcome index"):
+    npt.assert_array_equal(teleport.correction_unitary(np.int64(2)), teleport.correction_unitary(2))
+    for k in NOT_OUTCOMES:
+        with pytest.raises(ValueError, match="outcome index must be 0..3"):
             teleport.correction_unitary(k)
 
 
@@ -173,7 +178,7 @@ def test_average_fidelity_on_a_generic_pair_stays_in_range():
 
 def _singlet_fraction_fidelity(rho) -> float:
     # (2F + 1)/3 with F = <psi-|rho|psi->, Horodecki, Horodecki & Horodecki 1999
-    return (2 * qcore.fidelity(qcore.bell_basis()[0], rho) + 1) / 3
+    return (2 * fidelity(qcore.bell_basis()[0], rho) + 1) / 3
 
 
 def test_pauli_route_matches_the_three_qubit_route():
@@ -195,7 +200,7 @@ def test_pauli_route_matches_the_three_qubit_route():
                 u = teleport.correction_unitary(k)
                 corrected = u @ teleport.bob_conditional_state(chi, rho, k) @ u.conj().T
                 overlap = sent @ (r / 8) @ (teleport._CORRECTION_SIGNS[k] * row)
-                assert abs(overlap - probs[k] * qcore.fidelity(chi, corrected)) <= 1e-12
+                assert abs(overlap - probs[k] * fidelity(chi, corrected)) <= 1e-12
 
 
 def test_pauli_route_of_the_singlet_fraction_family_is_diagonal():
@@ -226,7 +231,7 @@ def test_average_fidelity_replays_the_three_qubit_protocol():
         probs = teleport.bell_measurement_probabilities(chi, rho)
         k = min(int((draw > np.cumsum(probs)).sum()), 3)
         u = teleport.correction_unitary(k)
-        fids.append(qcore.fidelity(chi, u @ teleport.bob_conditional_state(chi, rho, k) @ u.conj().T))
+        fids.append(fidelity(chi, u @ teleport.bob_conditional_state(chi, rho, k) @ u.conj().T))
     est = teleport.average_fidelity(rho, samples=300, seed=5)
     assert abs(est.value - np.mean(fids)) <= 1e-12
     assert abs(est.stderr - np.std(fids, ddof=1) / np.sqrt(300)) <= 1e-12
@@ -260,7 +265,7 @@ def test_average_fidelity_picks_outcomes_at_the_cumulative_boundaries(monkeypatc
         k = min(int((draw > np.cumsum(probs[:, i])).sum()), 3)
         assert k == [0, 0, 1, 2, 3, 3][i % 6]
         u = teleport.correction_unitary(k)
-        expected = qcore.fidelity(chi, u @ teleport.bob_conditional_state(chi, rho, k) @ u.conj().T)
+        expected = fidelity(chi, u @ teleport.bob_conditional_state(chi, rho, k) @ u.conj().T)
         assert abs(values[i] - expected) <= 1e-12
 
 
@@ -312,15 +317,12 @@ def test_average_fidelity_validates_inputs():
         teleport.average_fidelity(qcore.werner_alpha(0.5), samples=0, seed=0)
 
 
-def test_povm_container_validation():
-    bad = np.stack([np.eye(2, dtype=complex)] * 4)
-    with pytest.raises(ValueError):
-        teleport.TeleportPovm(elements=bad)
-    with pytest.raises(ValueError):
-        teleport.TeleportPovm(elements=np.full((4, 2, 2), np.nan, dtype=complex))
-    # a valid POVM, but with three elements
-    with pytest.raises(ValueError, match="four"):
-        teleport.TeleportPovm(elements=np.stack([np.eye(2, dtype=complex) / 3] * 3))
+def test_povm_container_validation(monkeypatch):
+    # povm_from_input checks the elements it builds: rows (2, 0, 0, 0) give four identities, then NaN
+    for rows in (np.tile([2.0, 0.0, 0.0, 0.0], (4, 1)), np.full((4, 4), np.nan)):
+        monkeypatch.setattr(teleport, "sender_rows", lambda chi, rows=rows: rows)
+        with pytest.raises(ValueError, match="sum to the identity"):
+            teleport.povm_from_input(CHI_A)
 
 
 def test_bell_probabilities_raise_when_the_routes_disagree(monkeypatch):
@@ -336,9 +338,11 @@ def test_bell_probabilities_need_a_two_qubit_pair():
         teleport.bell_measurement_probabilities(CHI_A, np.eye(2) / 2)
 
 def test_bob_conditional_state_rejects_outcomes_outside_0_to_3():
-    # without the check, -1 would silently read outcome 3
-    for k in (-1, 4):
-        with pytest.raises(ValueError, match="outcome index"):
+    npt.assert_array_equal(
+        teleport.bob_conditional_state(CHI_A, _rho_a(), np.int64(2)), teleport.bob_conditional_state(CHI_A, _rho_a(), 2)
+    )
+    for k in NOT_OUTCOMES:
+        with pytest.raises(ValueError, match="outcome index must be 0..3"):
             teleport.bob_conditional_state(CHI_A, _rho_a(), k)
 
 
