@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qcore
-from .teleport import joint_probability, povm_from_input, sender_rows
+from .teleport import _outcome_index, joint_probability, povm_from_input
 
 SETTING_T, SETTING_U = 0, 1
 SETTING_R, SETTING_S = 0, 1
@@ -65,7 +65,7 @@ class OutcomeGrouping:
 
     def __post_init__(self):
         for name, group in (("t_set", self.t_set), ("u_set", self.u_set)):
-            if len(group) != 2 or len(set(group)) != 2 or not set(group) <= {0, 1, 2, 3}:
+            if len(group) != 2 or len({_outcome_index(k) for k in group}) != 2:
                 raise ValueError(f"{name} must be two distinct outcome indices in 0..3")
 
 
@@ -156,15 +156,11 @@ def teleport_ch_value(setting: TeleportBellSetting, grouping: OutcomeGrouping, r
 def _slope(setting: TeleportBellSetting) -> float:
     """Sum of sign r_e . r_f over CH_TERMS: four times the rate at which the CH value falls with alpha.
 
-    A sender setting's + row sums its grouped sender_rows; the - row sums
-    the complement, whose vector r is the opposite one.
+    The vectors r are read from the effects probability_table uses, for the default grouping.
     """
-    grouping = OutcomeGrouping()
-    settings = ((setting.chi, grouping.t_set), (setting.chi_prime, grouping.u_set))
-    plus = np.stack([sender_rows(ket)[list(group)].sum(axis=0)[1:] for ket, group in settings])
-    sender = np.stack([plus, -plus], axis=1)
-    receiver = qcore.pauli_rows(bob_projectors(setting))
-    return float(sum(sign * sender[cell[:2]] @ receiver[cell[2:]][1:] for sign, cell in CH_TERMS))
+    sender = qcore.pauli_rows(grouped_alice_effects(setting, OutcomeGrouping()))[..., 1:]
+    receiver = qcore.pauli_rows(bob_projectors(setting))[..., 1:]
+    return float(sum(sign * sender[cell[:2]] @ receiver[cell[2:]] for sign, cell in CH_TERMS))
 
 
 def closed_form_value(alpha: float, setting: TeleportBellSetting) -> float:

@@ -196,7 +196,7 @@ def run_chunks(
     derivation. The rows form stream blocks of ``BLOCK`` rows (the last may
     be shorter). Block b has its own ``states`` stream, for Haar kets and
     Bloch vectors, from ``SeedSequence(seed, spawn_key=(2b,))`` and
-    ``coins`` stream, for outcome draws and the white-noise mix, from
+    ``coins`` stream, for Bell-outcome draws, from
     ``spawn_key=(2b + 1,)``; block 0 is ``SeedSequence(seed).spawn(2)``.
     ``samples`` < 1 raises ValueError before any generator is built. Each
     call returns an array of shape (m, *cell_shape), best the transpose view

@@ -20,8 +20,8 @@ hidden ket is t_a t_b / 4 - (r_a . n)(r_b . n) / 8: symmetric in the two
 roles, and with r_b parallel to n equal to Tr[W (A x B)] for the
 singlet-fraction state at alpha = 1/2.
 
-Fractions alpha < 1/2 mix in a state-independent white-noise responder
-(t/2 for each effect) with weight 1 - 2 alpha.
+For alpha < 1/2 the state is 2 alpha W_1/2 + (1 - 2 alpha) I/4, and I/4
+gives the joint t_a t_b / 4 exactly, so only alpha = 1/2 is simulated.
 """
 
 from __future__ import annotations
@@ -120,36 +120,26 @@ def estimate_joint(
     rule and the receiver by the minimum rule, which needs its effects to
     commute.
 
-    Each sample takes its hidden ket from the state stream and, when
-    alpha < 1/2, one uniform of the coin stream that picks the
-    white-noise responder (see estimates.run_chunks), so the result does
-    not depend on the chunk size.
+    Each sample takes its hidden ket from the state stream (see
+    estimates.run_chunks), so the result does not depend on the chunk
+    size. The samples estimate alpha = 1/2; the white noise is mixed in
+    exactly with weight 1 - 2 alpha, and the stderr scales by 2 alpha.
     """
     if not 0.0 <= alpha <= 0.5:
         raise ValueError("alpha must lie in [0, 1/2]")
     alice_coeffs, bob_coeffs = qcore.pauli_rows(alice.operators), qcore.pauli_rows(bob.operators)
     axis, responses = minimum_rule(bob_coeffs)
     overlap = alice_coeffs / 2
-    # the receiver's answer per group: 0 where n . m > 0, 1 elsewhere, 2 white noise (t/2)
-    by_group = np.column_stack([*responses, bob_coeffs[:, 0] / 2])
-    mix = 2.0 * alpha
+    # the receiver's answer per group: 0 where n . m > 0, 1 elsewhere
+    by_group = responses.T
 
     def chunk(states, coins, m):
         # component-major: one contiguous row of m samples per component,
         # every float array in the chunk arena
         cols = qcore.bloch_rows(qcore.haar_kets(states, m), out=arena.take(4, m)).T
-        group = np.zeros(m, dtype=np.intp)
-        if mix < 1.0:
-            noise = coins.random(m) >= mix
-            # a zero Bloch vector makes the sender's overlap t/2, so the noise
-            # joint is (t_a/2)(t_b/2) = t_a t_b / 4 exactly, and its n . m = 0
-            # adds the second 1 of group 2 below
-            cols[1:] *= ~noise
-            group += noise
-        along = np.matmul(axis, cols[1:], out=arena.take(m))
-        group += along <= 0
+        group = (np.matmul(axis, cols[1:], out=arena.take(m)) <= 0).astype(np.intp)
         # np.take gathers whole columns far faster than fancy indexing does;
-        # mode="clip" lets it write into the arena unbuffered (group is 0..2)
+        # mode="clip" lets it write into the arena unbuffered (group is 0..1)
         by_minimum = np.take(by_group, group, axis=1, out=arena.take(len(by_group), m), mode="clip")
         by_overlap = np.matmul(overlap, cols, out=arena.take(len(overlap), m))
         joint = arena.take(len(overlap), len(by_group), m)
@@ -157,7 +147,11 @@ def estimate_joint(
         return joint.transpose(2, 0, 1)
 
     moments = run_chunks(chunk, cfg.samples, cfg.seed, _CHUNK, (alice.outcomes, bob.outcomes))
-    return JointEstimate(probs=moments.mean(), stderr=moments.stderr(), samples=cfg.samples)
+    mix = 2.0 * alpha
+    probs = mix * moments.mean() + (1.0 - mix) * np.outer(alice_coeffs[:, 0], bob_coeffs[:, 0]) / 4
+    # at alpha = 0 the result is exact, and 0 times one sample's infinite stderr would be NaN
+    stderr = mix * moments.stderr() if mix else np.zeros_like(probs)
+    return JointEstimate(probs=probs, stderr=stderr, samples=cfg.samples)
 
 
 def lhv_teleport_experiment(

@@ -102,13 +102,8 @@ def correction_unitary(k: int) -> np.ndarray:
 
 
 def joint_probability(rho, alice_op, bob_proj) -> float:
-    """Tr[rho (A x P)] for a two-qubit state, sender effect A, receiver projector P."""
-    rho = np.asarray(rho, dtype=complex)
-    alice_op = np.asarray(alice_op, dtype=complex)
-    bob_proj = np.asarray(bob_proj, dtype=complex)
-    if rho.shape != (alice_op.shape[0] * bob_proj.shape[0],) * 2:
-        raise ValueError("state dimension does not match the measurement operators")
-    return float(np.trace(rho @ qcore.tensor(alice_op, bob_proj)).real)
+    """Tr[rho (A x P)] for sender effect A, receiver projector P; ValueError unless rho is a two-qubit state."""
+    return float(np.trace(qcore.two_qubit_density(rho) @ qcore.tensor(alice_op, bob_proj)).real)
 
 
 def _receiver_states(chi, rho) -> np.ndarray:

@@ -11,6 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from oracles import non_states
 from telelocal import bellcheck, lhv, qcore
 
 RNG_SEED = 20240813
@@ -53,6 +54,11 @@ def test_grouping_validation():
         bellcheck.OutcomeGrouping(t_set=(0, 0), u_set=(0, 3))
     with pytest.raises(ValueError):
         bellcheck.OutcomeGrouping(t_set=(0, 4), u_set=(0, 3))
+    # each entry is an outcome index as teleport reads one: no bool, no float
+    for bad in ((True, 2), (0, 2.0)):
+        with pytest.raises(ValueError):
+            bellcheck.OutcomeGrouping(t_set=bad)
+    bellcheck.OutcomeGrouping(t_set=(0, np.int64(2)))
 
 
 def test_probability_table_validation():
@@ -80,6 +86,15 @@ def test_probability_table_validation():
         poisoned[1, 0, 1, 1] = bad
         with pytest.raises(ValueError):
             bellcheck.ProbabilityTable(joints=poisoned)
+
+
+def test_tables_reject_non_states():
+    setting, grouping = bellcheck.violation_setting(), bellcheck.OutcomeGrouping()
+    for rho in non_states():
+        with pytest.raises(ValueError, match="two-qubit density matrix"):
+            bellcheck.probability_table(setting, grouping, rho)
+        with pytest.raises(ValueError, match="two-qubit density matrix"):
+            bellcheck.teleport_ch_value(setting, grouping, rho)
 
 
 def test_grouped_effects_are_binary_povms_with_pinned_coefficients():

@@ -55,7 +55,7 @@ GISIN_ANALYTIC = classical.gisin_fidelity_analytic()
 # (values, stderr, samples), exact expected values)
 ESTIMATORS = {
     "teleport": (teleport, "haar_kets", _scalar(teleport.average_fidelity, RHO, seed=9), TELEPORT_FIDELITY),
-    # a POVM sender and a projective receiver; alpha 0.25 also takes the white-noise path
+    # a POVM sender and a projective receiver; at alpha 0.25 the exact white-noise mix scales the stderr by 1/2
     "lhv-0.5": _lhv(GROUPED_T, ALONG_S, 0.5),
     "lhv-0.25": _lhv(GROUPED_T, ALONG_S, 0.25),
     # an all-projective pair

@@ -80,6 +80,13 @@ def test_exhaustive_verify_flags_broken_tables():
     assert report.partition_ok and report.successes == 14
     assert not report.message_map_ok and not report.passed
 
+    # a pair outside the 16 hidden pairs, even one whose message agrees with its outcome's
+    for outcome, pair in ((0, (5, 5)), (0, (4, 0)), (2, (-4, -2))):
+        extra = [list(rows) for rows in hardytoy.TOY_TABLES]
+        extra[outcome].append(pair)
+        report = hardytoy.exhaustive_verify(tables=extra)
+        assert not report.partition_ok and not report.passed
+
 
 def test_exhaustive_verify_reports_an_empty_outcome():
     # outcome 3 has no rows: its four pairs belong to no outcome and it carries no message

@@ -225,6 +225,23 @@ def test_white_noise_limit_is_exact():
     est = lhv.estimate_joint(_spec("projective", Z_PROJS), _spec("projective", X_PROJS), cfg, alpha=0.0)
     npt.assert_allclose(est.probs, np.full((2, 2), 0.25), atol=1e-14)
     npt.assert_allclose(est.stderr, 0.0, atol=1e-14)
+    # exact even from one sample, whose own stderr is infinite
+    one = lhv.estimate_joint(_spec("projective", Z_PROJS), _spec("projective", X_PROJS), lhv.LhvConfig(1, 24), alpha=0.0)
+    assert np.array_equal(one.stderr, np.zeros((2, 2)))
+
+
+def test_alpha_mixes_white_noise_into_the_half_estimate_exactly():
+    # W_alpha = 2 alpha W_1/2 + (1 - 2 alpha) I/4, and I/4 gives the joint Tr A Tr B / 4
+    bob_r = _spec("projective", np.stack([qcore.spin_projector(R_AXIS, +1), qcore.spin_projector(R_AXIS, -1)]))
+    tilted = _spec("povm", np.stack([np.diag([0.7, 0.2]), np.diag([0.3, 0.8])]))
+    cfg = lhv.LhvConfig(samples=2000, seed=26)
+    for alice, bob in ((_grouped_effect_povm(), bob_r), (_grouped_effect_povm(), tilted)):
+        half = lhv.estimate_joint(alice, bob, cfg)
+        noise = np.outer(*(np.trace(spec.operators, axis1=1, axis2=2).real for spec in (alice, bob))) / 4
+        for alpha in (0.0, 0.25, 0.3):
+            est = lhv.estimate_joint(alice, bob, cfg, alpha=alpha)
+            npt.assert_allclose(est.probs, 2 * alpha * half.probs + (1 - 2 * alpha) * noise, rtol=0, atol=1e-15)
+            npt.assert_allclose(est.stderr, 2 * alpha * half.stderr, rtol=0, atol=1e-15)
 
 
 def test_alpha_mixing_matches_closed_form():

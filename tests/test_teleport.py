@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oracles import fidelity
+from oracles import fidelity, non_states
 from telelocal import qcore, teleport
 from telelocal.estimates import StreamingMoments
 
@@ -157,6 +157,10 @@ def test_corrected_state_law_on_the_singlet_fraction_family():
 def test_joint_probability_validates_dimensions():
     with pytest.raises(ValueError):
         teleport.joint_probability(np.eye(4) / 4, np.eye(2), np.eye(3))
+    # a trace-one matrix that is not a state is rejected, not traced
+    for rho in non_states():
+        with pytest.raises(ValueError, match="two-qubit density matrix"):
+            teleport.joint_probability(rho, np.eye(2) / 2, np.diag([1.0, 0.0]))
 
 
 def test_average_fidelity_on_the_singlet_fraction_family():
