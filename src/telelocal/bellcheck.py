@@ -189,7 +189,6 @@ class ThresholdReport:
     grid: np.ndarray
     values: np.ndarray
     first_violation: float | None
-    closed_form_root: float | None
 
 
 def threshold_scan(setting: TeleportBellSetting, alpha_grid) -> ThresholdReport:
@@ -213,17 +212,7 @@ def threshold_scan(setting: TeleportBellSetting, alpha_grid) -> ThresholdReport:
     values = lo + grid * (hi - lo)
     negatives = np.nonzero(values < 0)[0]
     first = float(grid[negatives[0]]) if negatives.size else None
-    return ThresholdReport(
-        grid=grid,
-        values=values,
-        first_violation=first,
-        closed_form_root=closed_form_root(setting),
-    )
-
-
-def horodecki_t(rho) -> np.ndarray:
-    """Correlation matrix T_ij = Tr[rho sigma_i x sigma_j], the Pauli block of qcore.pauli_correlations."""
-    return qcore.pauli_correlations(rho)[1:, 1:]
+    return ThresholdReport(grid=grid, values=values, first_violation=first)
 
 
 class ChshResult(NamedTuple):
@@ -232,8 +221,8 @@ class ChshResult(NamedTuple):
 
 
 def chsh_criterion(rho) -> ChshResult:
-    """Sum of the two largest eigenvalues of T^T T; a CHSH violation exists iff it exceeds 1."""
-    t = horodecki_t(rho)
+    """Sum of the top two eigenvalues of T^T T, T_ij = Tr[rho sigma_i x sigma_j]; CHSH is violated iff it exceeds 1."""
+    t = qcore.pauli_correlations(rho)[1:, 1:]
     eigs = np.linalg.eigvalsh(t.T @ t)
     value = float(eigs[-1] + eigs[-2])
     return ChshResult(value=value, violates=value > 1.0)

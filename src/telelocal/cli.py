@@ -10,8 +10,11 @@ Stochastic rows use a tolerance of four standard errors plus a small
 absolute floor that absorbs double precision rounding when an estimator
 has vanishing variance. Analytic rows use 1e-9.
 
-Each command's rows come from one row builder (`_scan_rows`,
-`_teleport_rows`, `_gisin_rows`, `_z_rows`, `_hardy_rows`, `_lhv_rows`).
+The command table `_TABLE` holds each command's row builder, flags,
+`--help` text and `paper_reference`. `build_parser` reads it; `main` calls
+the builder through `_COMMANDS` and wraps the rows in one report. The rows
+come from the row builders `_scan_rows`, `_teleport_rows`, `_gisin_rows`,
+`_z_rows`, `_hardy_rows` and `_lhv_rows`.
 `reproduce` concatenates those builders, each fed with its own child seed,
 and builds only `singlet_ch_value` and `lhv_max_cell_deviation` itself.
 """
@@ -22,7 +25,9 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,18 +104,11 @@ def _band(stderr):
     return STOCHASTIC_NSIGMA * stderr + ABS_FLOOR
 
 
-def _mc_row(name: str, estimate: MonteCarloEstimate, expected: float) -> dict:
-    return _row(
-        name,
-        estimate.value,
-        stderr=estimate.stderr,
-        samples=estimate.samples,
-        expected=expected,
-        tolerance=_band(estimate.stderr),
-    )
+def _mc_row(name: str, est: MonteCarloEstimate, expected: float) -> dict:
+    return _row(name, est.value, stderr=est.stderr, samples=est.samples, expected=expected, tolerance=_band(est.stderr))
 
 
-def _report(command: str, cfg: argparse.Namespace, rows: list[dict], reference: str) -> dict:
+def _report(command: str, cfg: argparse.Namespace, rows: list[dict]) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -121,7 +119,7 @@ def _report(command: str, cfg: argparse.Namespace, rows: list[dict], reference: 
             "grid": list(cfg.grid) if cfg.grid else None,
         },
         "results": rows,
-        "paper_reference": reference,
+        "paper_reference": _TABLE[command].reference,
     }
 
 
@@ -129,7 +127,7 @@ def _scan_rows(cfg: argparse.Namespace) -> list[dict]:
     setting = bellcheck.violation_setting()
     grid = _grid_points(cfg.grid if cfg.grid else DEFAULT_GRID)
     scan = bellcheck.threshold_scan(setting, grid)
-    root = scan.closed_form_root
+    root = bellcheck.closed_form_root(setting)
     above = grid[grid > root] if root is not None else grid[:0]
     # a scan that finds no violation, or a grid that stops below the root,
     # leaves a null in the row and fails it
@@ -142,15 +140,6 @@ def _scan_rows(cfg: argparse.Namespace) -> list[dict]:
             tolerance=ANALYTIC_TOL,
         ),
     ]
-
-
-def cmd_scan(cfg: argparse.Namespace) -> dict:
-    return _report(
-        "scan",
-        cfg,
-        _scan_rows(cfg),
-        "nonlocality threshold of the singlet-fraction family: violation for alpha above 1/sqrt(2)",
-    )
 
 
 def _teleport_rows(name: str, alpha: float, samples: int, seed: int) -> list[dict]:
@@ -180,12 +169,8 @@ def _hardy_rows() -> list[dict]:
 
 
 def _lhv_experiment(alpha: float, samples: int, seed: int) -> lhv.LhvChResult:
-    return lhv.lhv_teleport_experiment(
-        bellcheck.violation_setting(),
-        bellcheck.OutcomeGrouping(),
-        lhv.LhvConfig(samples=samples, seed=seed),
-        alpha=alpha,
-    )
+    config = lhv.LhvConfig(samples=samples, seed=seed)
+    return lhv.lhv_teleport_experiment(bellcheck.violation_setting(), bellcheck.OutcomeGrouping(), config, alpha=alpha)
 
 
 def _lhv_rows(result: lhv.LhvChResult, alpha: float, samples: int) -> list[dict]:
@@ -204,51 +189,30 @@ def _lhv_rows(result: lhv.LhvChResult, alpha: float, samples: int) -> list[dict]
     ]
 
 
-def cmd_teleport(cfg: argparse.Namespace) -> dict:
+def _alpha(cfg: argparse.Namespace, top: float, message: str) -> float:
+    """The --alpha value, 1/2 when not given; UsageError with the message unless it lies in [0, top]."""
     alpha = 0.5 if cfg.alpha is None else cfg.alpha
-    if not 0.0 <= alpha <= 1.0:
-        raise UsageError("alpha must lie in [0, 1]")
-    return _report(
-        "teleport",
-        cfg,
-        _teleport_rows("teleport_fidelity", alpha, cfg.samples, cfg.seed),
-        "average teleportation fidelity (1 + alpha)/2 on the singlet-fraction family",
-    )
+    if not 0.0 <= alpha <= top:
+        raise UsageError(message)
+    return alpha
 
 
-def cmd_lhv(cfg: argparse.Namespace) -> dict:
-    alpha = 0.5 if cfg.alpha is None else cfg.alpha
-    if not 0.0 <= alpha <= 0.5:
-        raise UsageError("the hidden variable model covers alpha in [0, 1/2]")
-    return _report(
-        "lhv",
-        cfg,
-        _lhv_rows(_lhv_experiment(alpha, cfg.samples, cfg.seed), alpha, cfg.samples),
-        "hidden variable simulation of the teleportation test at the simulable fraction",
-    )
+def _teleport_command(cfg: argparse.Namespace) -> list[dict]:
+    alpha = _alpha(cfg, 1.0, "alpha must lie in [0, 1]")
+    return _teleport_rows("teleport_fidelity", alpha, cfg.samples, cfg.seed)
 
 
-def cmd_hardy(cfg: argparse.Namespace) -> dict:
-    return _report(
-        "hardy",
-        cfg,
-        _hardy_rows(),
-        "exact teleportation of one of four hidden values using a two-bit message",
-    )
+def _lhv_command(cfg: argparse.Namespace) -> list[dict]:
+    alpha = _alpha(cfg, 0.5, "the hidden variable model covers alpha in [0, 1/2]")
+    return _lhv_rows(_lhv_experiment(alpha, cfg.samples, cfg.seed), alpha, cfg.samples)
 
 
-def cmd_gisin(cfg: argparse.Namespace) -> dict:
+def _gisin_command(cfg: argparse.Namespace) -> list[dict]:
     seeds = child_seeds(cfg.seed, 2)
-    return _report(
-        "gisin",
-        cfg,
-        _gisin_rows(cfg.samples, seeds[0]) + _z_rows(cfg.samples, seeds[1]),
-        "classical two-bit baselines: 2/3 for the z scheme, which measures the unknown ket; about 0.8724 for the "
-        "tetrahedron scheme, whose sender uses the known Bloch vector",
-    )
+    return _gisin_rows(cfg.samples, seeds[0]) + _z_rows(cfg.samples, seeds[1])
 
 
-def cmd_reproduce(cfg: argparse.Namespace) -> dict:
+def _reproduce_rows(cfg: argparse.Namespace) -> list[dict]:
     setting = bellcheck.violation_setting()
     grouping = bellcheck.OutcomeGrouping()
     seeds = child_seeds(cfg.seed, 5)
@@ -277,25 +241,59 @@ def cmd_reproduce(cfg: argparse.Namespace) -> dict:
         tolerance=float(band[worst]),
     )
     worst_row["pass"] = bool((deviation <= band).all())
-    rows.append(worst_row)
-    return _report(
-        "reproduce",
-        cfg,
-        rows,
+    return rows + [worst_row]
+
+
+class _Command(NamedTuple):
+    rows: Callable[[argparse.Namespace], list[dict]]
+    flags: tuple[str, ...]  # besides --format and --out
+    help: str
+    reference: str  # the report's paper_reference
+
+
+_TABLE = {
+    "reproduce": _Command(
+        _reproduce_rows,
+        ("samples", "seed", "grid"),
+        "run every headline check",
         "headline checks: singlet CH value (1 - sqrt(2))/2, threshold 1/sqrt(2), "
         "fidelity (1 + alpha)/2, classical baselines 2/3 and 0.8724, exact toy protocol, "
         "hidden variable agreement at alpha = 1/2",
-    )
-
-
-_COMMANDS = {
-    "reproduce": cmd_reproduce,
-    "scan": cmd_scan,
-    "lhv": cmd_lhv,
-    "hardy": cmd_hardy,
-    "gisin": cmd_gisin,
-    "teleport": cmd_teleport,
+    ),
+    "scan": _Command(
+        _scan_rows,
+        ("grid",),
+        "scan the CH value over the singlet fraction",
+        "nonlocality threshold of the singlet-fraction family: violation for alpha above 1/sqrt(2)",
+    ),
+    "lhv": _Command(
+        _lhv_command,
+        ("alpha", "samples", "seed"),
+        "hidden variable simulation of the teleportation test",
+        "hidden variable simulation of the teleportation test at the simulable fraction",
+    ),
+    "hardy": _Command(
+        lambda cfg: _hardy_rows(),
+        (),
+        "verify the exact four-state toy protocol",
+        "exact teleportation of one of four hidden values using a two-bit message",
+    ),
+    "gisin": _Command(
+        _gisin_command,
+        ("samples", "seed"),
+        "classical baselines: the z and tetrahedron schemes",
+        "classical two-bit baselines: 2/3 for the z scheme, which measures the unknown ket; about 0.8724 for the "
+        "tetrahedron scheme, whose sender uses the known Bloch vector",
+    ),
+    "teleport": _Command(
+        _teleport_command,
+        ("alpha", "samples", "seed"),
+        "Monte Carlo average teleportation fidelity",
+        "average teleportation fidelity (1 + alpha)/2 on the singlet-fraction family",
+    ),
 }
+# main calls each row builder through this dict, so wrapping an entry wraps that command
+_COMMANDS = {name: command.rows for name, command in _TABLE.items()}
 
 
 def _emit_json(report: dict) -> str:
@@ -309,14 +307,8 @@ def _emit_csv(report: dict) -> str:
         return "" if row.get(key) is None else repr(row[key])
 
     for row in report["results"]:
-        cells = [
-            row["name"],
-            cell(row, "value"),
-            cell(row, "stderr"),
-            cell(row, "expected"),
-            cell(row, "tolerance"),
-            "true" if row.get("pass") else ("false" if "pass" in row else ""),
-        ]
+        cells = [row["name"], *(cell(row, key) for key in ("value", "stderr", "expected", "tolerance"))]
+        cells.append("true" if row.get("pass") else ("false" if "pass" in row else ""))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -339,18 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Teleportation statistics, Bell-type tests, and local hidden variable baselines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, flags, help_text in (
-        ("reproduce", ("samples", "seed", "grid"), "run every headline check"),
-        ("scan", ("grid",), "scan the CH value over the singlet fraction"),
-        ("lhv", ("alpha", "samples", "seed"), "hidden variable simulation of the teleportation test"),
-        ("hardy", (), "verify the exact four-state toy protocol"),
-        ("gisin", ("samples", "seed"), "classical baselines: the z and tetrahedron schemes"),
-        ("teleport", ("alpha", "samples", "seed"), "Monte Carlo average teleportation fidelity"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _TABLE.items():
+        p = sub.add_parser(name, help=command.help)
         # flags a command does not take keep their defaults for the config echo
         p.set_defaults(alpha=None, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, grid=None)
-        for flag in flags:
+        for flag in command.flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
         p.add_argument("--out", type=str, default=None, help="write the report to this path")
@@ -366,10 +351,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed < 0:
             raise UsageError("seed must be >= 0")
         args.grid = _parse_grid(args.grid) if args.grid else None
-        report = _COMMANDS[args.command](args)
+        rows = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report = _report(args.command, args, rows)
     text = _emit_json(report) if args.output_format == "json" else _emit_csv(report)
     if args.out:
         try:

@@ -198,14 +198,14 @@ def run_chunks(
     Bloch vectors, from ``SeedSequence(seed, spawn_key=(2b,))`` and
     ``coins`` stream, for Bell-outcome draws, from
     ``spawn_key=(2b + 1,)``; block 0 is ``SeedSequence(seed).spawn(2)``.
-    ``samples`` < 1 raises ValueError before any generator is built. Each
-    call returns an array of shape (m, *cell_shape), best the transpose view
-    of a component-major (*cell_shape, m) buffer, which StreamingMoments.add
-    reads without a copy, and takes its rows' values from each stream in row
-    order, so the results do not depend on ``chunk``. Its arrays may be
-    taken from ``arena``, which is reset before every chunk: a returned
-    chunk may live in the thread's arena and is valid only until that
-    thread's next chunk.
+    ``samples`` that is not an integer >= 1 (a bool is not) raises
+    ValueError before any generator is built. Each call returns an array of
+    shape (m, *cell_shape), best the transpose view of a component-major
+    (*cell_shape, m) buffer, which StreamingMoments.add reads without a
+    copy, and takes its rows' values from each stream in row order, so the
+    results do not depend on ``chunk``. Its arrays may be taken from
+    ``arena``, which is reset before every chunk: a returned chunk may live
+    in the thread's arena and is valid only until that thread's next chunk.
 
     A single block runs in the caller's thread. More blocks run on a pool
     of one worker thread per CPU, built on first use (NumPy's generators
@@ -218,6 +218,8 @@ def run_chunks(
     not yet merged; each further block is submitted as the oldest one is
     merged, so memory stays bounded whatever ``samples`` is.
     """
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if samples <= BLOCK:

@@ -166,17 +166,12 @@ def lhv_teleport_experiment(
     ``child_seeds(cfg.seed, 4)[2 * ia + ib]``, so the four cell errors add
     in quadrature.
     """
-    effects = grouped_alice_effects(setting, grouping)
-    projs = bob_projectors(setting)
+    senders = [MeasurementSpec(kind="povm", operators=e) for e in grouped_alice_effects(setting, grouping)]
+    receivers = [MeasurementSpec(kind="projective", operators=p) for p in bob_projectors(setting)]
     joints = np.empty((2, 2, 2, 2))
     errors = np.empty((2, 2, 2, 2))
     for (ia, ib), seed in zip(np.ndindex(2, 2), child_seeds(cfg.seed, 4)):
-        est = estimate_joint(
-            MeasurementSpec(kind="povm", operators=effects[ia]),
-            MeasurementSpec(kind="projective", operators=projs[ib]),
-            LhvConfig(samples=cfg.samples, seed=seed),
-            alpha=alpha,
-        )
+        est = estimate_joint(senders[ia], receivers[ib], LhvConfig(samples=cfg.samples, seed=seed), alpha=alpha)
         joints[ia, :, ib, :] = est.probs
         errors[ia, :, ib, :] = est.stderr
     table = ProbabilityTable(joints=joints, stderr=errors)

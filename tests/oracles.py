@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from telelocal import qcore
+
 
 def fidelity(chi, m) -> float:
     """<chi|M|chi> for a ket chi and an operator M."""
@@ -10,6 +12,14 @@ def fidelity(chi, m) -> float:
     if m.shape != (chi.shape[0], chi.shape[0]):
         raise ValueError(f"operator shape {m.shape} does not match ket dimension {chi.shape[0]}")
     return float(np.vdot(chi, m @ chi).real)
+
+
+def singlet_fraction_fidelity(rho) -> float:
+    """Average teleportation fidelity (2F + 1)/3 of a pair whose singlet fraction is F = <psi-|rho|psi->.
+
+    Horodecki, Horodecki & Horodecki 1999.
+    """
+    return (2 * fidelity(qcore.bell_basis()[0], rho) + 1) / 3
 
 
 def non_states() -> tuple[np.ndarray, ...]:

