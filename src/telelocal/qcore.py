@@ -212,13 +212,26 @@ def is_density(m) -> bool:
     return bool(np.linalg.eigvalsh((m + m.conj().T) / 2).min() >= -ATOL_PSD)
 
 
-def _state_draws(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # the state stream: row i of random((n, 2)) is the i-th pair (u, v); v
-    # becomes phi = 2 pi v - pi in place, and both are column views of the draws
-    u, phi = rng.random((n, 2)).T
-    phi *= 2 * np.pi
-    phi -= np.pi
-    return u, phi
+def _state_draws(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the state stream: row i of random((n, 2)) is the i-th pair (u, v), and
+    # phi = 2 pi v - pi. NumPy's float64 cos and sin can be scalar libm calls
+    # where its tan has a SIMD loop, so one contiguous row takes
+    # t = tan(phi / 2) = tan(pi v - pi / 2) (the same float as half of
+    # 2 pi v - pi) and then sin phi = 2t/(1 + t^2); the v column becomes
+    # cos phi = (1 - t^2)/(1 + t^2), formed as 2/(1 + t^2) - 1. t^2 stays
+    # finite: at v = 0, t is about -1.6e16. Returns u and cos phi, column
+    # views of the draws, and the sin phi row.
+    u, cos_phi = rng.random((n, 2)).T
+    sin_phi = np.multiply(cos_phi, np.pi)
+    sin_phi -= np.pi / 2
+    np.tan(sin_phi, out=sin_phi)
+    np.multiply(sin_phi, sin_phi, out=cos_phi)
+    cos_phi += 1.0
+    sin_phi /= cos_phi
+    sin_phi *= 2.0
+    np.divide(2.0, cos_phi, out=cos_phi)
+    cos_phi -= 1.0
+    return u, cos_phi, sin_phi
 
 
 def haar_kets(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -229,21 +242,21 @@ def haar_kets(rng: np.random.Generator, n: int) -> np.ndarray:
     and phi = 2 pi v - pi. The Bloch vector of such a ket has z = 2u - 1
     and azimuth phi, independent and uniform, so it is uniform on the
     sphere (Archimedes) and the projector is Haar-distributed. The global
-    phase is fixed: <0|psi> = sqrt u is real and nonnegative. The kets are
-    written in real arithmetic into the (n, 4) float view of the returned
-    (n, 2) complex array, with no array other than the draws and the kets.
+    phase is fixed: <0|psi> = sqrt u is real and nonnegative. e^{i phi} is
+    ((1 - t^2) + 2it)/(1 + t^2) with t = tan(phi / 2), no cos or sin call.
+    The kets are written in real arithmetic into the (n, 4) float view of
+    the returned (n, 2) complex array; besides the draws and the kets, the
+    only array is one row of n floats holding t.
     """
-    u, phi = _state_draws(rng, n)
+    u, cos_phi, sin_phi = _state_draws(rng, n)
     kets = np.empty((n, 2), dtype=complex)
     ar, ai, br, bi = kets.view(float).T
-    np.cos(phi, out=br)
-    np.sin(phi, out=bi)
     np.sqrt(u, out=ar)
     ai[...] = 0.0
     np.subtract(1.0, u, out=u)
     np.sqrt(u, out=u)
-    br *= u
-    bi *= u
+    np.multiply(cos_phi, u, out=br)
+    np.multiply(sin_phi, u, out=bi)
     return kets
 
 
@@ -251,21 +264,21 @@ def random_bloch_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
     """n uniform points on the unit sphere, one per row: the Bloch vectors of ``haar_kets(rng, n)``.
 
     From the same pair (u, v) per row, (r cos phi, r sin phi, 2u - 1) with
-    r = 2 sqrt(u (1 - u)) and phi = 2 pi v - pi, written into the (n, 3)
-    result with no array other than the draws and the result.
+    r = 2 sqrt(u (1 - u)) and phi = 2 pi v - pi, where cos phi and sin phi
+    are (1 - t^2)/(1 + t^2) and 2t/(1 + t^2) with t = tan(phi / 2). They are
+    written into the (n, 3) result; besides the draws and the result, the
+    only array is one row of n floats holding t.
     """
-    u, phi = _state_draws(rng, n)
+    u, cos_phi, sin_phi = _state_draws(rng, n)
     vectors = np.empty((n, 3))
     x, y, z = vectors.T
-    np.cos(phi, out=x)
-    np.sin(phi, out=y)
     # z holds r until x and y are scaled
     np.subtract(1.0, u, out=z)
     z *= u
     np.sqrt(z, out=z)
     z *= 2.0
-    x *= z
-    y *= z
+    np.multiply(cos_phi, z, out=x)
+    np.multiply(sin_phi, z, out=y)
     np.multiply(u, 2.0, out=z)
     z -= 1.0
     return vectors

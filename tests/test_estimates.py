@@ -380,8 +380,9 @@ def _traced_peak(estimate):
 def test_warmed_chunks_allocate_no_chunk_arrays(name):
     # one block, run in this thread; after the first chunk the chunk's float
     # arrays live in the arena, and what a chunk still allocates peaks with
-    # the (m, 4) Haar kets and their row norms, about 6 rows of CHUNK
-    # float64; a chunk that allocates its arrays afresh peaks above 8 rows
+    # the (m, 4) Haar kets, their (m, 2) draws and one row of half-angle
+    # tangents, about 7 rows of CHUNK float64; a chunk that allocates its
+    # arrays afresh peaks above 8 rows
     alice, bob = _lhv_spec()
     rho = qcore.random_density(np.random.default_rng(41), 4)
     estimate = {

@@ -1,13 +1,14 @@
 """Unit tests for states, operators, and linear algebra helpers."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from oracles import fidelity
-from telelocal import bellcheck, qcore, teleport
+from telelocal import bellcheck, estimates, qcore, teleport
 
 RNG_SEED = 20240811
 
@@ -227,6 +228,46 @@ def test_random_bloch_vectors_are_the_bloch_vectors_of_haar_kets():
     assert vectors.shape == (500, 3)
     npt.assert_allclose(vectors, qcore.bloch_rows(qcore.haar_kets(twin, 500))[:, 1:], rtol=0, atol=1e-15)
     assert rng.random() == twin.random()
+
+
+def test_samplers_at_the_edge_draws():
+    # v = 0 is phi = -pi, where tan(phi / 2) is about -1.6e16; any overflow
+    # there is a RuntimeWarning, which fails the test
+    top = 1.0 - 2.0**-53
+    u, v = np.array([(u, v) for u in (0.0, top) for v in (0.0, 0.25, 0.5, 0.75, top)]).T
+    phi = 2 * np.pi * v - np.pi
+    # a stand-in generator: random((n, 2)) returns a fresh copy of the pairs,
+    # which the samplers overwrite
+    pairs = SimpleNamespace(random=lambda shape: np.stack([u, v], axis=1))
+    kets = qcore.haar_kets(pairs, len(u))
+    vectors = qcore.random_bloch_vectors(pairs, len(u))
+    assert np.isfinite(kets).all() and np.isfinite(vectors).all()
+    npt.assert_allclose(np.linalg.norm(kets, axis=1), 1.0, rtol=0, atol=1e-15)
+    npt.assert_allclose(np.linalg.norm(vectors, axis=1), 1.0, rtol=0, atol=1e-15)
+    npt.assert_allclose(kets[:, 0], np.sqrt(u), rtol=0, atol=1e-15)
+    npt.assert_allclose(kets[:, 1], np.sqrt(1 - u) * np.exp(1j * phi), rtol=0, atol=1e-15)
+    r = 2 * np.sqrt(u * (1 - u))
+    expected = np.stack([r * np.cos(phi), r * np.sin(phi), 2 * u - 1], axis=1)
+    npt.assert_allclose(vectors, expected, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "sample, result_rows",
+    [(qcore.haar_kets, 4), (qcore.random_bloch_vectors, 3)],
+    ids=["haar_kets", "random_bloch_vectors"],
+)
+def test_samplers_allocate_the_draws_the_result_and_one_row(sample, result_rows):
+    # the (n, 2) draws, the result and the one row of half-angle tangents, in
+    # rows of n float64; the allowance covers the array objects, not data
+    n = estimates.CHUNK
+    sample(np.random.default_rng(RNG_SEED + 14), n)
+    tracemalloc.start()
+    try:
+        sample(np.random.default_rng(RNG_SEED + 14), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 + result_rows + 1) * 8 * n + 4096
 
 
 @pytest.mark.parametrize(
