@@ -22,6 +22,11 @@ singlet-fraction state at alpha = 1/2.
 
 For alpha < 1/2 the state is 2 alpha W_1/2 + (1 - 2 alpha) I/4, and I/4
 gives the joint t_a t_b / 4 exactly, so only alpha = 1/2 is simulated.
+
+As in a local model, one hidden ket per sample fixes each party's answer
+to every setting: the CH test's four settings pairs share it, so the CH
+combination of every single sample lies in [0, 1] (Clauser & Horne, PRD
+10, 526, 1974).
 """
 
 from __future__ import annotations
@@ -30,20 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qcore
-from .bellcheck import (
-    CH_TERMS,
-    OutcomeGrouping,
-    ProbabilityTable,
-    TeleportBellSetting,
-    bob_projectors,
-    ch_value,
-    grouped_alice_effects,
-)
-from .estimates import CHUNK, arena, child_seeds, run_chunks
+from . import bellcheck, qcore
+from .estimates import arena, run_chunks
 
 _PARALLEL_ATOL = 1e-10
-_CHUNK = CHUNK
+# a CH table chunk keeps 31 rows of samples in the arena: 3072 rows fit in the 768 KiB
+# a teleport chunk keeps, and reproduce's peak memory rose 0.3%, against 2.8% at 4096
+# rows and 10% on locality at 8192 (StreamingMoments.add copies 17 of the rows)
+_CHUNK = 3072
 
 
 @dataclass(frozen=True)
@@ -67,18 +66,15 @@ class MeasurementSpec:
         ops = qcore.check_effects(self.operators, projective=self.kind == "projective")
         object.__setattr__(self, "operators", ops)
 
-    @property
-    def outcomes(self) -> int:
-        return self.operators.shape[0]
-
 
 @dataclass(frozen=True)
 class JointEstimate:
-    """Monte Carlo joint outcome probabilities for one measurement pair."""
+    """Monte Carlo joint outcome probabilities for one measurement pair, or a table of pairs."""
 
-    probs: np.ndarray  # shape (sender outcomes, receiver outcomes)
+    probs: np.ndarray  # shape (sender outcomes, receiver outcomes), or see estimate_joint
     stderr: np.ndarray
     samples: int
+    terms_stderr: float | None = None  # stderr of the signed sum of estimate_joint's terms
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ class LhvChResult:
 
     value: float
     stderr: float
-    table: ProbabilityTable
+    table: bellcheck.ProbabilityTable
 
 
 def minimum_rule(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,10 +104,11 @@ def minimum_rule(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def estimate_joint(
-    alice: MeasurementSpec,
-    bob: MeasurementSpec,
+    alice: MeasurementSpec | list[MeasurementSpec],
+    bob: MeasurementSpec | list[MeasurementSpec],
     cfg: LhvConfig,
     alpha: float = 0.5,
+    terms: tuple = (),
 ) -> JointEstimate:
     """Monte Carlo joint outcome probabilities under the hidden variable model.
 
@@ -124,56 +121,74 @@ def estimate_joint(
     estimates.run_chunks), so the result does not depend on the chunk
     size. The samples estimate alpha = 1/2; the white noise is mixed in
     exactly with weight 1 - 2 alpha, and the stderr scales by 2 alpha.
+
+    For lists of settings (with equal outcome counts), one hidden ket per
+    sample answers every pair, bit for bit as a single-pair call on the
+    same seed would, in a (setting, outcome, setting, outcome) table.
+    ``terms_stderr`` is the stderr of each sample's sum of sign * cell
+    over ``terms``, (sign, table index) pairs such as bellcheck.CH_TERMS.
     """
     if not 0.0 <= alpha <= 0.5:
         raise ValueError("alpha must lie in [0, 1/2]")
-    alice_coeffs, bob_coeffs = qcore.pauli_rows(alice.operators), qcore.pauli_rows(bob.operators)
-    axis, responses = minimum_rule(bob_coeffs)
-    overlap = alice_coeffs / 2
-    # the receiver's answer per group: 0 where n . m > 0, 1 elsewhere
-    by_group = responses.T
+    senders, receivers = ([s] if isinstance(s, MeasurementSpec) else list(s) for s in (alice, bob))
+    alice_coeffs = np.stack([qcore.pauli_rows(spec.operators) for spec in senders])
+    bob_coeffs = np.stack([qcore.pauli_rows(spec.operators) for spec in receivers])
+    axes, responses = zip(*map(minimum_rule, bob_coeffs))
+    overlaps = alice_coeffs / 2
+    shape = (*alice_coeffs.shape[:2], *bob_coeffs.shape[:2])
+    weights = np.zeros(shape)
+    for sign, cell in terms:
+        weights[cell] += sign
+    cells = weights.size
+    width = cells + bool(terms)  # the cells, then the terms row if any
 
     def chunk(states, coins, m):
         # component-major: one contiguous row of m samples per component,
         # every float array in the chunk arena
         cols = qcore.bloch_rows(qcore.haar_kets(states, m), out=arena.take(4, m)).T
-        group = (np.matmul(axis, cols[1:], out=arena.take(m)) <= 0).astype(np.intp)
-        # np.take gathers whole columns far faster than fancy indexing does;
-        # mode="clip" lets it write into the arena unbuffered (group is 0..1)
-        by_minimum = np.take(by_group, group, axis=1, out=arena.take(len(by_group), m), mode="clip")
-        by_overlap = np.matmul(overlap, cols, out=arena.take(len(overlap), m))
-        joint = arena.take(len(overlap), len(by_group), m)
-        np.multiply(by_overlap[:, None, :], by_minimum[None, :, :], out=joint)
-        return joint.transpose(2, 0, 1)
+        by_minimum = arena.take(*shape[2:], m)
+        for axis, by_group, out in zip(axes, responses, by_minimum):
+            # the receiver's answer per group: 0 where n . m > 0, 1 elsewhere
+            group = (np.matmul(axis, cols[1:], out=arena.take(m)) <= 0).astype(np.intp)
+            # np.take gathers whole columns far faster than fancy indexing does;
+            # mode="clip" lets it write into the arena unbuffered (group is 0..1)
+            np.take(by_group.T, group, axis=1, out=out, mode="clip")
+        by_overlap = arena.take(*shape[:2], m)
+        for overlap, out in zip(overlaps, by_overlap):
+            np.matmul(overlap, cols, out=out)
+        rows = arena.take(width, m)
+        joint = rows[:cells].reshape(*shape, m)
+        np.multiply(by_overlap[:, :, None, None], by_minimum, out=joint)
+        if terms:
+            np.matmul(weights.ravel(), rows[:cells], out=rows[cells])
+        return rows.T
 
-    moments = run_chunks(chunk, cfg.samples, cfg.seed, _CHUNK, (alice.outcomes, bob.outcomes))
+    moments = run_chunks(chunk, cfg.samples, cfg.seed, _CHUNK, (width,))
     mix = 2.0 * alpha
-    probs = mix * moments.mean() + (1.0 - mix) * np.outer(alice_coeffs[:, 0], bob_coeffs[:, 0]) / 4
+    noise = np.multiply.outer(alice_coeffs[..., 0], bob_coeffs[..., 0]) / 4
+    probs = mix * moments.mean()[:cells].reshape(shape) + (1.0 - mix) * noise
     # at alpha = 0 the result is exact, and 0 times one sample's infinite stderr would be NaN
-    stderr = mix * moments.stderr() if mix else np.zeros_like(probs)
-    return JointEstimate(probs=probs, stderr=stderr, samples=cfg.samples)
+    stderr = mix * moments.stderr() if mix else np.zeros(width)
+    if isinstance(alice, MeasurementSpec) and isinstance(bob, MeasurementSpec):
+        shape = shape[1::2]
+    terms_stderr = float(stderr[cells]) if terms else None
+    return JointEstimate(probs.reshape(shape), stderr[:cells].reshape(shape), cfg.samples, terms_stderr)
 
 
 def lhv_teleport_experiment(
-    setting: TeleportBellSetting,
-    grouping: OutcomeGrouping,
+    setting: bellcheck.TeleportBellSetting,
+    grouping: bellcheck.OutcomeGrouping,
     cfg: LhvConfig,
     alpha: float = 0.5,
 ) -> LhvChResult:
     """CH combination of the hidden variable model on the teleportation test.
 
-    Settings pair (ia, ib) is an independent sub-experiment on seed
-    ``child_seeds(cfg.seed, 4)[2 * ia + ib]``, so the four cell errors add
-    in quadrature.
+    One estimate_joint call on ``cfg.seed`` fills the whole table, with one
+    hidden ket per sample for all four settings pairs, so each sample's CH
+    sum lies in [0, 1] and the stderr is that of the sum.
     """
-    senders = [MeasurementSpec(kind="povm", operators=e) for e in grouped_alice_effects(setting, grouping)]
-    receivers = [MeasurementSpec(kind="projective", operators=p) for p in bob_projectors(setting)]
-    joints = np.empty((2, 2, 2, 2))
-    errors = np.empty((2, 2, 2, 2))
-    for (ia, ib), seed in zip(np.ndindex(2, 2), child_seeds(cfg.seed, 4)):
-        est = estimate_joint(senders[ia], receivers[ib], LhvConfig(samples=cfg.samples, seed=seed), alpha=alpha)
-        joints[ia, :, ib, :] = est.probs
-        errors[ia, :, ib, :] = est.stderr
-    table = ProbabilityTable(joints=joints, stderr=errors)
-    stderr = float(np.sqrt(sum(errors[cell] ** 2 for _, cell in CH_TERMS)))
-    return LhvChResult(value=ch_value(table), stderr=stderr, table=table)
+    senders = [MeasurementSpec("povm", e) for e in bellcheck.grouped_alice_effects(setting, grouping)]
+    receivers = [MeasurementSpec("projective", p) for p in bellcheck.bob_projectors(setting)]
+    est = estimate_joint(senders, receivers, cfg, alpha=alpha, terms=bellcheck.CH_TERMS)
+    table = bellcheck.ProbabilityTable(joints=est.probs, stderr=est.stderr)
+    return LhvChResult(value=bellcheck.ch_value(table), stderr=est.terms_stderr, table=table)

@@ -183,13 +183,24 @@ def test_ch_value_cell_wiring():
         (-1, (t, plus, r, plus)),
     )
 
-    # the hidden variable experiment adds the same four cells' errors in quadrature
-    result = lhv.lhv_teleport_experiment(
-        bellcheck.violation_setting(), bellcheck.OutcomeGrouping(), lhv.LhvConfig(samples=2_000, seed=3)
-    )
-    e = result.table.stderr
-    cells = (e[t, plus, s, minus], e[u, minus, r, plus], e[u, plus, s, plus], e[t, plus, r, plus])
-    assert result.stderr == math.sqrt(sum(c**2 for c in cells))
+    # the hidden variable experiment's stderr is that of the per-sample CH sum,
+    # checked against the same block-0 hidden kets run through the two rules here
+    samples, seed = 2_000, 3
+    setting, grouping = bellcheck.violation_setting(), bellcheck.OutcomeGrouping()
+    result = lhv.lhv_teleport_experiment(setting, grouping, lhv.LhvConfig(samples=samples, seed=seed))
+    kets = qcore.haar_kets(np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,))), samples)
+    cross = kets[:, 0].conj() * kets[:, 1]
+    m = np.stack([2 * cross.real, 2 * cross.imag, np.abs(kets[:, 0]) ** 2 - np.abs(kets[:, 1]) ** 2], axis=1)
+    sender_rows = qcore.pauli_rows(bellcheck.grouped_alice_effects(setting, grouping))
+    receiver_rows = qcore.pauli_rows(bellcheck.bob_projectors(setting))
+    # overlap rule: (t + r . m)/2; minimum rule: the projector of least overlap answers
+    sender = (sender_rows[..., 0] + np.einsum("iak,sk->sia", sender_rows[..., 1:], m)) / 2
+    receiver_overlaps = (receiver_rows[..., 0] + np.einsum("jbk,sk->sjb", receiver_rows[..., 1:], m)) / 2
+    receiver = receiver_overlaps == receiver_overlaps.min(axis=2, keepdims=True)
+    ch = sum(sign * sender[:, ia, a] * receiver[:, ib, b] for sign, (ia, a, ib, b) in bellcheck.CH_TERMS)
+    assert np.all((ch >= -1e-12) & (ch <= 1 + 1e-12))
+    assert abs(result.value - ch.mean()) <= 1e-12
+    assert abs(result.stderr - ch.std(ddof=1) / math.sqrt(samples)) <= 1e-12
     assert result.value == bellcheck.ch_value(result.table)
 
 

@@ -42,6 +42,17 @@ def _lhv(alice: lhv.MeasurementSpec, bob: lhv.MeasurementSpec, alpha: float):
     return lhv, "haar_kets", estimate, expected
 
 
+def _lhv_ch():
+    # the 16 cells of the CH table from one hidden ket per sample, then the CH value
+    def estimate():
+        result = lhv.lhv_teleport_experiment(SETTING, bellcheck.OutcomeGrouping(), lhv.LhvConfig(samples=SAMPLES, seed=29))
+        values = np.append(result.table.joints.ravel(), result.value)
+        return values, np.append(result.table.stderr.ravel(), result.stderr), SAMPLES
+
+    table = bellcheck.probability_table(SETTING, bellcheck.OutcomeGrouping(), qcore.werner_alpha(0.5)).joints
+    return lhv, "haar_kets", estimate, np.append(table.ravel(), (2 - np.sqrt(2)) / 4)
+
+
 RHO = qcore.random_density(np.random.default_rng(41), 4)
 SETTING = bellcheck.violation_setting()
 GROUPED_T = lhv.MeasurementSpec("povm", bellcheck.grouped_alice_effects(SETTING, bellcheck.OutcomeGrouping())[0])
@@ -60,6 +71,7 @@ ESTIMATORS = {
     # an all-projective pair
     "lhv-zz-0.5": _lhv(ALONG_Z, ALONG_Z, 0.5),
     "lhv-zz-0.25": _lhv(ALONG_Z, ALONG_Z, 0.25),
+    "lhv-ch": _lhv_ch(),
     "gisin": (classical, "random_bloch_vectors", _scalar(classical.gisin_scheme_fidelity, seed=13), GISIN_ANALYTIC),
     "z": (classical, "random_bloch_vectors", _scalar(classical.z_scheme_fidelity, seed=13), 2 / 3),
 }
