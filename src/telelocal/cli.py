@@ -12,11 +12,12 @@ has vanishing variance. Analytic rows use 1e-9.
 
 The command table `_TABLE` holds each command's row builder, flags,
 `--help` text and `paper_reference`. `build_parser` reads it; `main` calls
-the builder through `_COMMANDS` and wraps the rows in one report. The rows
-come from the row builders `_scan_rows`, `_teleport_rows`, `_gisin_rows`,
-`_z_rows`, `_hardy_rows` and `_lhv_rows`.
-`reproduce` concatenates those builders, each fed with its own child seed,
-and builds only `singlet_ch_value` and `lhv_max_cell_deviation` itself.
+the builder through `_COMMANDS` and wraps the rows in one report. Each
+builder takes the parsed config and is the only source of its command's
+rows. `reproduce` is their concatenation, on `child_seeds(seed, 4)`:
+`scan`; `teleport` at 1/2 (seed 0) and at 1/sqrt(2) (seed 1), its row
+renamed `teleport_fidelity_alpha_half` and `teleport_fidelity_alpha_threshold`;
+`gisin` (seed 2); `hardy`; `lhv` at 1/2 (seed 3).
 """
 
 from __future__ import annotations
@@ -123,8 +124,18 @@ def _report(command: str, cfg: argparse.Namespace, rows: list[dict]) -> dict:
     }
 
 
+def _alpha(cfg: argparse.Namespace, top: float, message: str) -> float:
+    """The --alpha value, 1/2 when not given; UsageError with the message unless it lies in [0, top]."""
+    alpha = 0.5 if cfg.alpha is None else cfg.alpha
+    if not 0.0 <= alpha <= top:
+        raise UsageError(message)
+    return alpha
+
+
 def _scan_rows(cfg: argparse.Namespace) -> list[dict]:
     setting = bellcheck.violation_setting()
+    # the singlet is the alpha = 1 end of the scanned family
+    singlet = bellcheck.teleport_ch_value(setting, bellcheck.OutcomeGrouping(), qcore.singlet_projector())
     grid = _grid_points(cfg.grid if cfg.grid else DEFAULT_GRID)
     scan = bellcheck.threshold_scan(setting, grid)
     root = bellcheck.closed_form_root(setting)
@@ -132,6 +143,7 @@ def _scan_rows(cfg: argparse.Namespace) -> list[dict]:
     # a scan that finds no violation, or a grid that stops below the root,
     # leaves a null in the row and fails it
     return [
+        _row("singlet_ch_value", singlet, expected=(1 - math.sqrt(2)) / 2, tolerance=ANALYTIC_TOL),
         _row("threshold_closed_form_root", root, expected=2**-0.5, tolerance=ANALYTIC_TOL),
         _row(
             "threshold_first_grid_violation",
@@ -142,24 +154,23 @@ def _scan_rows(cfg: argparse.Namespace) -> list[dict]:
     ]
 
 
-def _teleport_rows(name: str, alpha: float, samples: int, seed: int) -> list[dict]:
-    est = teleport.average_fidelity(qcore.werner_alpha(alpha), samples, seed)
-    return [_mc_row(name, est, (1 + alpha) / 2)]
+def _teleport_rows(cfg: argparse.Namespace) -> list[dict]:
+    alpha = _alpha(cfg, 1.0, "alpha must lie in [0, 1]")
+    est = teleport.average_fidelity(qcore.werner_alpha(alpha), cfg.samples, cfg.seed)
+    return [_mc_row("teleport_fidelity", est, (1 + alpha) / 2)]
 
 
-def _gisin_rows(samples: int, seed: int) -> list[dict]:
+def _gisin_rows(cfg: argparse.Namespace) -> list[dict]:
+    seeds = child_seeds(cfg.seed, 2)
     analytic = classical.gisin_fidelity_analytic()
     return [
         _row("gisin_fidelity_analytic", analytic, expected=analytic, tolerance=ANALYTIC_TOL),
-        _mc_row("gisin_fidelity_mc", classical.gisin_scheme_fidelity(samples, seed), analytic),
+        _mc_row("gisin_fidelity_mc", classical.gisin_scheme_fidelity(cfg.samples, seeds[0]), analytic),
+        _mc_row("z_scheme_fidelity", classical.z_scheme_fidelity(cfg.samples, seeds[1]), 2 / 3),
     ]
 
 
-def _z_rows(samples: int, seed: int) -> list[dict]:
-    return [_mc_row("z_scheme_fidelity", classical.z_scheme_fidelity(samples, seed), 2 / 3)]
-
-
-def _hardy_rows() -> list[dict]:
+def _hardy_rows(cfg: argparse.Namespace) -> list[dict]:
     report = hardytoy.exhaustive_verify()
     return [
         _row("hardy_successes", report.successes, expected=report.total, tolerance=0.0),
@@ -168,80 +179,46 @@ def _hardy_rows() -> list[dict]:
     ]
 
 
-def _lhv_experiment(alpha: float, samples: int, seed: int) -> lhv.LhvChResult:
-    config = lhv.LhvConfig(samples=samples, seed=seed)
-    return lhv.lhv_teleport_experiment(bellcheck.violation_setting(), bellcheck.OutcomeGrouping(), config, alpha=alpha)
-
-
-def _lhv_rows(result: lhv.LhvChResult, alpha: float, samples: int) -> list[dict]:
+def _lhv_rows(cfg: argparse.Namespace) -> list[dict]:
+    alpha = _alpha(cfg, 0.5, "the hidden variable model covers alpha in [0, 1/2]")
+    setting, grouping = bellcheck.violation_setting(), bellcheck.OutcomeGrouping()
+    config = lhv.LhvConfig(samples=cfg.samples, seed=cfg.seed)
+    result = lhv.lhv_teleport_experiment(setting, grouping, config, alpha=alpha)
+    est = MonteCarloEstimate(result.value, result.stderr, cfg.samples)
+    # the cell furthest outside its own band, so the row fails when any cell does
+    oracle = bellcheck.probability_table(setting, grouping, qcore.werner_alpha(alpha)).joints
+    deviation = np.abs(result.table.joints - oracle)
+    band = _band(result.table.stderr)
+    worst = np.unravel_index(np.argmax(deviation / band), deviation.shape)
     return [
-        _mc_row(
-            "lhv_ch_value",
-            MonteCarloEstimate(result.value, result.stderr, samples),
-            bellcheck.closed_form_value(alpha, bellcheck.violation_setting()),
-        ),
+        _mc_row("lhv_ch_value", est, bellcheck.closed_form_value(alpha, setting)),
+        _mc_row("lhv_ch_in_unit_interval", est, min(max(est.value, 0.0), 1.0)),
         _row(
-            "lhv_ch_in_unit_interval",
-            result.value,
-            expected=min(max(result.value, 0.0), 1.0),
-            tolerance=_band(result.stderr),
+            "lhv_max_cell_deviation",
+            deviation[worst],
+            stderr=result.table.stderr[worst],
+            samples=cfg.samples,
+            expected=0.0,
+            tolerance=band[worst],
         ),
     ]
-
-
-def _alpha(cfg: argparse.Namespace, top: float, message: str) -> float:
-    """The --alpha value, 1/2 when not given; UsageError with the message unless it lies in [0, top]."""
-    alpha = 0.5 if cfg.alpha is None else cfg.alpha
-    if not 0.0 <= alpha <= top:
-        raise UsageError(message)
-    return alpha
-
-
-def _teleport_command(cfg: argparse.Namespace) -> list[dict]:
-    alpha = _alpha(cfg, 1.0, "alpha must lie in [0, 1]")
-    return _teleport_rows("teleport_fidelity", alpha, cfg.samples, cfg.seed)
-
-
-def _lhv_command(cfg: argparse.Namespace) -> list[dict]:
-    alpha = _alpha(cfg, 0.5, "the hidden variable model covers alpha in [0, 1/2]")
-    return _lhv_rows(_lhv_experiment(alpha, cfg.samples, cfg.seed), alpha, cfg.samples)
-
-
-def _gisin_command(cfg: argparse.Namespace) -> list[dict]:
-    seeds = child_seeds(cfg.seed, 2)
-    return _gisin_rows(cfg.samples, seeds[0]) + _z_rows(cfg.samples, seeds[1])
 
 
 def _reproduce_rows(cfg: argparse.Namespace) -> list[dict]:
-    setting = bellcheck.violation_setting()
-    grouping = bellcheck.OutcomeGrouping()
-    seeds = child_seeds(cfg.seed, 5)
-    singlet = bellcheck.teleport_ch_value(setting, grouping, qcore.singlet_projector())
-    rows = [
-        _row("singlet_ch_value", singlet, expected=(1 - math.sqrt(2)) / 2, tolerance=ANALYTIC_TOL),
+    seeds = child_seeds(cfg.seed, 4)
+
+    def at(seed: int, alpha: float | None = None) -> argparse.Namespace:
+        return argparse.Namespace(**{**vars(cfg), "seed": seed, "alpha": alpha})
+
+    (half,), (threshold,) = _teleport_rows(at(seeds[0], 0.5)), _teleport_rows(at(seeds[1], 2**-0.5))
+    return [
         *_scan_rows(cfg),
-        *_teleport_rows("teleport_fidelity_alpha_half", 0.5, cfg.samples, seeds[0]),
-        *_teleport_rows("teleport_fidelity_alpha_threshold", 2**-0.5, cfg.samples, seeds[1]),
-        *_z_rows(cfg.samples, seeds[2]),
-        *_gisin_rows(cfg.samples, seeds[3]),
-        *_hardy_rows(),
+        {**half, "name": "teleport_fidelity_alpha_half"},
+        {**threshold, "name": "teleport_fidelity_alpha_threshold"},
+        *_gisin_rows(at(seeds[2])),
+        *_hardy_rows(cfg),
+        *_lhv_rows(at(seeds[3], 0.5)),
     ]
-    result = _lhv_experiment(0.5, cfg.samples, seeds[4])
-    rows += _lhv_rows(result, 0.5, cfg.samples)
-    oracle = bellcheck.probability_table(setting, grouping, qcore.werner_alpha(0.5)).joints
-    deviation = np.abs(result.table.joints - oracle)
-    worst = np.unravel_index(np.argmax(deviation), deviation.shape)
-    band = _band(result.table.stderr)
-    worst_row = _row(
-        "lhv_max_cell_deviation",
-        float(deviation[worst]),
-        stderr=float(result.table.stderr[worst]),
-        samples=cfg.samples,
-        expected=0.0,
-        tolerance=float(band[worst]),
-    )
-    worst_row["pass"] = bool((deviation <= band).all())
-    return rows + [worst_row]
 
 
 class _Command(NamedTuple):
@@ -267,26 +244,26 @@ _TABLE = {
         "nonlocality threshold of the singlet-fraction family: violation for alpha above 1/sqrt(2)",
     ),
     "lhv": _Command(
-        _lhv_command,
+        _lhv_rows,
         ("alpha", "samples", "seed"),
         "hidden variable simulation of the teleportation test",
         "hidden variable simulation of the teleportation test at the simulable fraction",
     ),
     "hardy": _Command(
-        lambda cfg: _hardy_rows(),
+        _hardy_rows,
         (),
         "verify the exact four-state toy protocol",
         "exact teleportation of one of four hidden values using a two-bit message",
     ),
     "gisin": _Command(
-        _gisin_command,
+        _gisin_rows,
         ("samples", "seed"),
         "classical baselines: the z and tetrahedron schemes",
         "classical two-bit baselines: 2/3 for the z scheme, which measures the unknown ket; about 0.8724 for the "
         "tetrahedron scheme, whose sender uses the known Bloch vector",
     ),
     "teleport": _Command(
-        _teleport_command,
+        _teleport_rows,
         ("alpha", "samples", "seed"),
         "Monte Carlo average teleportation fidelity",
         "average teleportation fidelity (1 + alpha)/2 on the singlet-fraction family",

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from telelocal import bellcheck, classical, cli, estimates, lhv, qcore
+from telelocal import bellcheck, cli, estimates, lhv, qcore
 
 
 def _run(argv, capsys):
@@ -59,6 +59,8 @@ def test_lhv_command_matches_closed_form(capsys):
     rows = {row["name"]: row for row in json.loads(out)["results"]}
     assert rows["lhv_ch_value"]["pass"] is True
     assert abs(rows["lhv_ch_value"]["expected"] - (2 - 2**0.5) / 4) < 1e-12
+    # every lhv row is stochastic, so each carries the README's stochastic fields
+    assert all(row["stderr"] >= 0 and row["samples"] == 20000 for row in rows.values())
 
 
 def test_gisin_csv_format(capsys):
@@ -80,55 +82,42 @@ def test_reports_are_byte_identical_per_config(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_reproduce_rows_come_from_the_other_commands(capsys):
-    samples, seed = 20000, 7
-    code, out = _run(["reproduce", "--samples", str(samples), "--seed", str(seed)], capsys)
+def _rows(argv, capsys):
+    code, out = _run(argv, capsys)
     assert code == 0
-    rows = json.loads(out)["results"]
-    assert [row["name"] for row in rows] == [
-        "singlet_ch_value",
-        "threshold_closed_form_root",
-        "threshold_first_grid_violation",
-        "teleport_fidelity_alpha_half",
-        "teleport_fidelity_alpha_threshold",
-        "z_scheme_fidelity",
-        "gisin_fidelity_analytic",
-        "gisin_fidelity_mc",
-        "hardy_successes",
-        "hardy_partition_ok",
-        "hardy_message_map_ok",
-        "lhv_ch_value",
-        "lhv_ch_in_unit_interval",
-        "lhv_max_cell_deviation",
-    ]
-    seeds = estimates.child_seeds(seed, 5)
-    n = ["--samples", str(samples)]
+    return json.loads(out)["results"]
 
-    def command_rows(argv):
-        code, out = _run(argv, capsys)
-        assert code == 0
-        return json.loads(out)["results"]
 
-    shared = (
-        command_rows(["scan"])
-        + command_rows(["teleport", "--alpha", "0.5", *n, "--seed", str(seeds[0])])
-        + command_rows(["teleport", "--alpha", repr(2**-0.5), *n, "--seed", str(seeds[1])])
-        + command_rows(["hardy"])
-        + command_rows(["lhv", "--alpha", "0.5", *n, "--seed", str(seeds[4])])
+def test_reproduce_rows_come_from_the_other_commands(capsys):
+    n, seed = ["--samples", "20000"], 7
+    seeds = [str(s) for s in estimates.child_seeds(seed, 4)]
+    (half,) = _rows(["teleport", "--alpha", "0.5", *n, "--seed", seeds[0]], capsys)
+    (threshold,) = _rows(["teleport", "--alpha", repr(2**-0.5), *n, "--seed", seeds[1]], capsys)
+    assert _rows(["reproduce", *n, "--seed", str(seed)], capsys) == (
+        _rows(["scan"], capsys)
+        + [{**half, "name": "teleport_fidelity_alpha_half"}, {**threshold, "name": "teleport_fidelity_alpha_threshold"}]
+        + _rows(["gisin", *n, "--seed", seeds[2]], capsys)
+        + _rows(["hardy"], capsys)
+        + _rows(["lhv", "--alpha", "0.5", *n, "--seed", seeds[3]], capsys)
     )
-    mine = rows[1:5] + rows[8:13]
-    assert len(shared) == len(mine)
-    for theirs, ours in zip(shared, mine):
-        assert {**theirs, "name": None} == {**ours, "name": None}, ours["name"]
-    z = classical.z_scheme_fidelity(samples, seeds[2])
-    gisin = classical.gisin_scheme_fidelity(samples, seeds[3])
-    for row, est, expected in (
-        (rows[5], z, 2 / 3),
-        (rows[7], gisin, classical.gisin_fidelity_analytic()),
-    ):
-        assert (row["value"], row["stderr"], row["samples"]) == (est.value, est.stderr, samples)
-        assert row["expected"] == expected and row["pass"] is True
-    assert rows[6]["value"] == rows[6]["expected"] == classical.gisin_fidelity_analytic()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reproduce", "--samples", "20000"],
+        ["scan"],
+        ["lhv", "--samples", "20000"],
+        ["lhv", "--alpha", "0.25", "--samples", "20000"],
+        ["lhv", "--alpha", "0", "--samples", "20000"],
+    ],
+)
+def test_every_checked_row_passes_by_its_own_tolerance(argv, capsys):
+    checked = [row for row in _rows(argv, capsys) if "pass" in row]
+    assert checked
+    for row in checked:
+        assert row["pass"] is True
+        assert abs(row["value"] - row["expected"]) <= row["tolerance"], row["name"]
 
 
 def test_out_file_and_stdout_match(tmp_path, capsys):
@@ -219,19 +208,36 @@ def test_scan_without_a_closed_form_root_fails_instead_of_raising(monkeypatch, c
     rows = {row["name"]: row for row in json.loads(out)["results"]}
     assert rows["threshold_closed_form_root"]["value"] is None
     assert rows["threshold_first_grid_violation"]["expected"] is None
+    # the singlet row needs no root
+    assert rows.pop("singlet_ch_value")["pass"] is True
     assert not any(row["pass"] for row in rows.values())
     code, out = _run(["scan", "--format", "csv"], capsys)
     assert code == 1
-    assert out.splitlines()[1:] == [
+    assert out.splitlines()[2:] == [
         "threshold_closed_form_root,,,0.7071067811865476,1e-09,false",
         "threshold_first_grid_violation,0.71,,,1e-09,false",
     ]
 
 
+def _lhv_with_table(monkeypatch, alpha, joints, stderr):
+    setting = bellcheck.violation_setting()
+    result = lhv.LhvChResult(
+        value=bellcheck.closed_form_value(alpha, setting),
+        stderr=0.01,
+        table=bellcheck.ProbabilityTable(joints, stderr=stderr),
+    )
+    monkeypatch.setattr(lhv, "lhv_teleport_experiment", lambda *args, **kwargs: result)
+
+
+def _quantum_joints(alpha):
+    return bellcheck.probability_table(
+        bellcheck.violation_setting(), bellcheck.OutcomeGrouping(), qcore.werner_alpha(alpha)
+    ).joints
+
+
 def test_lhv_cell_deviation_fails_on_any_cell_outside_its_band(monkeypatch, capsys):
     # the largest deviation lies inside its own 4-sigma band, a smaller one far outside its tiny band
-    setting = bellcheck.violation_setting()
-    joints = bellcheck.probability_table(setting, bellcheck.OutcomeGrouping(), qcore.werner_alpha(0.5)).joints
+    joints = _quantum_joints(0.5)
     stderr = np.full(joints.shape, 0.01)
     # each move keeps its settings block summing to 1
     joints[0, 0, 0, 0] += 0.01
@@ -239,19 +245,27 @@ def test_lhv_cell_deviation_fails_on_any_cell_outside_its_band(monkeypatch, caps
     joints[1, 0, 1, 1] += 1e-6
     joints[1, 1, 1, 1] -= 1e-6
     stderr[1, :, 1, :] = 1e-9
-    result = lhv.LhvChResult(
-        value=bellcheck.closed_form_value(0.5, setting),
-        stderr=0.01,
-        table=bellcheck.ProbabilityTable(joints, stderr=stderr),
-    )
-    monkeypatch.setattr(cli, "_lhv_experiment", lambda alpha, samples, seed: result)
-    code, out = _run(["reproduce", "--samples", "2000"], capsys)
+    _lhv_with_table(monkeypatch, 0.5, joints, stderr)
+    code, out = _run(["lhv", "--samples", "2000"], capsys)
     assert code == 1
     rows = {row["name"]: row for row in json.loads(out)["results"]}
     row = rows.pop("lhv_max_cell_deviation")
-    assert row["value"] == pytest.approx(0.01) and row["value"] <= row["tolerance"]
-    assert row["pass"] is False
-    assert all(other["pass"] for other in rows.values() if "pass" in other)
+    # the reported cell is the out-of-band one, so the row's own tolerance fails it
+    assert row["value"] == pytest.approx(1e-6) and row["stderr"] == 1e-9
+    assert row["value"] > row["tolerance"] and row["pass"] is False
+    assert all(other["pass"] for other in rows.values())
+
+
+def test_lhv_cells_are_compared_with_the_quantum_table_at_the_commands_alpha(monkeypatch, capsys):
+    # the alpha = 1/4 table lies far outside a 4e-3 band around the alpha = 1/2 one
+    joints = _quantum_joints(0.25)
+    assert np.abs(joints - _quantum_joints(0.5)).max() > 0.01
+    _lhv_with_table(monkeypatch, 0.25, joints, np.full(joints.shape, 1e-3))
+    code, out = _run(["lhv", "--alpha", "0.25", "--samples", "2000"], capsys)
+    assert code == 0
+    row = json.loads(out)["results"][-1]
+    assert row["name"] == "lhv_max_cell_deviation"
+    assert row["value"] <= 1e-15 and row["pass"] is True
 
 
 def test_flags_a_command_ignores_exit_2(capsys):

@@ -33,3 +33,11 @@ def test_teleport_report_example_is_the_default_teleport_report(capsys):
     example = json.loads(_fenced_block("json", "### Report format"))
     assert cli.main(["teleport"]) == 0
     assert json.loads(capsys.readouterr().out) == example
+
+
+def test_reproduce_row_order_is_the_documented_one(capsys):
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| Part of `reproduce` |") :].split("\n\n")[0].splitlines()[2:]
+    documented = [name for line in table for name in re.findall(r"`(\w+)`", line.split("|")[2])]
+    assert cli.main(["reproduce", "--samples", "2000"]) == 0
+    assert documented == [row["name"] for row in json.loads(capsys.readouterr().out)["results"]]
