@@ -189,6 +189,7 @@ class ThresholdReport:
     grid: np.ndarray
     values: np.ndarray
     first_violation: float | None
+    ends: tuple[float, float]  # the exact CH values at alpha = 0 and at alpha = 1, the singlet
 
 
 def threshold_scan(setting: TeleportBellSetting, alpha_grid) -> ThresholdReport:
@@ -198,6 +199,7 @@ def threshold_scan(setting: TeleportBellSetting, alpha_grid) -> ThresholdReport:
     The value is exact at the two end points alpha = 0 and 1 and affine in
     between: the singlet-fraction state is affine in alpha and the CH value
     is linear in the state, so two probability tables fix the whole grid.
+    The report keeps their two values as ``ends``.
     """
     grid = np.asarray(alpha_grid, dtype=float)
     if grid.size == 0:
@@ -212,7 +214,7 @@ def threshold_scan(setting: TeleportBellSetting, alpha_grid) -> ThresholdReport:
     values = lo + grid * (hi - lo)
     negatives = np.nonzero(values < 0)[0]
     first = float(grid[negatives[0]]) if negatives.size else None
-    return ThresholdReport(grid=grid, values=values, first_violation=first)
+    return ThresholdReport(grid=grid, values=values, first_violation=first, ends=(lo, hi))
 
 
 class ChshResult(NamedTuple):

@@ -59,6 +59,11 @@ def z_scheme_fidelity(samples: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo average of the z scheme over uniform m; converges to 2/3."""
 
     def chunk(states, coins, n):
-        return (1.0 + np.square(qcore.random_bloch_vectors(states, n)[:, 2])) / 2
+        # only m_z is scored, so each pair (u, v) gives only z = 2u - 1
+        scores = qcore.random_bloch_z(states, n)
+        np.square(scores, out=scores)
+        scores += 1.0
+        scores /= 2
+        return scores
 
     return run_chunks(chunk, samples, seed, _CHUNK).scalar_estimate()

@@ -134,10 +134,10 @@ def _alpha(cfg: argparse.Namespace, top: float, message: str) -> float:
 
 def _scan_rows(cfg: argparse.Namespace) -> list[dict]:
     setting = bellcheck.violation_setting()
-    # the singlet is the alpha = 1 end of the scanned family
-    singlet = bellcheck.teleport_ch_value(setting, bellcheck.OutcomeGrouping(), qcore.singlet_projector())
     grid = _grid_points(cfg.grid if cfg.grid else DEFAULT_GRID)
     scan = bellcheck.threshold_scan(setting, grid)
+    # the singlet is the alpha = 1 end of the scanned family
+    singlet = scan.ends[1]
     root = bellcheck.closed_form_root(setting)
     above = grid[grid > root] if root is not None else grid[:0]
     # a scan that finds no violation, or a grid that stops below the root,

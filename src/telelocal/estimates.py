@@ -12,8 +12,9 @@ import numpy as np
 
 # rows per Monte Carlo chunk: a chunk's arrays stay in a core's 2 MB L2
 # cache, and the chunks in flight, one per worker, keep peak memory low;
-# each thread keeps one chunk's arrays in its arena (at most 1 MiB) for the
-# life of the process; results do not depend on it (see run_chunks)
+# each thread keeps one chunk's arrays in its arena for the life of the
+# process, at most 768 KiB (a teleport chunk's 12 rows; lhv sizes its chunks
+# to fit); results do not depend on it (see run_chunks)
 CHUNK = 8_192
 # rows per stream block: part of the definition of every estimate's random
 # streams, not a setting (see run_chunks)
@@ -54,14 +55,14 @@ class StreamingMoments:
     ``add`` takes arrays of shape (chunk, *cell_shape); the estimate is per
     cell. A chunk is reduced as one contiguous row of samples per cell: a
     component-major chunk, the (chunk, *cell_shape) transpose view of a
-    C-ordered (*cell_shape, chunk) buffer, is read in place, any other
-    layout is copied into that order first, so the result does not depend
-    on the layout. Each cell's mean is a pairwise sum over its row, and the
-    chunk's (count, mean, M2) is merged into the running totals with the
-    pairwise update of Chan, Golub & LeVeque (1979), which avoids the
-    cancellation of raw sums of squares; ``merge`` folds in another
-    accumulator's totals with the same update. With fewer than two samples
-    the standard error is reported as inf.
+    C-ordered (*cell_shape, chunk) buffer, is centred in place (see
+    ``add``), any other layout is copied into that order first, so the
+    result does not depend on the layout. Each cell's mean is a pairwise
+    sum over its row, and the chunk's (count, mean, M2) is merged into the
+    running totals with the pairwise update of Chan, Golub & LeVeque
+    (1979), which avoids the cancellation of raw sums of squares; ``merge``
+    folds in another accumulator's totals with the same update. With fewer
+    than two samples the standard error is reported as inf.
     """
 
     def __init__(self, cell_shape: tuple[int, ...] = ()):
@@ -71,20 +72,29 @@ class StreamingMoments:
         self._count = 0
 
     def add(self, values: np.ndarray) -> None:
+        """Fold in a chunk of shape (n, *cell_shape), one sample per row.
+
+        A writable chunk whose rows per cell are already contiguous (a
+        component-major chunk, a 1-D chunk of scalar cells, any one-row
+        chunk) is centred in place: afterwards it holds each sample's
+        deviation from the chunk's mean, so a caller that still needs the
+        values passes a copy. run_chunks' chunks are scratch until the next
+        chunk anyway.
+        """
         values = np.asarray(values, dtype=float)
         if values.shape[1:] != self.cell_shape:
             raise ValueError(f"chunk cells of shape {values.shape[1:]}, expected {self.cell_shape}")
         n = values.shape[0]
         if n == 0:
             return
-        # (cells, n); a free view for component-major chunks and scalar cells
-        rows = np.ascontiguousarray(values.reshape(n, -1).T)
+        # (cells, n); a free view for component-major chunks and scalar cells,
+        # centred in place, so a chunk needs no second chunk-sized array
+        rows = values.reshape(n, -1).T
+        if not (rows.flags.c_contiguous and rows.flags.writeable):
+            rows = np.array(rows, order="C")
         mean = rows.sum(axis=1) / n
-        deviations = rows - mean[:, None]
-        m2 = np.einsum("ij,ij->i", deviations, deviations).reshape(self.cell_shape)
-        # free the chunk-sized temporary before the small merge results are
-        # allocated; held longer, it measurably raised peak memory
-        del deviations
+        rows -= mean[:, None]
+        m2 = np.einsum("ij,ij->i", rows, rows).reshape(self.cell_shape)
         self._update(n, mean.reshape(self.cell_shape), m2)
 
     def merge(self, other: StreamingMoments) -> None:

@@ -31,6 +31,7 @@ combination of every single sample lies in [0, 1] (Clauser & Horne, PRD
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,12 @@ from . import bellcheck, qcore
 from .estimates import arena, run_chunks
 
 _PARALLEL_ATOL = 1e-10
-# a CH table chunk keeps 31 rows of samples in the arena: 3072 rows fit in the 768 KiB
-# a teleport chunk keeps, and reproduce's peak memory rose 0.3%, against 2.8% at 4096
-# rows and 10% on locality at 8192 (StreamingMoments.add copies 17 of the rows)
-_CHUNK = 3072
+# a CH table chunk keeps 21 rows of samples in the arena: the 4 Bloch rows, which
+# then hold the receivers' answers, and the 16 cells plus the CH sum, which hold
+# the sampler's draws and kets until the table is written. 4608 rows take 756 KiB,
+# within the 768 KiB a teleport chunk keeps; at 3072 the two pool workers barely
+# overlapped, queueing on the GIL between a chunk's small NumPy calls
+_CHUNK = 4608
 
 
 @dataclass(frozen=True)
@@ -134,45 +137,60 @@ def estimate_joint(
     alice_coeffs = np.stack([qcore.pauli_rows(spec.operators) for spec in senders])
     bob_coeffs = np.stack([qcore.pauli_rows(spec.operators) for spec in receivers])
     axes, responses = zip(*map(minimum_rule, bob_coeffs))
-    overlaps = alice_coeffs / 2
     shape = (*alice_coeffs.shape[:2], *bob_coeffs.shape[:2])
+    # the chunk's table is receiver-major, (receiver, outcome, sender, outcome)
+    # rows, so the sender overlaps fill its first block and the rest follow it
+    order = (2, 3, 0, 1)
+    overlaps = alice_coeffs / 2
     weights = np.zeros(shape)
     for sign, cell in terms:
         weights[cell] += sign
+    weights = weights.transpose(order).ravel()
+    answers_count = math.prod(shape[2:])
     cells = weights.size
     width = cells + bool(terms)  # the cells, then the terms row if any
 
     def chunk(states, coins, m):
         # component-major: one contiguous row of m samples per component,
-        # every float array in the chunk arena
-        cols = qcore.bloch_rows(qcore.haar_kets(states, m), out=arena.take(4, m)).T
-        by_minimum = arena.take(*shape[2:], m)
-        for axis, by_group, out in zip(axes, responses, by_minimum):
-            # the receiver's answer per group: 0 where n . m > 0, 1 elsewhere
-            group = (np.matmul(axis, cols[1:], out=arena.take(m)) <= 0).astype(np.intp)
+        # every float array in the chunk arena. The table rows hold the
+        # sampler's draws and kets until the table is written, and the Bloch
+        # rows' buffer holds the receivers' answers once the rows are read
+        scratch = arena.take(max(4, answers_count), m)
+        rows = arena.take(max(width, 7), m)
+        cols = qcore.bloch_rows(qcore.haar_kets(states, m, rows[:7]), out=scratch[:4]).T
+        # each receiver's group, 0 where n . m > 0 and 1 elsewhere; n . m is
+        # formed in the table rows, whose kets are read by now. One matmul
+        # per party keeps each sample's arithmetic that of a single-pair call
+        for axis, out in zip(axes, rows):
+            np.matmul(axis, cols[1:], out=out)
+        groups = (rows[: len(axes)] <= 0).astype(np.intp)
+        joint = rows[:cells].reshape(answers_count, -1, m)
+        for overlap, out in zip(overlaps, joint[0].reshape(len(overlaps), -1, m)):
+            np.matmul(overlap, cols, out=out)
+        answers = scratch[:answers_count].reshape(*shape[2:], m)
+        for by_group, group, out in zip(responses, groups, answers):
             # np.take gathers whole columns far faster than fancy indexing does;
             # mode="clip" lets it write into the arena unbuffered (group is 0..1)
             np.take(by_group.T, group, axis=1, out=out, mode="clip")
-        by_overlap = arena.take(*shape[:2], m)
-        for overlap, out in zip(overlaps, by_overlap):
-            np.matmul(overlap, cols, out=out)
-        rows = arena.take(width, m)
-        joint = rows[:cells].reshape(*shape, m)
-        np.multiply(by_overlap[:, :, None, None], by_minimum, out=joint)
+        answers = answers.reshape(answers_count, 1, m)
+        np.multiply(joint[0], answers[1:], out=joint[1:])
+        joint[0] *= answers[0]
         if terms:
-            np.matmul(weights.ravel(), rows[:cells], out=rows[cells])
-        return rows.T
+            np.matmul(weights, rows[:cells], out=rows[cells])
+        return rows[:width].T
 
     moments = run_chunks(chunk, cfg.samples, cfg.seed, _CHUNK, (width,))
     mix = 2.0 * alpha
     noise = np.multiply.outer(alice_coeffs[..., 0], bob_coeffs[..., 0]) / 4
-    probs = mix * moments.mean()[:cells].reshape(shape) + (1.0 - mix) * noise
+    table_shape = tuple(shape[i] for i in order)
+    probs = mix * moments.mean()[:cells].reshape(table_shape).transpose(order) + (1.0 - mix) * noise
     # at alpha = 0 the result is exact, and 0 times one sample's infinite stderr would be NaN
     stderr = mix * moments.stderr() if mix else np.zeros(width)
+    terms_stderr = float(stderr[cells]) if terms else None
+    stderr = stderr[:cells].reshape(table_shape).transpose(order)
     if isinstance(alice, MeasurementSpec) and isinstance(bob, MeasurementSpec):
         shape = shape[1::2]
-    terms_stderr = float(stderr[cells]) if terms else None
-    return JointEstimate(probs.reshape(shape), stderr[:cells].reshape(shape), cfg.samples, terms_stderr)
+    return JointEstimate(probs.reshape(shape), stderr.reshape(shape), cfg.samples, terms_stderr)
 
 
 def lhv_teleport_experiment(

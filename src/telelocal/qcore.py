@@ -212,7 +212,9 @@ def is_density(m) -> bool:
     return bool(np.linalg.eigvalsh((m + m.conj().T) / 2).min() >= -ATOL_PSD)
 
 
-def _state_draws(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _state_draws(
+    rng: np.random.Generator, n: int, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the state stream: row i of random((n, 2)) is the i-th pair (u, v), and
     # phi = 2 pi v - pi. NumPy's float64 cos and sin can be scalar libm calls
     # where its tan has a SIMD loop, so one contiguous row takes
@@ -220,9 +222,17 @@ def _state_draws(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarr
     # 2 pi v - pi) and then sin phi = 2t/(1 + t^2); the v column becomes
     # cos phi = (1 - t^2)/(1 + t^2), formed as 2/(1 + t^2) - 1. t^2 stays
     # finite: at v = 0, t is about -1.6e16. Returns u and cos phi, column
-    # views of the draws, and the sin phi row.
-    u, cos_phi = rng.random((n, 2)).T
-    sin_phi = np.multiply(cos_phi, np.pi)
+    # views of the draws, and the sin phi row; with ``rows``, three rows of
+    # n floats, the draws fill the first two, read as (n, 2), and sin phi
+    # the third. Without, the draws and the row are two arrays: one (3, n)
+    # array for both made teleport.average_fidelity's 8192-row chunks about
+    # 15% slower (perfbench state-sweep pass_s, 2 shared CPUs)
+    if rows is None:
+        u, cos_phi = rng.random((n, 2)).T
+        sin_phi = np.multiply(cos_phi, np.pi)
+    else:
+        u, cos_phi = rng.random(out=rows[:2].reshape(n, 2)).T
+        sin_phi = np.multiply(cos_phi, np.pi, out=rows[2])
     sin_phi -= np.pi / 2
     np.tan(sin_phi, out=sin_phi)
     np.multiply(sin_phi, sin_phi, out=cos_phi)
@@ -234,7 +244,7 @@ def _state_draws(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarr
     return u, cos_phi, sin_phi
 
 
-def haar_kets(rng: np.random.Generator, n: int) -> np.ndarray:
+def haar_kets(rng: np.random.Generator, n: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """n Haar-uniform qubit kets (sqrt u, sqrt(1 - u) e^{i phi}), one per row.
 
     Row i reads the i-th pair (u, v) of ``rng.random((n, 2))``, so it takes
@@ -246,10 +256,20 @@ def haar_kets(rng: np.random.Generator, n: int) -> np.ndarray:
     ((1 - t^2) + 2it)/(1 + t^2) with t = tan(phi / 2), no cos or sin call.
     The kets are written in real arithmetic into the (n, 4) float view of
     the returned (n, 2) complex array; besides the draws and the kets, the
-    only array is one row of n floats holding t.
+    only array is one row of n floats holding t. With ``scratch``, a
+    C-contiguous float (7, n) array such as rows of a chunk arena, nothing
+    is allocated: the kets are the complex view of its first four rows, read
+    as (n, 4), and the draws and t fill the other three, with the same kets
+    bit for bit.
     """
-    u, cos_phi, sin_phi = _state_draws(rng, n)
-    kets = np.empty((n, 2), dtype=complex)
+    if scratch is None:
+        u, cos_phi, sin_phi = _state_draws(rng, n)
+        kets = np.empty((n, 2), dtype=complex)
+    elif scratch.shape != (7, n) or scratch.dtype != float or not scratch.flags.c_contiguous:
+        raise ValueError(f"scratch must be a C-contiguous float array of shape {(7, n)}")
+    else:
+        u, cos_phi, sin_phi = _state_draws(rng, n, scratch[4:])
+        kets = scratch[:4].reshape(n, 4).view(complex)
     ar, ai, br, bi = kets.view(float).T
     np.sqrt(u, out=ar)
     ai[...] = 0.0
@@ -282,6 +302,17 @@ def random_bloch_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
     np.multiply(u, 2.0, out=z)
     z -= 1.0
     return vectors
+
+
+def random_bloch_z(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The z components 2u - 1 of ``random_bloch_vectors(rng, n)``, bit for bit.
+
+    Row i reads the i-th pair (u, v) of ``rng.random((n, 2))`` like the
+    other samplers, so the stream is the same, and v goes unused.
+    """
+    z = np.multiply(rng.random((n, 2))[:, 0], 2.0)
+    z -= 1.0
+    return z
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -241,6 +241,10 @@ def test_threshold_scan_matches_the_per_point_tables():
         npt.assert_allclose(report.values, per_point, rtol=0, atol=1e-12)
         first = grid[np.nonzero(per_point < 0)[0][0]]
         assert report.first_violation == first
+        # the two tables the scan builds, at alpha = 0 and at the singlet, alpha = 1
+        ends = (bellcheck.teleport_ch_value(setting, grouping, qcore.werner_alpha(a)) for a in (0.0, 1.0))
+        assert report.ends == tuple(ends)
+        assert report.ends[1] == bellcheck.teleport_ch_value(setting, grouping, qcore.singlet_projector())
 
 
 def test_threshold_scan_builds_two_tables_whatever_the_grid(monkeypatch):

@@ -73,7 +73,7 @@ ESTIMATORS = {
     "lhv-zz-0.25": _lhv(ALONG_Z, ALONG_Z, 0.25),
     "lhv-ch": _lhv_ch(),
     "gisin": (classical, "random_bloch_vectors", _scalar(classical.gisin_scheme_fidelity, seed=13), GISIN_ANALYTIC),
-    "z": (classical, "random_bloch_vectors", _scalar(classical.z_scheme_fidelity, seed=13), 2 / 3),
+    "z": (classical, "random_bloch_z", _scalar(classical.z_scheme_fidelity, seed=13), 2 / 3),
 }
 
 # (BLOCK, each block's chunk rows at the module's _CHUNK, {chunk: each block's chunk rows})
@@ -117,9 +117,9 @@ def test_blocks_are_chunk_invariant(monkeypatch, worker_pool, name):
     draw = getattr(qcore, sampler)
     calls = []
 
-    def recorded(rng, n):
+    def recorded(rng, n, *scratch):
         calls.append((n, rng.bit_generator.seed_seq.spawn_key))
-        return draw(rng, n)
+        return draw(rng, n, *scratch)
 
     monkeypatch.setattr(qcore, sampler, recorded)
     default_chunk = module._CHUNK

@@ -13,6 +13,7 @@ def _score(monkeypatch, scheme, m) -> float:
     """A scheme's Monte Carlo score for the one Bloch vector m, drawn in place of uniform ones."""
     rows = np.asarray(m, dtype=float)[None]
     monkeypatch.setattr(qcore, "random_bloch_vectors", lambda rng, n: np.repeat(rows, n, axis=0))
+    monkeypatch.setattr(qcore, "random_bloch_z", lambda rng, n: np.repeat(rows[:, 2], n))
     return scheme(1, seed=0).value
 
 

@@ -43,6 +43,29 @@ def test_scan_finds_the_threshold(capsys):
     assert rows["threshold_first_grid_violation"]["value"] == pytest.approx(0.71)
 
 
+def test_scan_reads_the_singlet_from_the_scans_own_end_point(monkeypatch, capsys):
+    # the singlet is the alpha = 1 end of the scan, so the command builds only the scan's two tables
+    calls = []
+    real = bellcheck.probability_table
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bellcheck, "probability_table", counting)
+    code, out = _run(["scan"], capsys)
+    assert code == 0 and len(calls) == 2
+    setting, grouping = bellcheck.violation_setting(), bellcheck.OutcomeGrouping()
+    singlet = bellcheck.teleport_ch_value(setting, grouping, qcore.singlet_projector())
+    assert json.loads(out)["results"][0] == {
+        "name": "singlet_ch_value",
+        "value": singlet,
+        "expected": (1 - 2**0.5) / 2,
+        "tolerance": cli.ANALYTIC_TOL,
+        "pass": True,
+    }
+
+
 def test_teleport_row_carries_stochastic_fields(capsys):
     code, out = _run(["teleport", "--alpha", "0.25", "--samples", "500", "--seed", "3"], capsys)
     assert code == 0

@@ -20,9 +20,10 @@ def test_scalar_moments_match_numpy_across_chunks():
     rng = np.random.default_rng(7)
     data = rng.random(1001)
     acc = StreamingMoments()
-    acc.add(data[:400])
-    acc.add(data[400:900])
-    acc.add(data[900:])
+    # add centres a 1-D chunk in place, and data is read again below
+    acc.add(data[:400].copy())
+    acc.add(data[400:900].copy())
+    acc.add(data[900:].copy())
     assert acc.count == 1001
     npt.assert_allclose(acc.mean(), data.mean(), rtol=1e-12)
     npt.assert_allclose(acc.stderr(), data.std(ddof=1) / np.sqrt(data.size), rtol=1e-9)
@@ -68,7 +69,7 @@ def test_moments_survive_a_large_offset():
     data = 1e8 + rng.standard_normal(3000) * 1e-3
     acc = StreamingMoments()
     for chunk in np.array_split(data, 7):
-        acc.add(chunk)
+        acc.add(chunk.copy())
     npt.assert_allclose(acc.mean(), data.mean(), rtol=1e-15)
     npt.assert_allclose(acc.stderr(), data.std(ddof=1) / np.sqrt(data.size), rtol=1e-6)
 
@@ -89,8 +90,10 @@ def test_component_major_chunks_reduce_like_sample_major_ones():
     data = rng.random((1000, 2, 2))
     sample_major, component_major = StreamingMoments((2, 2)), StreamingMoments((2, 2))
     for chunk in np.array_split(data, [300, 301, 777]):
-        sample_major.add(np.ascontiguousarray(chunk))
-        buffer = np.ascontiguousarray(chunk.transpose(1, 2, 0))
+        # copies: a one-row chunk is component-major too, so add centres it
+        # in place, and data is read again below
+        sample_major.add(chunk.copy())
+        buffer = chunk.transpose(1, 2, 0).copy()
         component_major.add(buffer.transpose(2, 0, 1))
     assert np.array_equal(sample_major.mean(), component_major.mean())
     assert np.array_equal(sample_major.stderr(), component_major.stderr())
@@ -155,7 +158,8 @@ def test_merge_matches_sequential_adds():
     data = rng.random((1000, 2, 3))
     sequential, merged = StreamingMoments((2, 3)), StreamingMoments((2, 3))
     for part in np.array_split(data, [1, 250, 600]):
-        sequential.add(part)
+        # the one-row part is centred in place, and part is read again below
+        sequential.add(part.copy())
         block = StreamingMoments((2, 3))
         for chunk in np.array_split(part, 3):
             block.add(chunk)
@@ -379,10 +383,11 @@ def _traced_peak(estimate):
 @pytest.mark.parametrize("name", ["teleport", "lhv"])
 def test_warmed_chunks_allocate_no_chunk_arrays(name):
     # one block, run in this thread; after the first chunk the chunk's float
-    # arrays live in the arena, and what a chunk still allocates peaks with
-    # the (m, 4) Haar kets, their (m, 2) draws and one row of half-angle
-    # tangents, about 7 rows of CHUNK float64; a chunk that allocates its
-    # arrays afresh peaks above 8 rows
+    # arrays live in the arena, and what a chunk still allocates peaks, in a
+    # teleport chunk, with the (m, 4) Haar kets, their (m, 2) draws and one
+    # row of half-angle tangents, about 7 rows of CHUNK float64 (an lhv chunk
+    # draws them into its arena rows); a chunk that allocates its arrays
+    # afresh peaks above 8 rows
     alice, bob = _lhv_spec()
     rho = qcore.random_density(np.random.default_rng(41), 4)
     estimate = {
@@ -390,6 +395,52 @@ def test_warmed_chunks_allocate_no_chunk_arrays(name):
         "lhv": lambda: lhv.estimate_joint(alice, bob, lhv.LhvConfig(estimates.BLOCK, 29), alpha=0.25),
     }[name]
     assert _traced_peak(estimate) < 8 * estimates.CHUNK * 8
+
+
+# the arena a teleport chunk keeps, 12 rows of 8192 float64
+ARENA_BUDGET = 768 * 1024
+
+
+@pytest.mark.parametrize("name", ["teleport", "lhv", "lhv-ch"])
+def test_no_chunk_outgrows_the_arena_budget(name):
+    # one block runs in the calling thread, here a fresh one with an empty
+    # arena, which its chunks warm to the most any of them asked for
+    alice, bob = _lhv_spec()
+    rho = qcore.random_density(np.random.default_rng(41), 4)
+    setting, grouping = bellcheck.violation_setting(), bellcheck.OutcomeGrouping()
+    estimate = {
+        "teleport": lambda: teleport.average_fidelity(rho, estimates.BLOCK, 9),
+        "lhv": lambda: lhv.estimate_joint(alice, bob, lhv.LhvConfig(estimates.BLOCK, 29)),
+        "lhv-ch": lambda: lhv.lhv_teleport_experiment(setting, grouping, lhv.LhvConfig(estimates.BLOCK, 29)),
+    }[name]
+
+    def warmed_arena_bytes():
+        estimate()
+        return estimates.arena._buffer.nbytes
+
+    with ThreadPoolExecutor(1) as thread:
+        assert 0 < thread.submit(warmed_arena_bytes).result(timeout=120) <= ARENA_BUDGET
+
+
+def test_add_centres_a_component_major_chunk_without_a_copy():
+    m = estimates.CHUNK
+    buffer = np.random.default_rng(14).random((17, m))
+    # the route that centres a copy of the chunk
+    mean = buffer.sum(axis=1) / m
+    deviations = buffer - mean[:, None]
+    m2 = np.einsum("ij,ij->i", deviations, deviations)
+    moments = StreamingMoments((17,))
+    tracemalloc.start()
+    try:
+        moments.add(buffer.T)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # no temporary of even one row of samples
+    assert peak < 8 * m
+    assert np.array_equal(buffer, deviations)
+    assert np.array_equal(moments.mean(), mean)
+    assert np.array_equal(moments.stderr(), np.sqrt(m2 / (m - 1) / m))
 
 
 def test_estimates_in_two_threads_at_once_match_serial_ones():

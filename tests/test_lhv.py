@@ -174,7 +174,7 @@ def test_receiver_holds_the_minimum_rule_for_a_projective_pair(monkeypatch):
     # every hidden ket is one fixed ket: the sender answers with its overlaps,
     # the receiver with the one-hot least-overlap outcome
     ket = np.array([np.cos(0.4), np.sin(0.4) * np.exp(0.3j)])
-    monkeypatch.setattr(qcore, "haar_kets", lambda rng, n: np.repeat(ket[None], n, axis=0))
+    monkeypatch.setattr(qcore, "haar_kets", lambda rng, n, *scratch: np.repeat(ket[None], n, axis=0))
     est = lhv.estimate_joint(_spec("projective", Z_PROJS), _spec("projective", X_PROJS), lhv.LhvConfig(50, 3))
     receiver = np.eye(2)[np.argmin(_ket_overlap(ket[None], X_PROJS)[0])]
     npt.assert_allclose(est.probs, np.outer(_ket_overlap(ket[None], Z_PROJS)[0], receiver), rtol=0, atol=1e-15)

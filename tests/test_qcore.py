@@ -230,6 +230,35 @@ def test_random_bloch_vectors_are_the_bloch_vectors_of_haar_kets():
     assert rng.random() == twin.random()
 
 
+def test_random_bloch_z_is_the_z_column_of_random_bloch_vectors():
+    rng, twin = np.random.default_rng(RNG_SEED + 15), np.random.default_rng(RNG_SEED + 15)
+    z = qcore.random_bloch_z(rng, 500)
+    assert np.array_equal(z, qcore.random_bloch_vectors(twin, 500)[:, 2])
+    # both read one pair (u, v) per row
+    assert rng.random() == twin.random()
+
+
+def test_haar_kets_in_scratch_rows_are_the_same_kets():
+    n = estimates.CHUNK
+    rng, twin = np.random.default_rng(RNG_SEED + 16), np.random.default_rng(RNG_SEED + 16)
+    scratch = np.empty((7, n))
+    qcore.haar_kets(np.random.default_rng(RNG_SEED + 16), n, scratch)
+    tracemalloc.start()
+    try:
+        kets = qcore.haar_kets(rng, n, scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the draws, the tangent row and the kets all live in the scratch rows
+    assert peak < 8 * n
+    assert kets.shape == (n, 2) and np.shares_memory(kets, scratch)
+    assert np.array_equal(kets, qcore.haar_kets(twin, n))
+    assert rng.random() == twin.random()
+    for bad in (np.empty((7, n - 1)), np.empty((6, n)), np.empty((n, 7)).T, np.empty((7, n), dtype=np.float32)):
+        with pytest.raises(ValueError):
+            qcore.haar_kets(rng, n, bad)
+
+
 def test_samplers_at_the_edge_draws():
     # v = 0 is phi = -pi, where tan(phi / 2) is about -1.6e16; any overflow
     # there is a RuntimeWarning, which fails the test
