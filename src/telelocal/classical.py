@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import qcore
-from .estimates import CHUNK, MonteCarloEstimate, run_chunks
+from .estimates import CHUNK, MonteCarloEstimate, StreamingMoments, run_chunks
 
 _CHUNK = CHUNK
 
@@ -45,7 +45,7 @@ def gisin_scheme_fidelity(samples: int, seed: int) -> MonteCarloEstimate:
     def chunk(states, coins, n):
         # component-major: one row of n samples per vertex
         dots = vertices @ qcore.random_bloch_vectors(states, n).T
-        return (1.0 + dots.max(axis=0)) / 2
+        return StreamingMoments().add((1.0 + dots.max(axis=0)) / 2)
 
     return run_chunks(chunk, samples, seed, _CHUNK).scalar_estimate()
 
@@ -64,6 +64,6 @@ def z_scheme_fidelity(samples: int, seed: int) -> MonteCarloEstimate:
         np.square(scores, out=scores)
         scores += 1.0
         scores /= 2
-        return scores
+        return StreamingMoments().add(scores)
 
     return run_chunks(chunk, samples, seed, _CHUNK).scalar_estimate()

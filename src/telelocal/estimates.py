@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# rows per Monte Carlo chunk: a chunk's arrays stay in a core's 2 MB L2
-# cache, and the chunks in flight, one per worker, keep peak memory low;
-# each thread keeps one chunk's arrays in its arena for the life of the
-# process, at most 768 KiB (a teleport chunk's 12 rows; lhv sizes its chunks
-# to fit); results do not depend on it (see run_chunks)
+# rows per Monte Carlo chunk of every kernel: a chunk's arrays stay in a
+# core's 2 MB L2 cache, and the chunks in flight, one per worker, keep peak
+# memory low; each thread keeps one chunk's arrays in its arena for the life
+# of the process, at most 768 KiB (a teleport chunk's 12 rows; a CH table
+# chunk keeps 11); results do not depend on it (see run_chunks)
 CHUNK = 8_192
 # rows per stream block: part of the definition of every estimate's random
 # streams, not a setting (see run_chunks)
@@ -63,6 +63,10 @@ class StreamingMoments:
     (1979), which avoids the cancellation of raw sums of squares; ``merge``
     folds in another accumulator's totals with the same update. With fewer
     than two samples the standard error is reported as inf.
+
+    A cell never formed per sample may come to ``add`` as its chunk's sum and
+    sum of squares. Its M2, squares - sums * mean clamped at 0, is then off by a
+    few ulps of E[c^2] / Var c for c in [0, 1]: a constant c reads a few c sqrt(eps / n).
     """
 
     def __init__(self, cell_shape: tuple[int, ...] = ()):
@@ -71,22 +75,24 @@ class StreamingMoments:
         self._m2 = np.zeros(cell_shape)
         self._count = 0
 
-    def add(self, values: np.ndarray) -> None:
-        """Fold in a chunk of shape (n, *cell_shape), one sample per row.
+    def add(self, values: np.ndarray, sums=None, squares=None) -> StreamingMoments:
+        """Fold in a chunk of shape (n, *cell_shape), one sample per row, and return self.
 
         A writable chunk whose rows per cell are already contiguous (a
         component-major chunk, a 1-D chunk of scalar cells, any one-row
         chunk) is centred in place: afterwards it holds each sample's
         deviation from the chunk's mean, so a caller that still needs the
-        values passes a copy. run_chunks' chunks are scratch until the next
-        chunk anyway.
+        values passes a copy. With a 1-D cell shape, ``sums`` and ``squares``
+        give the first cells by their sums and sums of squares over the n
+        samples, and ``values``, of shape (n, k), the last k cells.
         """
         values = np.asarray(values, dtype=float)
-        if values.shape[1:] != self.cell_shape:
-            raise ValueError(f"chunk cells of shape {values.shape[1:]}, expected {self.cell_shape}")
+        shape = values.shape[1:] if sums is None else (len(sums) + values.shape[1],)
+        if shape != self.cell_shape:
+            raise ValueError(f"chunk cells of shape {shape}, expected {self.cell_shape}")
         n = values.shape[0]
         if n == 0:
-            return
+            return self
         # (cells, n); a free view for component-major chunks and scalar cells,
         # centred in place, so a chunk needs no second chunk-sized array
         rows = values.reshape(n, -1).T
@@ -94,8 +100,12 @@ class StreamingMoments:
             rows = np.array(rows, order="C")
         mean = rows.sum(axis=1) / n
         rows -= mean[:, None]
-        m2 = np.einsum("ij,ij->i", rows, rows).reshape(self.cell_shape)
-        self._update(n, mean.reshape(self.cell_shape), m2)
+        m2 = np.einsum("ij,ij->i", rows, rows)
+        if sums is not None:
+            lead = sums / n
+            mean, m2 = np.concatenate([lead, mean]), np.concatenate([np.maximum(squares - sums * lead, 0.0), m2])
+        self._update(n, mean.reshape(self.cell_shape), m2.reshape(self.cell_shape))
+        return self
 
     def merge(self, other: StreamingMoments) -> None:
         """Fold in the samples another accumulator of the same cell shape has seen."""
@@ -188,18 +198,18 @@ def _block_moments(sample_chunk, seed: int, block: int, rows: int, chunk: int, c
     moments = StreamingMoments(cell_shape)
     for start in range(0, rows, chunk):
         arena.reset()
-        moments.add(sample_chunk(states, coins, min(chunk, rows - start)))
+        moments.merge(sample_chunk(states, coins, min(chunk, rows - start)))
     return moments
 
 
 def run_chunks(
-    sample_chunk: Callable[[np.random.Generator, np.random.Generator, int], np.ndarray],
+    sample_chunk: Callable[[np.random.Generator, np.random.Generator, int], StreamingMoments],
     samples: int,
     seed: int,
     chunk: int,
     cell_shape: tuple[int, ...] = (),
 ) -> StreamingMoments:
-    """Moments of ``sample_chunk(states, coins, m)`` over ``samples`` rows in chunks of at most ``chunk``.
+    """The merged moments of ``sample_chunk(states, coins, m)`` over ``samples`` rows in chunks of at most ``chunk``.
 
     This is the only place that builds generators, and ``child_seeds``,
     which gives each estimate of a run its own seed, the one seed
@@ -209,13 +219,13 @@ def run_chunks(
     ``coins`` stream, for Bell-outcome draws, from
     ``spawn_key=(2b + 1,)``; block 0 is ``SeedSequence(seed).spawn(2)``.
     ``samples`` that is not an integer >= 1 (a bool is not) raises
-    ValueError before any generator is built. Each call returns an array of
-    shape (m, *cell_shape), best the transpose view of a component-major
-    (*cell_shape, m) buffer, which StreamingMoments.add reads without a
-    copy, and takes its rows' values from each stream in row order, so the
-    results do not depend on ``chunk``. Its arrays may be taken from
-    ``arena``, which is reset before every chunk: a returned chunk may live
-    in the thread's arena and is valid only until that thread's next chunk.
+    ValueError before any generator is built. Each call takes its rows'
+    values from each stream in row order, so the results do not depend on
+    ``chunk``, and returns a StreamingMoments of ``cell_shape`` that has
+    seen them, which the block merges in chunk order: into an empty
+    accumulator ``_update`` copies exactly, so ``StreamingMoments().add``
+    gives the bits of adding to the block's. Its arrays may be taken from
+    ``arena``, which is reset before every chunk, since none outlives it.
 
     A single block runs in the caller's thread. More blocks run on a pool
     of one worker thread per CPU, built on first use (NumPy's generators

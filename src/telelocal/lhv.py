@@ -37,15 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bellcheck, qcore
-from .estimates import arena, run_chunks
+from .estimates import CHUNK, StreamingMoments, arena, run_chunks
 
 _PARALLEL_ATOL = 1e-10
-# a CH table chunk keeps 21 rows of samples in the arena: the 4 Bloch rows, which
-# then hold the receivers' answers, and the 16 cells plus the CH sum, which hold
-# the sampler's draws and kets until the table is written. 4608 rows take 756 KiB,
-# within the 768 KiB a teleport chunk keeps; at 3072 the two pool workers barely
-# overlapped, queueing on the GIL between a chunk's small NumPy calls
-_CHUNK = 4608
+# a CH table chunk keeps 11 rows of samples in the arena: the 4 Bloch rows, which
+# then hold the receivers' answers, and 7 rows that hold the sampler's draws and
+# kets, then the sender overlaps, the receivers' groups and the CH sum; at 8192
+# rows that is 704 KiB, within the 768 KiB a teleport chunk keeps
+_CHUNK = CHUNK
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,11 @@ def estimate_joint(
     sample answers every pair, bit for bit as a single-pair call on the
     same seed would, in a (setting, outcome, setting, outcome) table.
     ``terms_stderr`` is the stderr of each sample's sum of sign * cell
-    over ``terms``, (sign, table index) pairs such as bellcheck.CH_TERMS.
+    over ``terms``, (+1 or -1, table index) pairs such as bellcheck.CH_TERMS.
+
+    A cell is an overlap times an answer, so a chunk writes no cells: one
+    matmul per settings pair gives its sums, overlaps @ answers.T, and one on
+    the squared rows its sums of squares (see StreamingMoments for the numerics).
     """
     if not 0.0 <= alpha <= 0.5:
         raise ValueError("alpha must lie in [0, 1/2]")
@@ -138,56 +141,52 @@ def estimate_joint(
     bob_coeffs = np.stack([qcore.pauli_rows(spec.operators) for spec in receivers])
     axes, responses = zip(*map(minimum_rule, bob_coeffs))
     shape = (*alice_coeffs.shape[:2], *bob_coeffs.shape[:2])
-    # the chunk's table is receiver-major, (receiver, outcome, sender, outcome)
-    # rows, so the sender overlaps fill its first block and the rest follow it
-    order = (2, 3, 0, 1)
-    overlaps = alice_coeffs / 2
-    weights = np.zeros(shape)
-    for sign, cell in terms:
-        weights[cell] += sign
-    weights = weights.transpose(order).ravel()
-    answers_count = math.prod(shape[2:])
-    cells = weights.size
+    overlaps_count, answers_count = math.prod(shape[:2]), math.prod(shape[2:])
+    cells = overlaps_count * answers_count
     width = cells + bool(terms)  # the cells, then the terms row if any
+    ch_row = overlaps_count + len(axes)  # after the overlaps and one n . m row per receiver
 
     def chunk(states, coins, m):
-        # component-major: one contiguous row of m samples per component,
-        # every float array in the chunk arena. The table rows hold the
-        # sampler's draws and kets until the table is written, and the Bloch
-        # rows' buffer holds the receivers' answers once the rows are read
+        # component-major: one contiguous row of m samples per component, every
+        # float array in the chunk arena, its rows reused as _CHUNK's comment says
         scratch = arena.take(max(4, answers_count), m)
-        rows = arena.take(max(width, 7), m)
+        rows = arena.take(max(7, ch_row + bool(terms)), m)
         cols = qcore.bloch_rows(qcore.haar_kets(states, m, rows[:7]), out=scratch[:4]).T
-        # each receiver's group, 0 where n . m > 0 and 1 elsewhere; n . m is
-        # formed in the table rows, whose kets are read by now. One matmul
-        # per party keeps each sample's arithmetic that of a single-pair call
-        for axis, out in zip(axes, rows):
+        # each receiver's group, 0 where n . m > 0 and 1 elsewhere, as intp over
+        # its n . m row; one matmul per party keeps a single-pair call's arithmetic
+        along = rows[overlaps_count:ch_row]
+        for axis, out in zip(axes, along):
             np.matmul(axis, cols[1:], out=out)
-        groups = (rows[: len(axes)] <= 0).astype(np.intp)
-        joint = rows[:cells].reshape(answers_count, -1, m)
-        for overlap, out in zip(overlaps, joint[0].reshape(len(overlaps), -1, m)):
-            np.matmul(overlap, cols, out=out)
+        groups = np.less_equal(along, 0.0, out=along.view(np.intp))
+        overlaps = rows[:overlaps_count].reshape(*shape[:2], m)
+        for coeffs, out in zip(alice_coeffs / 2, overlaps):
+            np.matmul(coeffs, cols, out=out)
         answers = scratch[:answers_count].reshape(*shape[2:], m)
         for by_group, group, out in zip(responses, groups, answers):
             # np.take gathers whole columns far faster than fancy indexing does;
             # mode="clip" lets it write into the arena unbuffered (group is 0..1)
             np.take(by_group.T, group, axis=1, out=out, mode="clip")
-        answers = answers.reshape(answers_count, 1, m)
-        np.multiply(joint[0], answers[1:], out=joint[1:])
-        joint[0] *= answers[0]
-        if terms:
-            np.matmul(weights, rows[:cells], out=rows[cells])
-        return rows[:width].T
+        # the terms row, each product formed in the first group row, read by now
+        product, ch = rows[overlaps_count], rows[ch_row : ch_row + bool(terms)]
+        ch[...] = 0.0
+        for sign, cell in terms:
+            np.multiply(overlaps[cell[:2]], answers[cell[2:]], out=product)
+            (np.add if sign > 0 else np.subtract)(ch, product, out=ch)
+        # a cell needs only its sums and sums of squares, one matmul per settings pair
+        sums = np.matmul(overlaps[:, None], answers.transpose(0, 2, 1)).transpose(0, 2, 1, 3).ravel()
+        for factor in (overlaps, answers):
+            np.square(factor, out=factor)
+        squares = np.matmul(overlaps[:, None], answers.transpose(0, 2, 1)).transpose(0, 2, 1, 3).ravel()
+        return StreamingMoments((width,)).add(ch.T, sums, squares)
 
-    moments = run_chunks(chunk, cfg.samples, cfg.seed, _CHUNK, (width,))
+    joint = run_chunks(chunk, cfg.samples, cfg.seed, _CHUNK, (width,))
     mix = 2.0 * alpha
     noise = np.multiply.outer(alice_coeffs[..., 0], bob_coeffs[..., 0]) / 4
-    table_shape = tuple(shape[i] for i in order)
-    probs = mix * moments.mean()[:cells].reshape(table_shape).transpose(order) + (1.0 - mix) * noise
+    probs = mix * joint.mean()[:cells].reshape(shape) + (1.0 - mix) * noise
     # at alpha = 0 the result is exact, and 0 times one sample's infinite stderr would be NaN
-    stderr = mix * moments.stderr() if mix else np.zeros(width)
+    stderr = mix * joint.stderr() if mix else np.zeros(width)
     terms_stderr = float(stderr[cells]) if terms else None
-    stderr = stderr[:cells].reshape(table_shape).transpose(order)
+    stderr = stderr[:cells].reshape(shape)
     if isinstance(alice, MeasurementSpec) and isinstance(bob, MeasurementSpec):
         shape = shape[1::2]
     return JointEstimate(probs.reshape(shape), stderr.reshape(shape), cfg.samples, terms_stderr)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .estimates import CHUNK, MonteCarloEstimate, arena, run_chunks
+from .estimates import CHUNK, MonteCarloEstimate, StreamingMoments, arena, run_chunks
 
 ROUTE_AGREEMENT_ATOL = 1e-12
 _PROBABILITY_FLOOR = 1e-12
@@ -161,11 +161,12 @@ def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
     sender_signs, flipped = _SENDER_SIGNS.T, correlations * _FLIP
 
     def chunk(states, coins, m):
-        # component-major: one contiguous row of m samples per component,
-        # every (4, m) array in the chunk arena; mode="clip" lets np.take
-        # write into it unbuffered (each index is already 0..3)
-        cols = qcore.bloch_rows(qcore.haar_kets(states, m), out=arena.take(4, m)).T
-        probs = np.matmul(prob_rows, cols, out=arena.take(4, m))
+        # component-major: one contiguous row of m samples per component, every (4, m)
+        # array in the chunk arena, where probs and corrected hold the kets until read;
+        # mode="clip" lets np.take write into it unbuffered (each index is 0..3)
+        rows = arena.take(8, m)
+        cols = qcore.bloch_rows(qcore.haar_kets(states, m, rows[:7]), out=arena.take(4, m)).T
+        probs = np.matmul(prob_rows, cols, out=rows[:4])
         draws = coins.random(m)
         # the outcome is how many of the first three running sums lie below
         # the draw, so a draw above a total rounded below 1 still gets 3
@@ -178,9 +179,9 @@ def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
         # p_k is gathered, so sent reuses the rows of probs
         sent = np.take(sender_signs, ks, axis=1, out=probs, mode="clip")
         sent *= cols
-        corrected = np.matmul(flipped, sent, out=arena.take(4, m))
+        corrected = np.matmul(flipped, sent, out=rows[4:])
         scores = np.einsum("as,as->s", sent, corrected)
         scores /= p_k
-        return scores
+        return StreamingMoments().add(scores)
 
     return run_chunks(chunk, samples, seed, _CHUNK).scalar_estimate()

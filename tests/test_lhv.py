@@ -11,6 +11,7 @@ import numpy.testing as npt
 import pytest
 
 from telelocal import bellcheck, lhv, qcore, teleport
+from telelocal.estimates import StreamingMoments
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 Z_PROJS = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
@@ -216,6 +217,41 @@ def test_povm_receiver_matches_quantum_statistics():
         ]
     )
     assert np.all(np.abs(est.probs - expected) <= 4 * est.stderr + 1e-12)
+
+
+@pytest.mark.parametrize("samples", [2, 7, 1500])
+def test_constant_cells_have_a_finite_rounding_stderr(samples):
+    # a chunk reduces each cell from its sums and sums of squares, where the
+    # CH table cannot see a bug. Every cell here is one constant answer times
+    # one constant overlap, so its M2, squares - sums * mean, is rounding only
+    half = _spec("povm", np.stack([np.eye(2) / 2] * 2))
+    est = lhv.estimate_joint(half, half, lhv.LhvConfig(samples, 5))
+    assert np.array_equal(est.probs, np.full((2, 2), 0.25))
+    assert np.all(np.isfinite(est.stderr)) and np.all(est.stderr <= 1e-12)
+    # 1/4 and its sums are exact in binary; these cells round, and at 7 and
+    # 1500 samples some M2 rounds below 0, which the clamp at 0 keeps from
+    # reaching the square root as NaN. The rest read about c sqrt(eps / n)
+    sender = _spec("povm", np.stack([0.3 * np.eye(2), 0.7 * np.eye(2)]))
+    receiver = _spec("povm", np.stack([0.4 * np.eye(2), 0.6 * np.eye(2)]))
+    est = lhv.estimate_joint(sender, receiver, lhv.LhvConfig(samples, 5))
+    npt.assert_allclose(est.probs, np.outer([0.3, 0.7], [0.4, 0.6]), rtol=1e-14)
+    assert np.all(np.isfinite(est.stderr)) and np.all(est.stderr <= 1e-8)
+
+
+def test_povm_receiver_stderr_matches_per_sample_products():
+    # the tilted receiver answers (0.7, 0.3) or (0.2, 0.8), so its squared
+    # answers are not its answers, as a projective receiver's are. Each cell's
+    # stderr from sums and sums of squares must match the per-sample oracle:
+    # explicit product rows from the same hidden kets, through StreamingMoments.add
+    tilted = _spec("povm", np.stack([np.diag([0.7, 0.2]), np.diag([0.3, 0.8])]))
+    sender = _grouped_effect_povm()
+    samples = 20_000
+    est = lhv.estimate_joint(sender, tilted, lhv.LhvConfig(samples, 33))
+    kets = qcore.haar_kets(np.random.default_rng(np.random.SeedSequence(33).spawn(2)[0]), samples)
+    products = _overlap(kets, sender.operators)[:, :, None] * _minimum(kets, tilted.operators)[:, None, :]
+    oracle = StreamingMoments((2, 2)).add(products)
+    npt.assert_allclose(est.probs, oracle.mean(), rtol=1e-13)
+    npt.assert_allclose(est.stderr, oracle.stderr(), rtol=1e-12)
 
 
 def test_white_noise_limit_is_exact():

@@ -250,14 +250,18 @@ def test_average_fidelity_picks_outcomes_at_the_cumulative_boundaries(monkeypatc
             return draws[:m]
 
     values = []
+    add = StreamingMoments.add
+
+    def recorded_add(self, scores):
+        # the chunk hands over its scores' moments; record the scores before add centres them
+        values.extend(scores)
+        return add(self, scores)
 
     def one_chunk(sample_chunk, samples, seed, chunk):
-        values.extend(sample_chunk(None, Coins(), samples))
-        moments = StreamingMoments()
-        moments.add(np.array(values))
-        return moments
+        return sample_chunk(None, Coins(), samples)
 
-    monkeypatch.setattr(qcore, "haar_kets", lambda rng, n: kets[:n])
+    monkeypatch.setattr(StreamingMoments, "add", recorded_add)
+    monkeypatch.setattr(qcore, "haar_kets", lambda rng, n, *scratch: kets[:n])
     monkeypatch.setattr(teleport, "run_chunks", one_chunk)
     teleport.average_fidelity(rho, samples=30, seed=0)
     for i, (chi, draw) in enumerate(zip(kets, draws)):
