@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import qcore
-from .estimates import CHUNK, MonteCarloEstimate, StreamingMoments, run_chunks
+from .estimates import CHUNK, CHUNK_ROWS, MonteCarloEstimate, StreamingMoments, arena, run_chunks
 
 _CHUNK = CHUNK
 
@@ -43,9 +43,13 @@ def gisin_scheme_fidelity(samples: int, seed: int) -> MonteCarloEstimate:
     vertices = tetrahedron_vertices()
 
     def chunk(states, coins, n):
-        # component-major: one row of n samples per vertex
-        dots = vertices @ qcore.random_bloch_vectors(states, n).T
-        return StreamingMoments().add((1.0 + dots.max(axis=0)) / 2)
+        # component-major: one row of n samples per vertex after the sampler's six arena rows
+        rows = arena.take(CHUNK_ROWS, n)
+        dots = np.matmul(vertices, qcore.random_bloch_vectors(states, n, rows[:6]).T, out=rows[6:])
+        scores = np.max(dots, axis=0, out=rows[0])
+        scores += 1.0
+        scores /= 2
+        return StreamingMoments().add(scores)
 
     return run_chunks(chunk, samples, seed, _CHUNK).scalar_estimate()
 
@@ -60,7 +64,7 @@ def z_scheme_fidelity(samples: int, seed: int) -> MonteCarloEstimate:
 
     def chunk(states, coins, n):
         # only m_z is scored, so each pair (u, v) gives only z = 2u - 1
-        scores = qcore.random_bloch_z(states, n)
+        scores = qcore.random_bloch_z(states, n, arena.take(CHUNK_ROWS, n)[:3])
         np.square(scores, out=scores)
         scores += 1.0
         scores /= 2

@@ -10,12 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# rows per Monte Carlo chunk of every kernel: a chunk's arrays stay in a
-# core's 2 MB L2 cache, and the chunks in flight, one per worker, keep peak
-# memory low; each thread keeps one chunk's arrays in its arena for the life
-# of the process, at most 768 KiB (a teleport chunk's 12 rows; a CH table
-# chunk keeps 11); results do not depend on it (see run_chunks)
-CHUNK = 8_192
+# rows per Monte Carlo chunk of every kernel: a 1M estimate on two pool workers
+# against one took 0.068 vs 0.073 s at 8192 rows and 0.049 vs 0.066 s at 16384
+# (average_fidelity, 2 shared CPUs); results do not depend on it (see run_chunks)
+CHUNK = 16_384
+# rows of CHUNK floats every kernel's chunk takes from its thread's arena, kept
+# for the life of the process (1.25 MiB): the same for all, so one chunk sizes it
+CHUNK_ROWS = 10
 # rows per stream block: part of the definition of every estimate's random
 # streams, not a setting (see run_chunks)
 BLOCK = 65_536
@@ -159,6 +160,8 @@ class ChunkArena(threading.local):
 
     def reset(self) -> None:
         if self._used > self._buffer.size:
+            # dropped first, so the old and the grown buffer are never alive at once
+            self._buffer = np.empty(0)
             self._buffer = np.empty(self._used)
         self._used = 0
 

@@ -37,13 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bellcheck, qcore
-from .estimates import CHUNK, StreamingMoments, arena, run_chunks
+from .estimates import CHUNK, CHUNK_ROWS, StreamingMoments, arena, run_chunks
 
 _PARALLEL_ATOL = 1e-10
-# a CH table chunk keeps 11 rows of samples in the arena: the 4 Bloch rows, which
-# then hold the receivers' answers, and 7 rows that hold the sampler's draws and
-# kets, then the sender overlaps, the receivers' groups and the CH sum; at 8192
-# rows that is 704 KiB, within the 768 KiB a teleport chunk keeps
+# a CH table chunk keeps 10 rows of samples in the arena, CHUNK_ROWS: 4 overlap
+# rows, which first hold the kets, 2 n . m rows, later the product and CH rows,
+# and 4 Bloch rows, later the answers; at 16384 rows that is 1.25 MiB
 _CHUNK = CHUNK
 
 
@@ -144,30 +143,32 @@ def estimate_joint(
     overlaps_count, answers_count = math.prod(shape[:2]), math.prod(shape[2:])
     cells = overlaps_count * answers_count
     width = cells + bool(terms)  # the cells, then the terms row if any
-    ch_row = overlaps_count + len(axes)  # after the overlaps and one n . m row per receiver
+    lead, middle = max(4, overlaps_count), max(len(axes), 2 * bool(terms))
+    bloch = lead + middle
 
     def chunk(states, coins, m):
-        # component-major: one contiguous row of m samples per component, every
-        # float array in the chunk arena, its rows reused as _CHUNK's comment says
-        scratch = arena.take(max(4, answers_count), m)
-        rows = arena.take(max(7, ch_row + bool(terms)), m)
-        cols = qcore.bloch_rows(qcore.haar_kets(states, m, rows[:7]), out=scratch[:4]).T
+        # component-major: one contiguous row of m samples per component, all in
+        # the chunk arena. The overlap rows first hold the kets, the n . m rows
+        # the draws and later the terms' product and CH rows, and the Bloch
+        # rows later the answers: 10 rows for a CH table, as CHUNK_ROWS allows
+        rows = arena.take(max(CHUNK_ROWS, bloch + max(4, answers_count)), m)
+        cols = qcore.bloch_rows(qcore.haar_kets(states, m, rows[:7]), out=rows[bloch : bloch + 4]).T
         # each receiver's group, 0 where n . m > 0 and 1 elsewhere, as intp over
         # its n . m row; one matmul per party keeps a single-pair call's arithmetic
-        along = rows[overlaps_count:ch_row]
+        along = rows[lead : lead + len(axes)]
         for axis, out in zip(axes, along):
             np.matmul(axis, cols[1:], out=out)
         groups = np.less_equal(along, 0.0, out=along.view(np.intp))
         overlaps = rows[:overlaps_count].reshape(*shape[:2], m)
         for coeffs, out in zip(alice_coeffs / 2, overlaps):
             np.matmul(coeffs, cols, out=out)
-        answers = scratch[:answers_count].reshape(*shape[2:], m)
+        answers = rows[bloch : bloch + answers_count].reshape(*shape[2:], m)
         for by_group, group, out in zip(responses, groups, answers):
             # np.take gathers whole columns far faster than fancy indexing does;
             # mode="clip" lets it write into the arena unbuffered (group is 0..1)
             np.take(by_group.T, group, axis=1, out=out, mode="clip")
-        # the terms row, each product formed in the first group row, read by now
-        product, ch = rows[overlaps_count], rows[ch_row : ch_row + bool(terms)]
+        # the terms row, each product formed in the first n . m row, read by now
+        product, ch = rows[lead], rows[lead + 1 : lead + 1 + bool(terms)]
         ch[...] = 0.0
         for sign, cell in terms:
             np.multiply(overlaps[cell[:2]], answers[cell[2:]], out=product)

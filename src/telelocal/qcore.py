@@ -104,8 +104,8 @@ def bloch_rows(kets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     complex temporaries are built. The four components are filled as
     contiguous rows of a (4, n) buffer, ``out`` when given, and returned as
     its (n, 4) transpose view, so ``bloch_rows(kets).T`` is component-major
-    at no cost. Each row is accumulated in place, with at most two
-    temporary rows alive.
+    at no cost. Each product is written into a row of that buffer not yet
+    written, so no temporary row is built.
     """
     parts = np.ascontiguousarray(kets, dtype=complex).view(float)
     ar, ai, br, bi = parts.T
@@ -113,18 +113,19 @@ def bloch_rows(kets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if cols.shape != (4, parts.shape[0]):
         raise ValueError(f"out has shape {cols.shape}, expected {(4, parts.shape[0])}")
     one, x, y, z = cols
-    one[...] = 1.0
+    np.multiply(ar, ar, out=z)
+    z += np.multiply(ai, ai, out=y)
+    # x holds |b|^2 until z is done
+    np.multiply(br, br, out=x)
+    x += np.multiply(bi, bi, out=y)
+    z -= x
     np.multiply(ar, br, out=x)
-    x += ai * bi
+    x += np.multiply(ai, bi, out=one)
     x *= 2
     np.multiply(ar, bi, out=y)
-    y -= ai * br
+    y -= np.multiply(ai, br, out=one)
     y *= 2
-    np.multiply(ar, ar, out=z)
-    z += ai * ai
-    b_squared = br * br
-    b_squared += bi * bi
-    z -= b_squared
+    one[...] = 1.0
     return cols.T
 
 
@@ -212,8 +213,14 @@ def is_density(m) -> bool:
     return bool(np.linalg.eigvalsh((m + m.conj().T) / 2).min() >= -ATOL_PSD)
 
 
+def _scratch_rows(scratch: np.ndarray, rows: int, n: int) -> np.ndarray:
+    if scratch.shape != (rows, n) or scratch.dtype != float or not scratch.flags.c_contiguous:
+        raise ValueError(f"scratch must be a C-contiguous float array of shape {(rows, n)}")
+    return scratch
+
+
 def _state_draws(
-    rng: np.random.Generator, n: int, rows: np.ndarray | None = None
+    rng: np.random.Generator, n: int, scratch: np.ndarray | None, rows: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the state stream: row i of random((n, 2)) is the i-th pair (u, v), and
     # phi = 2 pi v - pi. NumPy's float64 cos and sin can be scalar libm calls
@@ -222,17 +229,17 @@ def _state_draws(
     # 2 pi v - pi) and then sin phi = 2t/(1 + t^2); the v column becomes
     # cos phi = (1 - t^2)/(1 + t^2), formed as 2/(1 + t^2) - 1. t^2 stays
     # finite: at v = 0, t is about -1.6e16. Returns u and cos phi, column
-    # views of the draws, and the sin phi row; with ``rows``, three rows of
-    # n floats, the draws fill the first two, read as (n, 2), and sin phi
-    # the third. Without, the draws and the row are two arrays: one (3, n)
-    # array for both made teleport.average_fidelity's 8192-row chunks about
-    # 15% slower (perfbench state-sweep pass_s, 2 shared CPUs)
-    if rows is None:
+    # views of the draws, and the sin phi row; with ``scratch``, a sampler's
+    # (rows, n) scratch, the draws fill the two rows before its last, read as
+    # (n, 2), and sin phi the last. Without, the draws and the row are two
+    # arrays: one (3, n) array for both made teleport.average_fidelity's
+    # 8192-row chunks about 15% slower (perfbench state-sweep pass_s, 2 shared CPUs)
+    if scratch is None:
         u, cos_phi = rng.random((n, 2)).T
         sin_phi = np.multiply(cos_phi, np.pi)
     else:
-        u, cos_phi = rng.random(out=rows[:2].reshape(n, 2)).T
-        sin_phi = np.multiply(cos_phi, np.pi, out=rows[2])
+        u, cos_phi = rng.random(out=_scratch_rows(scratch, rows, n)[-3:-1].reshape(n, 2)).T
+        sin_phi = np.multiply(cos_phi, np.pi, out=scratch[-1])
     sin_phi -= np.pi / 2
     np.tan(sin_phi, out=sin_phi)
     np.multiply(sin_phi, sin_phi, out=cos_phi)
@@ -262,14 +269,8 @@ def haar_kets(rng: np.random.Generator, n: int, scratch: np.ndarray | None = Non
     as (n, 4), and the draws and t fill the other three, with the same kets
     bit for bit.
     """
-    if scratch is None:
-        u, cos_phi, sin_phi = _state_draws(rng, n)
-        kets = np.empty((n, 2), dtype=complex)
-    elif scratch.shape != (7, n) or scratch.dtype != float or not scratch.flags.c_contiguous:
-        raise ValueError(f"scratch must be a C-contiguous float array of shape {(7, n)}")
-    else:
-        u, cos_phi, sin_phi = _state_draws(rng, n, scratch[4:])
-        kets = scratch[:4].reshape(n, 4).view(complex)
+    u, cos_phi, sin_phi = _state_draws(rng, n, scratch, 7)
+    kets = np.empty((n, 2), dtype=complex) if scratch is None else scratch[:4].reshape(n, 4).view(complex)
     ar, ai, br, bi = kets.view(float).T
     np.sqrt(u, out=ar)
     ai[...] = 0.0
@@ -280,17 +281,20 @@ def haar_kets(rng: np.random.Generator, n: int, scratch: np.ndarray | None = Non
     return kets
 
 
-def random_bloch_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
+def random_bloch_vectors(rng: np.random.Generator, n: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """n uniform points on the unit sphere, one per row: the Bloch vectors of ``haar_kets(rng, n)``.
 
     From the same pair (u, v) per row, (r cos phi, r sin phi, 2u - 1) with
     r = 2 sqrt(u (1 - u)) and phi = 2 pi v - pi, where cos phi and sin phi
     are (1 - t^2)/(1 + t^2) and 2t/(1 + t^2) with t = tan(phi / 2). They are
     written into the (n, 3) result; besides the draws and the result, the
-    only array is one row of n floats holding t.
+    only array is one row of n floats holding t. With ``scratch``, a
+    C-contiguous float (6, n) array, nothing is allocated: the result is its
+    first three rows, read as (n, 3), and the draws and t fill the other
+    three, with the same vectors bit for bit.
     """
-    u, cos_phi, sin_phi = _state_draws(rng, n)
-    vectors = np.empty((n, 3))
+    u, cos_phi, sin_phi = _state_draws(rng, n, scratch, 6)
+    vectors = np.empty((n, 3)) if scratch is None else scratch[:3].reshape(n, 3)
     x, y, z = vectors.T
     # z holds r until x and y are scaled
     np.subtract(1.0, u, out=z)
@@ -304,13 +308,18 @@ def random_bloch_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
     return vectors
 
 
-def random_bloch_z(rng: np.random.Generator, n: int) -> np.ndarray:
+def random_bloch_z(rng: np.random.Generator, n: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """The z components 2u - 1 of ``random_bloch_vectors(rng, n)``, bit for bit.
 
     Row i reads the i-th pair (u, v) of ``rng.random((n, 2))`` like the
-    other samplers, so the stream is the same, and v goes unused.
+    other samplers, so the stream is the same, and v goes unused. With
+    ``scratch``, a C-contiguous float (3, n) array, nothing is allocated:
+    the result is its first row and the draws fill the other two.
     """
-    z = np.multiply(rng.random((n, 2))[:, 0], 2.0)
+    if scratch is None:
+        z = np.multiply(rng.random((n, 2))[:, 0], 2.0)
+    else:
+        z = np.multiply(rng.random(out=_scratch_rows(scratch, 3, n)[1:].reshape(n, 2))[:, 0], 2.0, out=scratch[0])
     z -= 1.0
     return z
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .estimates import CHUNK, MonteCarloEstimate, StreamingMoments, arena, run_chunks
+from .estimates import CHUNK, CHUNK_ROWS, MonteCarloEstimate, StreamingMoments, arena, run_chunks
 
 ROUTE_AGREEMENT_ATOL = 1e-12
 _PROBABILITY_FLOOR = 1e-12
@@ -157,31 +157,33 @@ def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
     Raises ValueError unless rho is a two-qubit density matrix.
     """
     correlations = qcore.pauli_correlations(rho) / 8
-    prob_rows = 2 * _SENDER_SIGNS * correlations[:, 0]
-    sender_signs, flipped = _SENDER_SIGNS.T, correlations * _FLIP
+    prob_rows = 2 * _SENDER_SIGNS[:3] * correlations[:, 0]
+    # the corrected overlaps, then p_k = (s_k * m~) . 2 R[:, 0] / 8 as a fifth row
+    sender_signs, score_rows = _SENDER_SIGNS.T, np.vstack([correlations * _FLIP, 2 * correlations[:, 0]])
 
     def chunk(states, coins, m):
-        # component-major: one contiguous row of m samples per component, every (4, m)
-        # array in the chunk arena, where probs and corrected hold the kets until read;
-        # mode="clip" lets np.take write into it unbuffered (each index is 0..3)
-        rows = arena.take(8, m)
-        cols = qcore.bloch_rows(qcore.haar_kets(states, m, rows[:7]), out=arena.take(4, m)).T
-        probs = np.matmul(prob_rows, cols, out=rows[:4])
-        draws = coins.random(m)
-        # the outcome is how many of the first three running sums lie below
-        # the draw, so a draw above a total rounded below 1 still gets 3
-        total = probs[0].copy()
-        ks = (draws > total).astype(np.intp)
-        for p in probs[1:3]:
-            total += p
-            ks += draws > total
-        p_k = np.take(probs, ks * m + np.arange(m))
-        # p_k is gathered, so sent reuses the rows of probs
-        sent = np.take(sender_signs, ks, axis=1, out=probs, mode="clip")
+        # component-major: one contiguous row of m samples per component in CHUNK_ROWS
+        # arena rows: 0-3 the kets, then three outcome probabilities, their running sums
+        # and a comparison row, then s_k * m~; 4-7 the draws, the Bloch rows, then the
+        # corrected overlaps; 8 the coin draws, then p_k; 9 the outcomes, then the scores
+        rows = arena.take(CHUNK_ROWS, m)
+        cols = qcore.bloch_rows(qcore.haar_kets(states, m, rows[:7]), out=rows[4:8]).T
+        totals = np.matmul(prob_rows, cols, out=rows[:3])
+        draws = coins.random(out=rows[8])
+        # the outcome is how many of the three running sums lie below the draw,
+        # so a draw above a total rounded below 1 still gets 3; each comparison
+        # is written as intp, since adding bools to intp casts through a buffer
+        ks, above = rows[9].view(np.intp), rows[3].view(np.intp)
+        np.greater(draws, totals[0], out=ks)
+        for total, p in zip(totals[:2], totals[1:]):
+            p += total
+            ks += np.greater(draws, p, out=above)
+        # mode="clip" lets np.take write into the arena unbuffered (each index is 0..3)
+        sent = np.take(sender_signs, ks, axis=1, out=rows[:4], mode="clip")
         sent *= cols
-        corrected = np.matmul(flipped, sent, out=rows[4:])
-        scores = np.einsum("as,as->s", sent, corrected)
-        scores /= p_k
+        corrected = np.matmul(score_rows, sent, out=rows[4:9])
+        scores = np.einsum("as,as->s", sent, corrected[:4], out=rows[9])
+        scores /= corrected[4]
         return StreamingMoments().add(scores)
 
     return run_chunks(chunk, samples, seed, _CHUNK).scalar_estimate()

@@ -22,6 +22,19 @@ def singlet_fraction_fidelity(rho) -> float:
     return (2 * fidelity(qcore.bell_basis()[0], rho) + 1) / 3
 
 
+def bloch_rows(kets) -> np.ndarray:
+    """Rows (1, x, y, z) of qubit kets by the formula qcore.bloch_rows must match bit for bit.
+
+    x = 2 (ar br + ai bi), y = 2 (ar bi - ai br), z = (ar^2 + ai^2) - (br^2 + bi^2),
+    each product formed as a temporary, returned as the (n, 4) transpose of (4, n) rows.
+    """
+    ar, ai, br, bi = np.ascontiguousarray(kets, dtype=complex).view(float).T
+    x = (ar * br + ai * bi) * 2
+    y = (ar * bi - ai * br) * 2
+    z = (ar * ar + ai * ai) - (br * br + bi * bi)
+    return np.stack([np.ones_like(x), x, y, z]).T
+
+
 def non_states() -> tuple[np.ndarray, ...]:
     """Trace-one 4x4 matrices that are not density matrices.
 

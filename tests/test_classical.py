@@ -12,8 +12,8 @@ GISIN_ANALYTIC = 0.8724286556585266
 def _score(monkeypatch, scheme, m) -> float:
     """A scheme's Monte Carlo score for the one Bloch vector m, drawn in place of uniform ones."""
     rows = np.asarray(m, dtype=float)[None]
-    monkeypatch.setattr(qcore, "random_bloch_vectors", lambda rng, n: np.repeat(rows, n, axis=0))
-    monkeypatch.setattr(qcore, "random_bloch_z", lambda rng, n: np.repeat(rows[:, 2], n))
+    monkeypatch.setattr(qcore, "random_bloch_vectors", lambda rng, n, scratch=None: np.repeat(rows, n, axis=0))
+    monkeypatch.setattr(qcore, "random_bloch_z", lambda rng, n, scratch=None: np.repeat(rows[:, 2], n))
     return scheme(1, seed=0).value
 
 

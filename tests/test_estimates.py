@@ -12,7 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from telelocal import bellcheck, estimates, lhv, qcore, teleport
+from telelocal import bellcheck, classical, estimates, lhv, qcore, teleport
 from telelocal.estimates import ChunkArena, MonteCarloEstimate, StreamingMoments, run_chunks
 
 
@@ -382,46 +382,72 @@ def _traced_peak(estimate):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("name", ["teleport", "lhv"])
-def test_warmed_chunks_allocate_no_chunk_arrays(name):
-    # one block, run in this thread; after the first chunk the chunk's float
-    # arrays, the Haar kets and their draws too, live in the arena. What a
-    # chunk still allocates peaks at about 6.1 rows of CHUNK float64 in a
-    # teleport chunk (the coin draws, running sums, outcome indices and the
-    # gather) and 2.1 rows in an lhv chunk (bloch_rows' two temporary rows);
-    # a teleport chunk that allocates its kets afresh peaks above 7 rows
-    alice, bob = _lhv_spec()
-    rho = qcore.random_density(np.random.default_rng(41), 4)
-    estimate, rows = {
-        "teleport": (lambda: teleport.average_fidelity(rho, estimates.BLOCK, 9), 6.5),
-        "lhv": (lambda: lhv.estimate_joint(alice, bob, lhv.LhvConfig(estimates.BLOCK, 29), alpha=0.25), 2.5),
-    }[name]
-    assert _traced_peak(estimate) < rows * estimates.CHUNK * 8
-
-
-# the arena a teleport chunk keeps, 12 rows of 8192 float64
-ARENA_BUDGET = 768 * 1024
-
-
-@pytest.mark.parametrize("name", ["teleport", "lhv", "lhv-ch"])
-def test_no_chunk_outgrows_the_arena_budget(name):
-    # one block runs in the calling thread, here a fresh one with an empty
-    # arena, which its chunks warm to the most any of them asked for
+def _estimate(name):
+    # one block of each kernel, run in the calling thread
     alice, bob = _lhv_spec()
     rho = qcore.random_density(np.random.default_rng(41), 4)
     setting, grouping = bellcheck.violation_setting(), bellcheck.OutcomeGrouping()
-    estimate = {
+    return {
         "teleport": lambda: teleport.average_fidelity(rho, estimates.BLOCK, 9),
-        "lhv": lambda: lhv.estimate_joint(alice, bob, lhv.LhvConfig(estimates.BLOCK, 29)),
+        "lhv": lambda: lhv.estimate_joint(alice, bob, lhv.LhvConfig(estimates.BLOCK, 29), alpha=0.25),
         "lhv-ch": lambda: lhv.lhv_teleport_experiment(setting, grouping, lhv.LhvConfig(estimates.BLOCK, 29)),
+        "gisin": lambda: classical.gisin_scheme_fidelity(estimates.BLOCK, 13),
+        "z": lambda: classical.z_scheme_fidelity(estimates.BLOCK, 13),
     }[name]
+
+
+KERNELS = ["teleport", "lhv", "lhv-ch", "gisin", "z"]
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_warmed_chunks_allocate_no_chunk_arrays(name):
+    # after the first chunk every chunk-sized array, the kets or Bloch vectors
+    # and their draws too, lives in the arena. What a chunk still allocates
+    # peaks at about 0.11 row of CHUNK float64 in a teleport chunk (the
+    # comparisons' cast buffers) and 0.33 in a CH table chunk; one row of
+    # samples allocated afresh, a draw row or a ket row, exceeds half a row
+    assert _traced_peak(_estimate(name)) <= 0.5 * estimates.CHUNK * 8
+
+
+# CHUNK_ROWS rows of CHUNK float64, 1.25 MiB. The rows per chunk doubled with
+# CHUNK (8192 -> 16384 rows) so that the two pool workers overlap; a chunk's
+# memory is bounded by this, by the allocation test above and end to end by
+# the benchmark's peak_rss_mb
+ARENA_BUDGET = 10 * estimates.CHUNK * 8
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_no_chunk_outgrows_the_arena_budget(name):
+    # a fresh thread has an empty arena, which its chunks warm to the most any
+    # of them asked for; every kernel asks for the same rows
+    estimate = _estimate(name)
 
     def warmed_arena_bytes():
         estimate()
         return estimates.arena._buffer.nbytes
 
     with ThreadPoolExecutor(1) as thread:
-        assert 0 < thread.submit(warmed_arena_bytes).result(timeout=120) <= ARENA_BUDGET
+        assert thread.submit(warmed_arena_bytes).result(timeout=120) == ARENA_BUDGET
+
+
+def test_a_regrown_arena_drops_its_old_buffer_first():
+    # a warm 100k-float buffer; the next chunk takes all of it and 50k floats
+    # afresh, so the reset grows it to 150k. Both buffers alive at once would
+    # peak at 250k floats, above the new buffer plus the chunk's fresh array
+    arena = ChunkArena()
+    tracemalloc.start()
+    try:
+        arena.take(100_000)
+        arena.reset()
+        arena.take(100_000)
+        fresh = arena.take(50_000)
+        del fresh
+        arena.reset()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert arena._buffer.size == 150_000
+    assert peak <= (150_000 + 50_000) * 8 + 4096
 
 
 def test_add_centres_a_component_major_chunk_without_a_copy():

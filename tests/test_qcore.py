@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracles
 from oracles import fidelity
 from telelocal import bellcheck, estimates, qcore, teleport
 
@@ -205,6 +206,22 @@ def test_bloch_rows_fill_a_given_buffer():
         qcore.bloch_rows(kets, out=np.empty((4, 999)))
 
 
+def test_bloch_rows_into_a_given_buffer_allocate_no_row():
+    n = estimates.CHUNK
+    kets = qcore.haar_kets(np.random.default_rng(RNG_SEED + 17), n)
+    buf = np.empty((4, n))
+    qcore.bloch_rows(kets, out=buf)
+    tracemalloc.start()
+    try:
+        rows = qcore.bloch_rows(kets, out=buf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # each product is written into a row of buf, so not even one temporary row
+    assert peak < 8 * n
+    assert np.array_equal(rows, oracles.bloch_rows(kets))
+
+
 def test_bloch_rows_of_a_chunk_stay_within_24_mb():
     tracemalloc.start()
     try:
@@ -236,6 +253,30 @@ def test_random_bloch_z_is_the_z_column_of_random_bloch_vectors():
     assert np.array_equal(z, qcore.random_bloch_vectors(twin, 500)[:, 2])
     # both read one pair (u, v) per row
     assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize(
+    "sample, rows", [(qcore.random_bloch_vectors, 6), (qcore.random_bloch_z, 3)], ids=["vectors", "z"]
+)
+def test_bloch_samplers_in_scratch_rows_give_the_same_values(sample, rows):
+    n = estimates.CHUNK
+    rng, twin = np.random.default_rng(RNG_SEED + 18), np.random.default_rng(RNG_SEED + 18)
+    scratch = np.empty((rows, n))
+    sample(np.random.default_rng(RNG_SEED + 18), n, scratch)
+    tracemalloc.start()
+    try:
+        values = sample(rng, n, scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the draws, any tangent row and the result all live in the scratch rows
+    assert peak < 8 * n
+    assert np.shares_memory(values, scratch)
+    assert np.array_equal(values, sample(twin, n))
+    assert rng.random() == twin.random()
+    for bad in (np.empty((rows, n - 1)), np.empty((rows - 1, n)), np.empty((n, rows)).T):
+        with pytest.raises(ValueError):
+            sample(rng, n, bad)
 
 
 def test_haar_kets_in_scratch_rows_are_the_same_kets():

@@ -246,8 +246,8 @@ def test_average_fidelity_picks_outcomes_at_the_cumulative_boundaries(monkeypatc
     assert np.array_equal(draws.reshape(5, 6)[:, 1:5], totals[:, ::6].T)
 
     class Coins:
-        def random(self, m):
-            return draws[:m]
+        def random(self, out):
+            return draws[: len(out)]
 
     values = []
     add = StreamingMoments.add
