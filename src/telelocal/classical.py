@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import qcore
-from .estimates import CHUNK, CHUNK_ROWS, MonteCarloEstimate, StreamingMoments, arena, run_chunks
+from .estimates import CHUNK, MonteCarloEstimate, StreamingMoments, run_chunks
 
 _CHUNK = CHUNK
 
@@ -42,10 +42,9 @@ def gisin_scheme_fidelity(samples: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo average fidelity of the tetrahedron scheme over uniform m."""
     vertices = tetrahedron_vertices()
 
-    def chunk(states, coins, n):
-        # component-major: one row of n samples per vertex after the sampler's six arena rows
-        rows = arena.take(CHUNK_ROWS, n)
-        dots = np.matmul(vertices, qcore.random_bloch_vectors(states, n, rows[:6]).T, out=rows[6:])
+    def chunk(states, coins, rows):
+        # component-major: one row of samples per vertex after the sampler's six rows
+        dots = np.matmul(vertices, qcore.random_bloch_vectors(states, rows.shape[1], rows[:6]).T, out=rows[6:])
         scores = np.max(dots, axis=0, out=rows[0])
         scores += 1.0
         scores /= 2
@@ -62,9 +61,9 @@ def gisin_fidelity_analytic() -> float:
 def z_scheme_fidelity(samples: int, seed: int) -> MonteCarloEstimate:
     """Monte Carlo average of the z scheme over uniform m; converges to 2/3."""
 
-    def chunk(states, coins, n):
+    def chunk(states, coins, rows):
         # only m_z is scored, so each pair (u, v) gives only z = 2u - 1
-        scores = qcore.random_bloch_z(states, n, arena.take(CHUNK_ROWS, n)[:3])
+        scores = qcore.random_bloch_z(states, rows.shape[1], rows[:3])
         np.square(scores, out=scores)
         scores += 1.0
         scores /= 2

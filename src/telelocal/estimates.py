@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from collections.abc import Callable
@@ -14,8 +13,8 @@ import numpy as np
 # against one took 0.068 vs 0.073 s at 8192 rows and 0.049 vs 0.066 s at 16384
 # (average_fidelity, 2 shared CPUs); results do not depend on it (see run_chunks)
 CHUNK = 16_384
-# rows of CHUNK floats every kernel's chunk takes from its thread's arena, kept
-# for the life of the process (1.25 MiB): the same for all, so one chunk sizes it
+# rows of CHUNK floats run_chunks hands each kernel's chunk by default, from its
+# thread's buffer kept for the thread's life (1.25 MiB at the default CHUNK)
 CHUNK_ROWS = 10
 # rows per stream block: part of the definition of every estimate's random
 # streams, not a setting (see run_chunks)
@@ -29,6 +28,8 @@ IN_FLIGHT_PER_WORKER = 2
 _pool = None
 _workers = 0
 _pool_lock = threading.Lock()
+# each thread's chunk rows, grown to the most any of its chunks has needed
+_buffers = threading.local()
 
 
 def _forget_pool() -> None:
@@ -143,39 +144,6 @@ class StreamingMoments:
         return MonteCarloEstimate(float(self.mean()), float(self.stderr()), self._count)
 
 
-class ChunkArena(threading.local):
-    """A per-thread bump allocator for the float64 arrays of one Monte Carlo chunk.
-
-    ``take(*shape)`` carves a C-contiguous view from one flat buffer;
-    ``reset()``, called by run_chunks before each chunk, hands the whole
-    buffer out again. A ``take`` that does not fit returns a fresh array,
-    and the next ``reset`` grows the buffer to the largest amount a chunk
-    has asked for, so after a thread's first chunk its chunks allocate
-    nothing here. Each thread has its own buffer.
-    """
-
-    def __init__(self):
-        self._buffer = np.empty(0)
-        self._used = 0
-
-    def reset(self) -> None:
-        if self._used > self._buffer.size:
-            # dropped first, so the old and the grown buffer are never alive at once
-            self._buffer = np.empty(0)
-            self._buffer = np.empty(self._used)
-        self._used = 0
-
-    def take(self, *shape: int) -> np.ndarray:
-        start = self._used
-        self._used += math.prod(shape)
-        if self._used > self._buffer.size:
-            return np.empty(shape)
-        return self._buffer[start : self._used].reshape(shape)
-
-
-arena = ChunkArena()
-
-
 def _executor():
     global _pool, _workers
     with _pool_lock:
@@ -196,23 +164,29 @@ def child_seeds(seed: int, n: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
 
 
-def _block_moments(sample_chunk, seed: int, block: int, rows: int, chunk: int, cell_shape) -> StreamingMoments:
+def _block_moments(sample_chunk, seed: int, block: int, rows: int, chunk: int, k: int, cell_shape) -> StreamingMoments:
     states, coins = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2 * block + s,))) for s in (0, 1))
+    buffer = getattr(_buffers, "floats", None)
+    if buffer is None or buffer.size < k * min(chunk, rows):
+        # dropped first, so the old and the grown buffer are never alive at once
+        buffer = _buffers.floats = None
+        buffer = _buffers.floats = np.empty(k * min(chunk, rows))
     moments = StreamingMoments(cell_shape)
     for start in range(0, rows, chunk):
-        arena.reset()
-        moments.merge(sample_chunk(states, coins, min(chunk, rows - start)))
+        m = min(chunk, rows - start)
+        moments.merge(sample_chunk(states, coins, buffer[: k * m].reshape(k, m)))
     return moments
 
 
 def run_chunks(
-    sample_chunk: Callable[[np.random.Generator, np.random.Generator, int], StreamingMoments],
+    sample_chunk: Callable[[np.random.Generator, np.random.Generator, np.ndarray], StreamingMoments],
     samples: int,
     seed: int,
     chunk: int,
     cell_shape: tuple[int, ...] = (),
+    k: int = CHUNK_ROWS,
 ) -> StreamingMoments:
-    """The merged moments of ``sample_chunk(states, coins, m)`` over ``samples`` rows in chunks of at most ``chunk``.
+    """The merged moments of ``sample_chunk(states, coins, rows)`` over ``samples`` rows in chunks of at most ``chunk``.
 
     This is the only place that builds generators, and ``child_seeds``,
     which gives each estimate of a run its own seed, the one seed
@@ -222,13 +196,16 @@ def run_chunks(
     ``coins`` stream, for Bell-outcome draws, from
     ``spawn_key=(2b + 1,)``; block 0 is ``SeedSequence(seed).spawn(2)``.
     ``samples`` that is not an integer >= 1 (a bool is not) raises
-    ValueError before any generator is built. Each call takes its rows'
-    values from each stream in row order, so the results do not depend on
-    ``chunk``, and returns a StreamingMoments of ``cell_shape`` that has
-    seen them, which the block merges in chunk order: into an empty
-    accumulator ``_update`` copies exactly, so ``StreamingMoments().add``
-    gives the bits of adding to the block's. Its arrays may be taken from
-    ``arena``, which is reset before every chunk, since none outlives it.
+    ValueError before any generator is built. A chunk of m rows gets
+    ``rows``, a C-contiguous (k, m) float view of its thread's buffer, which
+    is kept for the thread's life and grown, never shrunk, to the most a
+    block asks for, so the chunk may use it for all its arrays, and none
+    may outlive the call. Each call takes its rows' values from each stream
+    in row order, so the results do not depend on ``chunk``, and returns a
+    StreamingMoments of ``cell_shape`` that has seen them, which the block
+    merges in chunk order: into an empty accumulator ``_update`` copies
+    exactly, so ``StreamingMoments().add`` gives the bits of adding to the
+    block's.
 
     A single block runs in the caller's thread. More blocks run on a pool
     of one worker thread per CPU, built on first use (NumPy's generators
@@ -246,7 +223,7 @@ def run_chunks(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if samples <= BLOCK:
-        return _block_moments(sample_chunk, seed, 0, samples, chunk, cell_shape)
+        return _block_moments(sample_chunk, seed, 0, samples, chunk, k, cell_shape)
     pool, workers = _executor()
     pending = []
     moments = StreamingMoments(cell_shape)
@@ -257,7 +234,7 @@ def run_chunks(
                 moments.merge(pending[0].result())
                 del pending[0]
             rows = min(BLOCK, samples - start)
-            pending.append(pool.submit(_block_moments, sample_chunk, seed, b, rows, chunk, cell_shape))
+            pending.append(pool.submit(_block_moments, sample_chunk, seed, b, rows, chunk, k, cell_shape))
         for future in pending:
             moments.merge(future.result())
     except BaseException:

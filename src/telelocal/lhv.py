@@ -37,12 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bellcheck, qcore
-from .estimates import CHUNK, CHUNK_ROWS, StreamingMoments, arena, run_chunks
+from .estimates import CHUNK, CHUNK_ROWS, StreamingMoments, run_chunks
 
 _PARALLEL_ATOL = 1e-10
-# a CH table chunk keeps 10 rows of samples in the arena, CHUNK_ROWS: 4 overlap
-# rows, which first hold the kets, 2 n . m rows, later the product and CH rows,
-# and 4 Bloch rows, later the answers; at 16384 rows that is 1.25 MiB
+# a CH table chunk keeps 10 rows of samples, CHUNK_ROWS: 4 overlap rows, which
+# first hold the kets, 2 n . m rows, later the product and CH rows, and 4 Bloch
+# rows, later the answers; at 16384 rows that is 1.25 MiB
 _CHUNK = CHUNK
 
 
@@ -146,12 +146,12 @@ def estimate_joint(
     lead, middle = max(4, overlaps_count), max(len(axes), 2 * bool(terms))
     bloch = lead + middle
 
-    def chunk(states, coins, m):
+    def chunk(states, coins, rows):
         # component-major: one contiguous row of m samples per component, all in
-        # the chunk arena. The overlap rows first hold the kets, the n . m rows
-        # the draws and later the terms' product and CH rows, and the Bloch
-        # rows later the answers: 10 rows for a CH table, as CHUNK_ROWS allows
-        rows = arena.take(max(CHUNK_ROWS, bloch + max(4, answers_count)), m)
+        # the rows run_chunks hands over. The overlap rows first hold the kets, the
+        # n . m rows the draws and later the terms' product and CH rows, and the
+        # Bloch rows later the answers: 10 rows for a CH table, as CHUNK_ROWS allows
+        m = rows.shape[1]
         cols = qcore.bloch_rows(qcore.haar_kets(states, m, rows[:7]), out=rows[bloch : bloch + 4]).T
         # each receiver's group, 0 where n . m > 0 and 1 elsewhere, as intp over
         # its n . m row; one matmul per party keeps a single-pair call's arithmetic
@@ -165,7 +165,7 @@ def estimate_joint(
         answers = rows[bloch : bloch + answers_count].reshape(*shape[2:], m)
         for by_group, group, out in zip(responses, groups, answers):
             # np.take gathers whole columns far faster than fancy indexing does;
-            # mode="clip" lets it write into the arena unbuffered (group is 0..1)
+            # mode="clip" lets it write into the rows unbuffered (group is 0..1)
             np.take(by_group.T, group, axis=1, out=out, mode="clip")
         # the terms row, each product formed in the first n . m row, read by now
         product, ch = rows[lead], rows[lead + 1 : lead + 1 + bool(terms)]
@@ -180,7 +180,7 @@ def estimate_joint(
         squares = np.matmul(overlaps[:, None], answers.transpose(0, 2, 1)).transpose(0, 2, 1, 3).ravel()
         return StreamingMoments((width,)).add(ch.T, sums, squares)
 
-    joint = run_chunks(chunk, cfg.samples, cfg.seed, _CHUNK, (width,))
+    joint = run_chunks(chunk, cfg.samples, cfg.seed, _CHUNK, (width,), k=max(CHUNK_ROWS, bloch + max(4, answers_count)))
     mix = 2.0 * alpha
     noise = np.multiply.outer(alice_coeffs[..., 0], bob_coeffs[..., 0]) / 4
     probs = mix * joint.mean()[:cells].reshape(shape) + (1.0 - mix) * noise

@@ -108,6 +108,8 @@ def bloch_rows(kets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     written, so no temporary row is built.
     """
     parts = np.ascontiguousarray(kets, dtype=complex).view(float)
+    if parts.shape[1:] != (4,):
+        raise ValueError(f"kets must have shape (n, 2), got {np.shape(kets)}")
     ar, ai, br, bi = parts.T
     cols = np.empty((4, parts.shape[0])) if out is None else out
     if cols.shape != (4, parts.shape[0]):
@@ -202,7 +204,7 @@ def werner_alpha(alpha: float) -> np.ndarray:
 def is_density(m) -> bool:
     """True when M is hermitian, unit trace, and PSD within ATOL_PSD."""
     m = _as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         return False
     if not np.all(np.isfinite(m)):
         return False
@@ -213,15 +215,16 @@ def is_density(m) -> bool:
     return bool(np.linalg.eigvalsh((m + m.conj().T) / 2).min() >= -ATOL_PSD)
 
 
-def _scratch_rows(scratch: np.ndarray, rows: int, n: int) -> np.ndarray:
+def _scratch_rows(scratch: np.ndarray | None, rows: int, n: int) -> np.ndarray:
+    # a sampler's (rows, n) scratch: the caller's, checked, or a fresh one
+    if scratch is None:
+        return np.empty((rows, n))
     if scratch.shape != (rows, n) or scratch.dtype != float or not scratch.flags.c_contiguous:
         raise ValueError(f"scratch must be a C-contiguous float array of shape {(rows, n)}")
     return scratch
 
 
-def _state_draws(
-    rng: np.random.Generator, n: int, scratch: np.ndarray | None, rows: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _state_draws(rng: np.random.Generator, n: int, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the state stream: row i of random((n, 2)) is the i-th pair (u, v), and
     # phi = 2 pi v - pi. NumPy's float64 cos and sin can be scalar libm calls
     # where its tan has a SIMD loop, so one contiguous row takes
@@ -229,17 +232,10 @@ def _state_draws(
     # 2 pi v - pi) and then sin phi = 2t/(1 + t^2); the v column becomes
     # cos phi = (1 - t^2)/(1 + t^2), formed as 2/(1 + t^2) - 1. t^2 stays
     # finite: at v = 0, t is about -1.6e16. Returns u and cos phi, column
-    # views of the draws, and the sin phi row; with ``scratch``, a sampler's
-    # (rows, n) scratch, the draws fill the two rows before its last, read as
-    # (n, 2), and sin phi the last. Without, the draws and the row are two
-    # arrays: one (3, n) array for both made teleport.average_fidelity's
-    # 8192-row chunks about 15% slower (perfbench state-sweep pass_s, 2 shared CPUs)
-    if scratch is None:
-        u, cos_phi = rng.random((n, 2)).T
-        sin_phi = np.multiply(cos_phi, np.pi)
-    else:
-        u, cos_phi = rng.random(out=_scratch_rows(scratch, rows, n)[-3:-1].reshape(n, 2)).T
-        sin_phi = np.multiply(cos_phi, np.pi, out=scratch[-1])
+    # views of the draws, and the sin phi row; the draws fill the two rows
+    # before the last of a sampler's scratch, read as (n, 2), and sin phi the last
+    u, cos_phi = rng.random(out=scratch[-3:-1].reshape(n, 2)).T
+    sin_phi = np.multiply(cos_phi, np.pi, out=scratch[-1])
     sin_phi -= np.pi / 2
     np.tan(sin_phi, out=sin_phi)
     np.multiply(sin_phi, sin_phi, out=cos_phi)
@@ -261,16 +257,15 @@ def haar_kets(rng: np.random.Generator, n: int, scratch: np.ndarray | None = Non
     sphere (Archimedes) and the projector is Haar-distributed. The global
     phase is fixed: <0|psi> = sqrt u is real and nonnegative. e^{i phi} is
     ((1 - t^2) + 2it)/(1 + t^2) with t = tan(phi / 2), no cos or sin call.
-    The kets are written in real arithmetic into the (n, 4) float view of
-    the returned (n, 2) complex array; besides the draws and the kets, the
-    only array is one row of n floats holding t. With ``scratch``, a
-    C-contiguous float (7, n) array such as rows of a chunk arena, nothing
-    is allocated: the kets are the complex view of its first four rows, read
-    as (n, 4), and the draws and t fill the other three, with the same kets
-    bit for bit.
+    Everything lives in one C-contiguous float (7, n) array, ``scratch``
+    when given (such as rows run_chunks hands a chunk), else a fresh one:
+    the kets, written in real arithmetic, are the complex view of its first
+    four rows, read as (n, 4), and the draws and t fill the other three.
+    With ``scratch`` nothing is allocated, and the kets are the same bit for bit.
     """
-    u, cos_phi, sin_phi = _state_draws(rng, n, scratch, 7)
-    kets = np.empty((n, 2), dtype=complex) if scratch is None else scratch[:4].reshape(n, 4).view(complex)
+    scratch = _scratch_rows(scratch, 7, n)
+    u, cos_phi, sin_phi = _state_draws(rng, n, scratch)
+    kets = scratch[:4].reshape(n, 4).view(complex)
     ar, ai, br, bi = kets.view(float).T
     np.sqrt(u, out=ar)
     ai[...] = 0.0
@@ -286,15 +281,15 @@ def random_bloch_vectors(rng: np.random.Generator, n: int, scratch: np.ndarray |
 
     From the same pair (u, v) per row, (r cos phi, r sin phi, 2u - 1) with
     r = 2 sqrt(u (1 - u)) and phi = 2 pi v - pi, where cos phi and sin phi
-    are (1 - t^2)/(1 + t^2) and 2t/(1 + t^2) with t = tan(phi / 2). They are
-    written into the (n, 3) result; besides the draws and the result, the
-    only array is one row of n floats holding t. With ``scratch``, a
-    C-contiguous float (6, n) array, nothing is allocated: the result is its
-    first three rows, read as (n, 3), and the draws and t fill the other
-    three, with the same vectors bit for bit.
+    are (1 - t^2)/(1 + t^2) and 2t/(1 + t^2) with t = tan(phi / 2). All
+    lives in one C-contiguous float (6, n) array, ``scratch`` when given,
+    else a fresh one: the result is its first three rows, read as (n, 3),
+    and the draws and t fill the other three. With ``scratch`` nothing is
+    allocated, and the vectors are the same bit for bit.
     """
-    u, cos_phi, sin_phi = _state_draws(rng, n, scratch, 6)
-    vectors = np.empty((n, 3)) if scratch is None else scratch[:3].reshape(n, 3)
+    scratch = _scratch_rows(scratch, 6, n)
+    u, cos_phi, sin_phi = _state_draws(rng, n, scratch)
+    vectors = scratch[:3].reshape(n, 3)
     x, y, z = vectors.T
     # z holds r until x and y are scaled
     np.subtract(1.0, u, out=z)
@@ -312,14 +307,13 @@ def random_bloch_z(rng: np.random.Generator, n: int, scratch: np.ndarray | None 
     """The z components 2u - 1 of ``random_bloch_vectors(rng, n)``, bit for bit.
 
     Row i reads the i-th pair (u, v) of ``rng.random((n, 2))`` like the
-    other samplers, so the stream is the same, and v goes unused. With
-    ``scratch``, a C-contiguous float (3, n) array, nothing is allocated:
-    the result is its first row and the draws fill the other two.
+    other samplers, so the stream is the same, and v goes unused. The
+    result is the first row of a C-contiguous float (3, n) array,
+    ``scratch`` when given (then nothing is allocated), else a fresh one,
+    and the draws fill the other two.
     """
-    if scratch is None:
-        z = np.multiply(rng.random((n, 2))[:, 0], 2.0)
-    else:
-        z = np.multiply(rng.random(out=_scratch_rows(scratch, 3, n)[1:].reshape(n, 2))[:, 0], 2.0, out=scratch[0])
+    scratch = _scratch_rows(scratch, 3, n)
+    z = np.multiply(rng.random(out=scratch[1:].reshape(n, 2))[:, 0], 2.0, out=scratch[0])
     z -= 1.0
     return z
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .estimates import CHUNK, CHUNK_ROWS, MonteCarloEstimate, StreamingMoments, arena, run_chunks
+from .estimates import CHUNK, MonteCarloEstimate, StreamingMoments, run_chunks
 
 ROUTE_AGREEMENT_ATOL = 1e-12
 _PROBABILITY_FLOOR = 1e-12
@@ -161,12 +161,12 @@ def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
     # the corrected overlaps, then p_k = (s_k * m~) . 2 R[:, 0] / 8 as a fifth row
     sender_signs, score_rows = _SENDER_SIGNS.T, np.vstack([correlations * _FLIP, 2 * correlations[:, 0]])
 
-    def chunk(states, coins, m):
-        # component-major: one contiguous row of m samples per component in CHUNK_ROWS
-        # arena rows: 0-3 the kets, then three outcome probabilities, their running sums
-        # and a comparison row, then s_k * m~; 4-7 the draws, the Bloch rows, then the
-        # corrected overlaps; 8 the coin draws, then p_k; 9 the outcomes, then the scores
-        rows = arena.take(CHUNK_ROWS, m)
+    def chunk(states, coins, rows):
+        # component-major: one contiguous row of m samples per component in the 10 rows
+        # run_chunks hands over: 0-3 the kets, then three outcome probabilities, their
+        # running sums and a comparison row, then s_k * m~; 4-7 the draws, the Bloch rows,
+        # then the corrected overlaps; 8 the coin draws, then p_k; 9 the outcomes, then the scores
+        m = rows.shape[1]
         cols = qcore.bloch_rows(qcore.haar_kets(states, m, rows[:7]), out=rows[4:8]).T
         totals = np.matmul(prob_rows, cols, out=rows[:3])
         draws = coins.random(out=rows[8])
@@ -178,7 +178,7 @@ def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
         for total, p in zip(totals[:2], totals[1:]):
             p += total
             ks += np.greater(draws, p, out=above)
-        # mode="clip" lets np.take write into the arena unbuffered (each index is 0..3)
+        # mode="clip" lets np.take write into the rows unbuffered (each index is 0..3)
         sent = np.take(sender_signs, ks, axis=1, out=rows[:4], mode="clip")
         sent *= cols
         corrected = np.matmul(score_rows, sent, out=rows[4:9])

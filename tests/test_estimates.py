@@ -13,7 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from telelocal import bellcheck, classical, estimates, lhv, qcore, teleport
-from telelocal.estimates import ChunkArena, MonteCarloEstimate, StreamingMoments, run_chunks
+from telelocal.estimates import MonteCarloEstimate, StreamingMoments, run_chunks
 
 
 def test_scalar_moments_match_numpy_across_chunks():
@@ -114,7 +114,8 @@ def test_constant_cell_shaped_chunks_have_zero_stderr():
 
 
 def _draw(sizes):
-    def sample_chunk(states, coins, m):
+    def sample_chunk(states, coins, rows):
+        m = rows.shape[1]
         sizes.append(m)
         return StreamingMoments((2, 3)).add(states.random((m, 2, 3)) + coins.random((m, 1, 1)))
 
@@ -222,9 +223,9 @@ def test_run_chunks_keeps_a_bounded_window_of_blocks_in_flight(monkeypatch, work
             counts["merged"] += 1
         merge(self, other)
 
-    def held_draw(states, coins, m):
+    def held_draw(states, coins, rows):
         assert release.wait(30)
-        return _draw([])(states, coins, m)
+        return _draw([])(states, coins, rows)
 
     monkeypatch.setattr(StreamingMoments, "merge", counted_merge)
     result = []
@@ -257,12 +258,12 @@ def test_run_chunks_raises_a_block_error_and_the_pool_survives(monkeypatch, work
     monkeypatch.setattr(estimates, "BLOCK", 500)
     calls = []
 
-    def fail_in_one_block(states, coins, m):
+    def fail_in_one_block(states, coins, rows):
         if states.bit_generator.seed_seq.spawn_key == (2 * failing,):
             raise ValueError(f"bad chunk in block {failing}")
         time.sleep(0.02)
-        calls.append(m)
-        return _draw([])(states, coins, m)
+        calls.append(rows.shape[1])
+        return _draw([])(states, coins, rows)
 
     with worker_pool(workers) as pool:
         reference = run_chunks(_draw([]), samples=1500, seed=3, chunk=200, cell_shape=(2, 3))
@@ -314,55 +315,77 @@ print(os.waitpid(pid, 0)[1])
     assert out.stdout.strip() == "0"
 
 
-def test_arena_hands_out_the_same_memory_after_a_reset():
-    arena = ChunkArena()
-    arena.take(4, 100), arena.take(100)
-    arena.reset()
-    first, second = arena.take(4, 100), arena.take(100)
-    assert first.shape == (4, 100) and second.shape == (100,)
-    assert first.flags.c_contiguous and second.flags.c_contiguous
-    assert not np.shares_memory(first, second)
-    arena.reset()
-    again, after = arena.take(4, 100), arena.take(100)
-    assert np.shares_memory(first, again) and np.shares_memory(second, after)
+def _in_a_fresh_thread(run):
+    # a new thread starts with no chunk buffer; a one-row run in the calling
+    # thread first loads what the generators import, which tracemalloc would count
+    _kept_rows([], 1, 1, 1)
+    with ThreadPoolExecutor(1) as thread:
+        return thread.submit(run).result(timeout=60)
 
 
-def test_arena_grows_to_its_high_water_mark_at_the_next_reset():
-    arena = ChunkArena()
-    arena.take(50)
-    arena.reset()
-    inside = arena.take(50)
-    # past capacity: a fresh array, not a view of the buffer
-    outside = arena.take(3, 20)
-    assert outside.shape == (3, 20) and not np.shares_memory(inside, outside)
-    arena.reset()
-    grown = [arena.take(50), arena.take(3, 20)]
-    assert all(np.shares_memory(grown[0].base, a) for a in grown)
-    assert grown[0].base.size == 110 and not np.shares_memory(grown[0], inside)
-    # a smaller chunk does not shrink the buffer
-    arena.reset()
-    arena.take(10)
-    arena.reset()
-    assert np.shares_memory(arena.take(110), grown[0])
+def _kept_rows(kept, samples, chunk, k):
+    def keep(states, coins, rows):
+        kept.append(rows)
+        return StreamingMoments()
+
+    return run_chunks(keep, samples, 0, chunk, k=k)
 
 
-def test_threads_never_share_an_arena_buffer():
-    arena = ChunkArena()
-    both_warm = threading.Barrier(2)
+def test_a_regrown_chunk_buffer_drops_its_old_buffer_first():
+    # a warm 100k-float buffer, then a kernel asking for 15 rows of 10k: the
+    # buffer grows to 150k. Both buffers alive at once would peak at 250k floats
+    def regrow():
+        kept = []
+        tracemalloc.start()
+        try:
+            _kept_rows(kept, 10_000, 10_000, 10)
+            kept.clear()
+            _kept_rows(kept, 10_000, 10_000, 15)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return kept[0], estimates._buffers.floats, peak
 
-    def warm_and_take():
-        arena.take(64)
-        arena.reset()
-        both_warm.wait(timeout=60)
-        return arena.take(64)
+    rows, buffer, peak = _in_a_fresh_thread(regrow)
+    assert rows.shape == (15, 10_000) and rows.flags.c_contiguous
+    assert buffer.size == 150_000 and np.shares_memory(rows, buffer)
+    assert peak <= 150_000 * 8 + 16_384
+
+
+def test_a_later_smaller_kernel_keeps_the_chunk_buffer_and_allocates_nothing():
+    def smaller_after_larger():
+        kept = []
+        _kept_rows(kept, 10_000, 10_000, 10)
+        tracemalloc.start()
+        try:
+            # two chunks of 3 rows of 5000, the last one shorter
+            _kept_rows(kept, 9_000, 5_000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return kept, estimates._buffers.floats, peak
+
+    (larger, *smaller), buffer, peak = _in_a_fresh_thread(smaller_after_larger)
+    assert buffer.size == 100_000
+    assert [rows.shape for rows in smaller] == [(3, 5_000), (3, 4_000)]
+    assert all(rows.flags.c_contiguous and np.shares_memory(rows, larger) for rows in smaller)
+    # less than one row of the smaller chunk: the generators and moments only
+    assert peak < 4_000 * 8
+
+
+def test_threads_never_share_a_chunk_buffer():
+    both_hold_rows, kept = threading.Barrier(2), []
+
+    def hold(states, coins, rows):
+        both_hold_rows.wait(timeout=60)
+        kept.append(rows)
+        return StreamingMoments()
 
     with ThreadPoolExecutor(2) as threads:
-        first, second = (f.result(timeout=60) for f in [threads.submit(warm_and_take) for _ in range(2)])
-    arena.reset()
-    # each thread's take is carved from a warm buffer of its own
-    assert first.base is not None and second.base is not None
+        for future in [threads.submit(run_chunks, hold, 100, 0, 100, k=4) for _ in range(2)]:
+            future.result(timeout=60)
+    first, second = kept
     assert not np.shares_memory(first, second)
-    assert not np.shares_memory(arena.take(64), first) and not np.shares_memory(arena.take(64), second)
 
 
 def _lhv_spec():
@@ -373,7 +396,7 @@ def _lhv_spec():
 
 
 def _traced_peak(estimate):
-    estimate()  # warm the calling thread's arena
+    estimate()  # warm the calling thread's chunk buffer
     tracemalloc.start()
     try:
         estimate()
@@ -402,7 +425,7 @@ KERNELS = ["teleport", "lhv", "lhv-ch", "gisin", "z"]
 @pytest.mark.parametrize("name", KERNELS)
 def test_warmed_chunks_allocate_no_chunk_arrays(name):
     # after the first chunk every chunk-sized array, the kets or Bloch vectors
-    # and their draws too, lives in the arena. What a chunk still allocates
+    # and their draws too, lives in the chunk buffer. What a chunk still allocates
     # peaks at about 0.11 row of CHUNK float64 in a teleport chunk (the
     # comparisons' cast buffers) and 0.33 in a CH table chunk; one row of
     # samples allocated afresh, a draw row or a ket row, exceeds half a row
@@ -418,36 +441,16 @@ ARENA_BUDGET = 10 * estimates.CHUNK * 8
 
 @pytest.mark.parametrize("name", KERNELS)
 def test_no_chunk_outgrows_the_arena_budget(name):
-    # a fresh thread has an empty arena, which its chunks warm to the most any
-    # of them asked for; every kernel asks for the same rows
+    # a fresh thread has no chunk buffer, which run_chunks grows to the most any
+    # of its chunks needs; every kernel needs the same rows
     estimate = _estimate(name)
 
-    def warmed_arena_bytes():
+    def warmed_buffer_bytes():
         estimate()
-        return estimates.arena._buffer.nbytes
+        return estimates._buffers.floats.nbytes
 
     with ThreadPoolExecutor(1) as thread:
-        assert thread.submit(warmed_arena_bytes).result(timeout=120) == ARENA_BUDGET
-
-
-def test_a_regrown_arena_drops_its_old_buffer_first():
-    # a warm 100k-float buffer; the next chunk takes all of it and 50k floats
-    # afresh, so the reset grows it to 150k. Both buffers alive at once would
-    # peak at 250k floats, above the new buffer plus the chunk's fresh array
-    arena = ChunkArena()
-    tracemalloc.start()
-    try:
-        arena.take(100_000)
-        arena.reset()
-        arena.take(100_000)
-        fresh = arena.take(50_000)
-        del fresh
-        arena.reset()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert arena._buffer.size == 150_000
-    assert peak <= (150_000 + 50_000) * 8 + 4096
+        assert thread.submit(warmed_buffer_bytes).result(timeout=120) == ARENA_BUDGET
 
 
 def test_add_centres_a_component_major_chunk_without_a_copy():

@@ -133,6 +133,7 @@ def test_is_density_rejects_bad_matrices():
     assert not qcore.is_density(np.array([[0.5, 0.5], [-0.5, 0.5]]))  # not hermitian
     assert not qcore.is_density(np.diag([1.5, -0.5]))  # negative eigenvalue
     assert not qcore.is_density(np.zeros((2, 3)))
+    assert not qcore.is_density(np.zeros((0, 0)))  # empty, not a reduction error
 
 
 def test_haar_kets_are_normalized_and_unbiased():
@@ -177,6 +178,14 @@ def test_bloch_rows_match_ket_to_bloch():
         assert rows.shape == (len(batch), 4)
         npt.assert_array_equal(rows[:, 0], 1.0)
         npt.assert_allclose(rows[:, 1:], [qcore.ket_to_bloch(k) for k in batch], rtol=0, atol=1e-15)
+
+
+def test_bloch_rows_need_kets_of_shape_n_by_2():
+    # one ket of shape (2,) would be read as four one-float kets, a wrong (4, 4) array
+    for bad in (np.array([1.0, 0.0]), np.zeros((3, 1)), np.zeros((3, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+            qcore.bloch_rows(bad)
+    npt.assert_array_equal(qcore.bloch_rows(np.array([[1.0, 0.0]])), [[1.0, 0.0, 0.0, 1.0]])
 
 
 def test_bloch_rows_are_a_view_of_component_major_rows():
@@ -306,9 +315,8 @@ def test_samplers_at_the_edge_draws():
     top = 1.0 - 2.0**-53
     u, v = np.array([(u, v) for u in (0.0, top) for v in (0.0, 0.25, 0.5, 0.75, top)]).T
     phi = 2 * np.pi * v - np.pi
-    # a stand-in generator: random((n, 2)) returns a fresh copy of the pairs,
-    # which the samplers overwrite
-    pairs = SimpleNamespace(random=lambda shape: np.stack([u, v], axis=1))
+    # a stand-in generator: random(out=...) writes the pairs into the sampler's rows
+    pairs = SimpleNamespace(random=lambda out: np.copyto(out, np.stack([u, v], axis=1)) or out)
     kets = qcore.haar_kets(pairs, len(u))
     vectors = qcore.random_bloch_vectors(pairs, len(u))
     assert np.isfinite(kets).all() and np.isfinite(vectors).all()

@@ -258,7 +258,7 @@ def test_average_fidelity_picks_outcomes_at_the_cumulative_boundaries(monkeypatc
         return add(self, scores)
 
     def one_chunk(sample_chunk, samples, seed, chunk):
-        return sample_chunk(None, Coins(), samples)
+        return sample_chunk(None, Coins(), np.empty((10, samples)))
 
     monkeypatch.setattr(StreamingMoments, "add", recorded_add)
     monkeypatch.setattr(qcore, "haar_kets", lambda rng, n, *scratch: kets[:n])
