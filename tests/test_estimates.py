@@ -352,7 +352,25 @@ def test_a_regrown_chunk_buffer_drops_its_old_buffer_first():
     assert peak <= 150_000 * 8 + 16_384
 
 
-def test_a_later_smaller_kernel_keeps_the_chunk_buffer_and_allocates_nothing():
+def test_arena_hands_out_the_same_memory_after_a_reset():
+    # the thread's chunk buffer is the arena; each chunk and each later call
+    # starts again at its first float
+    def two_calls():
+        kept = []
+        # three chunks of 4 rows: 100, 100 and 50 samples
+        _kept_rows(kept, 250, 100, 4)
+        _kept_rows(kept, 100, 100, 4)
+        return kept, estimates._buffers.floats
+
+    kept, buffer = _in_a_fresh_thread(two_calls)
+    assert [rows.shape for rows in kept] == [(4, 100), (4, 100), (4, 50), (4, 100)]
+    assert all(rows.flags.c_contiguous and rows.base is buffer for rows in kept)
+    assert all(rows.__array_interface__["data"] == kept[0].__array_interface__["data"] for rows in kept)
+
+
+def test_arena_grows_to_its_high_water_mark_at_the_next_reset():
+    # a kernel's block grows the buffer to what it needs; a later, smaller one
+    # neither shrinks nor reallocates it
     def smaller_after_larger():
         kept = []
         _kept_rows(kept, 10_000, 10_000, 10)
