@@ -134,12 +134,8 @@ def bob_projectors(setting: TeleportBellSetting) -> np.ndarray:
 
 
 def probability_table(setting: TeleportBellSetting, grouping: OutcomeGrouping, rho) -> ProbabilityTable:
-    """Exact joint probability table Tr[rho (E x P)] for all setting/outcome pairs."""
-    effects = grouped_alice_effects(setting, grouping)
-    projs = bob_projectors(setting)
-    joints = np.empty((2, 2, 2, 2))
-    for ia, a, ib, b in np.ndindex(2, 2, 2, 2):
-        joints[ia, a, ib, b] = joint_probability(rho, effects[ia, a], projs[ib, b])
+    """Exact joint probability table Tr[rho (E x P)] for all setting/outcome pairs, in one contraction."""
+    joints = joint_probability(rho, grouped_alice_effects(setting, grouping), bob_projectors(setting))
     return ProbabilityTable(joints=joints)
 
 
@@ -202,6 +198,9 @@ def threshold_scan(setting: TeleportBellSetting, alpha_grid) -> ThresholdReport:
     The report keeps their two values as ``ends``.
     """
     grid = np.asarray(alpha_grid, dtype=float)
+    # np.diff runs along the last axis, so a 2-D grid would pass the ascending check below
+    if grid.ndim != 1:
+        raise ValueError("alpha grid must be 1-D")
     if grid.size == 0:
         raise ValueError("alpha grid is empty")
     if np.any(np.diff(grid) <= 0):

@@ -41,7 +41,8 @@ STOCHASTIC_NSIGMA = 4.0
 ABS_FLOOR = 1e-12
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 42
-DEFAULT_GRID = (0.0, 1.0, 0.01)
+DEFAULT_ALPHA = 0.5
+DEFAULT_GRID = "0:1:0.01"
 MAX_GRID_POINTS = 100_001
 MIN_SAMPLES = 2
 
@@ -125,16 +126,15 @@ def _report(command: str, cfg: argparse.Namespace, rows: list[dict]) -> dict:
 
 
 def _alpha(cfg: argparse.Namespace, top: float, message: str) -> float:
-    """The --alpha value, 1/2 when not given; UsageError with the message unless it lies in [0, top]."""
-    alpha = 0.5 if cfg.alpha is None else cfg.alpha
-    if not 0.0 <= alpha <= top:
+    """The --alpha value; UsageError with the message unless it lies in [0, top]."""
+    if not 0.0 <= cfg.alpha <= top:
         raise UsageError(message)
-    return alpha
+    return cfg.alpha
 
 
 def _scan_rows(cfg: argparse.Namespace) -> list[dict]:
     setting = bellcheck.violation_setting()
-    grid = _grid_points(cfg.grid if cfg.grid else DEFAULT_GRID)
+    grid = _grid_points(cfg.grid)
     scan = bellcheck.threshold_scan(setting, grid)
     # the singlet is the alpha = 1 end of the scanned family
     singlet = scan.ends[1]
@@ -295,10 +295,10 @@ def _all_pass(report: dict) -> bool:
 
 
 _FLAGS = {
-    "alpha": {"type": float, "help": "singlet fraction"},
+    "alpha": {"type": float, "default": DEFAULT_ALPHA, "help": "singlet fraction"},
     "samples": {"type": int, "help": "Monte Carlo samples"},
     "seed": {"type": int, "help": "random seed"},
-    "grid": {"type": str, "help": "alpha grid LO:HI:STEP"},
+    "grid": {"type": str, "default": DEFAULT_GRID, "help": "alpha grid LO:HI:STEP"},
 }
 
 
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _TABLE.items():
         p = sub.add_parser(name, help=command.help)
-        # flags a command does not take keep their defaults for the config echo
+        # flags a command does not take echo these values in the config; one it takes has its _FLAGS default
         p.set_defaults(alpha=None, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED, grid=None)
         for flag in command.flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
@@ -327,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"samples must be >= {MIN_SAMPLES}, a standard error needs two")
         if args.seed < 0:
             raise UsageError("seed must be >= 0")
-        args.grid = _parse_grid(args.grid) if args.grid else None
+        args.grid = None if args.grid is None else _parse_grid(args.grid)
         rows = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

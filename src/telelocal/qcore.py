@@ -54,7 +54,7 @@ def unit_direction(n, name: str) -> np.ndarray:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two kets or operators."""
+    """Kronecker product of two kets or operators, or axis by axis of two stacks of them."""
     return np.kron(_as_complex(a), _as_complex(b))
 
 

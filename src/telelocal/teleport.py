@@ -101,9 +101,13 @@ def correction_unitary(k: int) -> np.ndarray:
     return _CORRECTIONS[_outcome_index(k)].copy()
 
 
-def joint_probability(rho, alice_op, bob_proj) -> float:
-    """Tr[rho (A x P)] for sender effect A, receiver projector P; ValueError unless rho is a two-qubit state."""
-    return float(np.trace(qcore.two_qubit_density(rho) @ qcore.tensor(alice_op, bob_proj)).real)
+def joint_probability(rho, alice_op, bob_proj) -> np.ndarray | float:
+    """Tr[rho (A x P)] for each sender effect A of a stack (..., 2, 2) and receiver projector P of another, in shape
+    A's stack + P's stack (two single operators give a float); ValueError unless rho is a two-qubit state."""
+    a = np.asarray(alice_op)
+    # np.kron multiplies axis by axis, so A's size-1 axes, one per axis of P's stack, pick up P's stack
+    ops = qcore.tensor(a.reshape(a.shape[:-2] + (1,) * (np.ndim(bob_proj) - 2) + a.shape[-2:]), bob_proj)
+    return np.trace(qcore.two_qubit_density(rho) @ ops, axis1=-2, axis2=-1).real
 
 
 def _receiver_states(chi, rho) -> np.ndarray:

@@ -5,6 +5,7 @@ four-by-four traces, no shared code with the package).
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from oracles import non_states
-from telelocal import bellcheck, lhv, qcore
+from telelocal import bellcheck, lhv, qcore, teleport
 
 RNG_SEED = 20240813
 
@@ -95,6 +96,46 @@ def test_tables_reject_non_states():
             bellcheck.probability_table(setting, grouping, rho)
         with pytest.raises(ValueError, match="two-qubit density matrix"):
             bellcheck.teleport_ch_value(setting, grouping, rho)
+
+
+def _per_cell_joints(setting, grouping, rho) -> np.ndarray:
+    """The table one cell at a time, Tr[rho (E x P)] with a 4x4 Kronecker product per cell."""
+    effects = bellcheck.grouped_alice_effects(setting, grouping)
+    projs = bellcheck.bob_projectors(setting)
+    joints = np.empty((2, 2, 2, 2))
+    for ia, a, ib, b in np.ndindex(2, 2, 2, 2):
+        joints[ia, a, ib, b] = np.trace(rho @ np.kron(effects[ia, a], projs[ib, b])).real
+    return joints
+
+
+def test_stacked_table_is_the_per_cell_loop_bit_for_bit():
+    rng = np.random.default_rng(RNG_SEED + 5)
+    groups = list(itertools.combinations(range(4), 2))
+    for _ in range(120):
+        setting = _random_setting(rng)
+        t_set, u_set = (groups[i] for i in rng.integers(len(groups), size=2))
+        grouping = bellcheck.OutcomeGrouping(t_set=t_set, u_set=u_set)
+        rho = qcore.random_density(rng, 4)
+        table = bellcheck.probability_table(setting, grouping, rho)
+        assert np.array_equal(table.joints, _per_cell_joints(setting, grouping, rho))
+
+
+def test_a_table_is_one_joint_probability_call_and_one_state_check(monkeypatch):
+    counts = {"joint_probability": 0, "two_qubit_density": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(bellcheck, "joint_probability")
+    counting(qcore, "two_qubit_density")
+    bellcheck.probability_table(bellcheck.violation_setting(), bellcheck.OutcomeGrouping(), qcore.werner_alpha(0.5))
+    assert counts == {"joint_probability": 1, "two_qubit_density": 1}
 
 
 def test_grouped_effects_are_binary_povms_with_pinned_coefficients():
@@ -226,6 +267,10 @@ def test_threshold_scan_validates_grid():
         bellcheck.threshold_scan(setting, np.array([]))
     with pytest.raises(ValueError):
         bellcheck.threshold_scan(setting, np.array([0.5, 0.4]))
+    # np.diff runs along the last axis only, so the ascending check alone lets the first two through
+    for not_flat in ([[0.5, 0.8]], [[0.8], [0.5]], 0.5):
+        with pytest.raises(ValueError, match="1-D"):
+            bellcheck.threshold_scan(setting, np.array(not_flat))
     for outside in ([-0.1, 0.5], [0.5, 1.2], [0.2, np.nan, 0.6], [1.0 + 1e-12]):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             bellcheck.threshold_scan(setting, np.array(outside))

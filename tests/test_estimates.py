@@ -51,6 +51,16 @@ def test_shape_mismatch_rejected():
         acc.add(np.zeros((10, 3)))
 
 
+def test_sums_and_squares_come_together_in_one_1d_shape():
+    values = np.ones((4, 1))
+    # two sums with one square would broadcast into a third cell's stderr, and sums alone fail on None
+    for sums, squares in (([1.0, 2.0], [1.0]), ([1.0, 2.0], None), (None, [1.0, 2.0]), ([[1.0, 2.0]], [[1.0, 2.0]])):
+        with pytest.raises(ValueError, match="sums and squares"):
+            StreamingMoments((3,)).add(values.copy(), sums, squares)
+    acc = StreamingMoments((3,)).add(values.copy(), np.array([2.0, 4.0]), np.array([2.0, 4.0]))
+    npt.assert_array_equal(acc.mean(), [0.5, 1.0, 1.0])
+
+
 def test_degenerate_counts():
     acc = StreamingMoments()
     with pytest.raises(ValueError):

@@ -155,12 +155,26 @@ def test_corrected_state_law_on_the_singlet_fraction_family():
 
 
 def test_joint_probability_validates_dimensions():
-    with pytest.raises(ValueError):
-        teleport.joint_probability(np.eye(4) / 4, np.eye(2), np.eye(3))
+    for alice, bob in ((np.eye(2), np.eye(3)), (np.eye(3), np.eye(2)), (np.stack([np.eye(2)] * 2), np.eye(3))):
+        with pytest.raises(ValueError):
+            teleport.joint_probability(np.eye(4) / 4, alice, bob)
     # a trace-one matrix that is not a state is rejected, not traced
     for rho in non_states():
         with pytest.raises(ValueError, match="two-qubit density matrix"):
             teleport.joint_probability(rho, np.eye(2) / 2, np.diag([1.0, 0.0]))
+
+
+def test_joint_probability_pairs_two_stacks():
+    rng = np.random.default_rng(31)
+    rho = qcore.random_density(rng, 4)
+    alice = np.stack([qcore.projector(ket) for ket in qcore.haar_kets(rng, 2)])
+    bob = np.stack([qcore.spin_projector(axis) for axis in qcore.random_bloch_vectors(rng, 3)])
+    joints = teleport.joint_probability(rho, alice, bob)
+    assert joints.shape == (2, 3)
+    for i, j in np.ndindex(2, 3):
+        assert joints[i, j] == teleport.joint_probability(rho, alice[i], bob[j])
+    # two single operators give a float
+    assert isinstance(teleport.joint_probability(rho, alice[0], bob[0]), float)
 
 
 def test_average_fidelity_on_the_singlet_fraction_family():
