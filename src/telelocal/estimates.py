@@ -86,14 +86,18 @@ class StreamingMoments:
         deviation from the chunk's mean, so a caller that still needs the
         values passes a copy. With a 1-D cell shape, ``sums`` and ``squares``
         give the first cells by their sums and sums of squares over the n
-        samples, and ``values``, of shape (n, k), the last k cells; ValueError
-        unless both are given, with one 1-D shape.
+        samples, and ``values``, of shape (n, k), the last k cells; k may be
+        0, a zero-width view that only gives n, when every cell comes by its
+        sums. ValueError unless both are given, with one 1-D shape, beside a
+        2-D ``values``.
         """
         given = sums is not None or squares is not None
         # np.shape(None) is (), so one of the two given alone fails the shape test
         if given and not (np.ndim(sums) == 1 and np.shape(squares) == np.shape(sums)):
             raise ValueError("sums and squares must be given together, as 1-D arrays of one shape")
         values = np.asarray(values, dtype=float)
+        if given and values.ndim != 2:
+            raise ValueError(f"values beside sums and squares must have shape (n, k), got {values.shape}")
         shape = values.shape[1:] if sums is None else (len(sums) + values.shape[1],)
         if shape != self.cell_shape:
             raise ValueError(f"chunk cells of shape {shape}, expected {self.cell_shape}")

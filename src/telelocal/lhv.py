@@ -26,7 +26,9 @@ gives the joint t_a t_b / 4 exactly, so only alpha = 1/2 is simulated.
 As in a local model, one hidden ket per sample fixes each party's answer
 to every setting: the CH test's four settings pairs share it, so the CH
 combination of every single sample lies in [0, 1] (Clauser & Horne, PRD
-10, 526, 1974).
+10, 526, 1974). Within a hemisphere group of the receivers' axes every cell
+is affine in (1, m), so a chunk keeps only weighted Gram sums of its Bloch
+vectors and never writes a cell (see estimate_joint).
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ from . import bellcheck, qcore
 from .estimates import CHUNK, CHUNK_ROWS, StreamingMoments, run_chunks
 
 _PARALLEL_ATOL = 1e-10
-# a CH table chunk keeps 10 rows of samples, CHUNK_ROWS: 4 overlap rows, which
-# first hold the kets, 2 n . m rows, later the product and CH rows, and 4 Bloch
-# rows, later the answers; at 16384 rows that is 1.25 MiB
+# a CH table chunk keeps CHUNK_ROWS = 10 rows, 1.25 MiB: 3 monomial rows, 3 weight rows
+# (2 indicators, their product) and 4 Bloch rows, whose ones are the last weight row
 _CHUNK = CHUNK
+# a chunk's Gram row of the monomial (1, m)_k (1, m)_l: 1, x, y, z, x (x, y, z), (yy, yz, zz)
+_MONOMIAL = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])
 
 
 @dataclass(frozen=True)
@@ -124,14 +127,16 @@ def estimate_joint(
     exactly with weight 1 - 2 alpha, and the stderr scales by 2 alpha.
 
     For lists of settings (with equal outcome counts), one hidden ket per
-    sample answers every pair, bit for bit as a single-pair call on the
-    same seed would, in a (setting, outcome, setting, outcome) table.
-    ``terms_stderr`` is the stderr of each sample's sum of sign * cell
-    over ``terms``, (+1 or -1, table index) pairs such as bellcheck.CH_TERMS.
+    sample answers every pair, in a (setting, outcome, setting, outcome)
+    table; each pair agrees with a single-pair call on the same seed to
+    rounding. ``terms_stderr`` is the stderr of each sample's sum of sign *
+    cell over ``terms``, (+1 or -1, table index) pairs such as bellcheck.CH_TERMS.
 
-    A cell is an overlap times an answer, so a chunk writes no cells: one
-    matmul per settings pair gives its sums, overlaps @ answers.T, and one on
-    the squared rows its sums of squares (see StreamingMoments for the numerics).
+    A cell is (e . (1, m) / 2)(a_0 + (a_1 - a_0) i) with the sender's Pauli
+    row e, the receiver's answers a_0, a_1 and its indicator i = [n . m <= 0],
+    so a chunk writes none: as i^2 = i, every sum and sum of squares is a fixed
+    linear map of its Gram sums sum w (1, m)(1, m)^T, w each i, each product of
+    two and 1 (see StreamingMoments for the numerics).
     """
     if not 0.0 <= alpha <= 0.5:
         raise ValueError("alpha must lie in [0, 1/2]")
@@ -140,47 +145,50 @@ def estimate_joint(
     bob_coeffs = np.stack([qcore.pauli_rows(spec.operators) for spec in receivers])
     axes, responses = zip(*map(minimum_rule, bob_coeffs))
     shape = (*alice_coeffs.shape[:2], *bob_coeffs.shape[:2])
-    overlaps_count, answers_count = math.prod(shape[:2]), math.prod(shape[2:])
-    cells = overlaps_count * answers_count
-    width = cells + bool(terms)  # the cells, then the terms row if any
-    lead, middle = max(4, overlaps_count), max(len(axes), 2 * bool(terms))
-    bloch = lead + middle
+    cells = math.prod(shape)
+    width = cells + bool(terms)  # the cells, then the terms' sum if any
+    # each cell and the terms' sum as c . phi with phi = b x (1, m) over b = (1, i_1, ...)
+    basis = np.concatenate([np.stack(responses)[:, :1], np.diff(responses, axis=1) * np.eye(len(axes))[..., None]], 1)
+    combine = np.eye(width, cells)
+    for sign, cell in terms:
+        combine[-1, np.ravel_multi_index(cell, shape)] += sign
+    coeffs = combine @ np.einsum("sak,jcb->sajbck", alice_coeffs / 2, basis).reshape(cells, -1)
+    # the weights: each i_j, each product of two, then 1; weight[a, b] is b_a b_b
+    pairs, weights = np.triu_indices(len(axes), 1), math.comb(len(axes) + 1, 2) + 1
+    weight = np.pad(np.diag(np.arange(len(axes))), (1, 0))
+    weight[0] = weight[:, 0] = np.arange(-1, len(axes)) % weights
+    weight[1:, 1:][pairs] = weight[1:, 1:].T[pairs] = len(axes) + np.arange(len(pairs[0]))
+    # Gram sum (q, w) is sum w (1, m)_k (1, m)_l, so sum phi phi^T is gram[lifted], its row 0 sum phi
+    lifted = (_MONOMIAL[None, :, None] * weights + weight[:, None, :, None]).reshape(len(coeffs[0]), -1)
+    moment_map = np.zeros((2, 10 * weights, width))
+    moment_map[0][lifted[0]] = coeffs.T
+    np.add.at(moment_map[1], lifted, np.einsum("fi,fj->ijf", coeffs, coeffs))
+    bloch = 3 + max(3, weights - 1)
 
     def chunk(states, coins, rows):
-        # component-major: one contiguous row of m samples per component, all in
-        # the rows run_chunks hands over. The overlap rows first hold the kets, the
-        # n . m rows the draws and later the terms' product and CH rows, and the
-        # Bloch rows later the answers: 10 rows for a CH table, as CHUNK_ROWS allows
+        # component-major rows of m samples, all in the rows run_chunks hands over;
+        # the weight rows (indicators, their pair products, 1) end at the Bloch row of ones
         m = rows.shape[1]
         cols = qcore.bloch_rows(qcore.haar_kets(states, m, rows[:7]), out=rows[bloch : bloch + 4]).T
-        # each receiver's group, 0 where n . m > 0 and 1 elsewhere, as intp over
-        # its n . m row; one matmul per party keeps a single-pair call's arithmetic
-        along = rows[lead : lead + len(axes)]
+        weight_rows, monomials, gram = rows[bloch + 1 - weights : bloch + 1], rows[:3], np.empty((10, weights))
+        # one matmul per receiver axis keeps a single-pair call's n . m, so its groups
+        along = weight_rows[: len(axes)]
         for axis, out in zip(axes, along):
             np.matmul(axis, cols[1:], out=out)
-        groups = np.less_equal(along, 0.0, out=along.view(np.intp))
-        overlaps = rows[:overlaps_count].reshape(*shape[:2], m)
-        for coeffs, out in zip(alice_coeffs / 2, overlaps):
-            np.matmul(coeffs, cols, out=out)
-        answers = rows[bloch : bloch + answers_count].reshape(*shape[2:], m)
-        for by_group, group, out in zip(responses, groups, answers):
-            # np.take gathers whole columns far faster than fancy indexing does;
-            # mode="clip" lets it write into the rows unbuffered (group is 0..1)
-            np.take(by_group.T, group, axis=1, out=out, mode="clip")
-        # the terms row, each product formed in the first n . m row, read by now
-        product, ch = rows[lead], rows[lead + 1 : lead + 1 + bool(terms)]
-        ch[...] = 0.0
-        for sign, cell in terms:
-            np.multiply(overlaps[cell[:2]], answers[cell[2:]], out=product)
-            (np.add if sign > 0 else np.subtract)(ch, product, out=ch)
-        # a cell needs only its sums and sums of squares, one matmul per settings pair
-        sums = np.matmul(overlaps[:, None], answers.transpose(0, 2, 1)).transpose(0, 2, 1, 3).ravel()
-        for factor in (overlaps, answers):
-            np.square(factor, out=factor)
-        squares = np.matmul(overlaps[:, None], answers.transpose(0, 2, 1)).transpose(0, 2, 1, 3).ravel()
-        return StreamingMoments((width,)).add(ch.T, sums, squares)
+        np.less_equal(along, 0.0, out=along)
+        for a, b, out in zip(*pairs, weight_rows[len(axes) : -1]):
+            np.multiply(along[a], along[b], out=out)
+        # the Gram sums of the monomials (1, x, y, z), x (x, y, z) and (yy, yz, zz)
+        np.matmul(cols, weight_rows.T, out=gram[:4])
+        np.multiply(cols[1:], cols[1], out=monomials)
+        np.matmul(monomials, weight_rows.T, out=gram[4:7])
+        np.multiply(cols[2:], cols[2], out=monomials[:2])
+        np.multiply(cols[3], cols[3], out=monomials[2])
+        np.matmul(monomials, weight_rows.T, out=gram[7:])
+        sums, squares = gram.ravel() @ moment_map
+        return StreamingMoments((width,)).add(rows[:0].T, sums, squares)
 
-    joint = run_chunks(chunk, cfg.samples, cfg.seed, _CHUNK, (width,), k=max(CHUNK_ROWS, bloch + max(4, answers_count)))
+    joint = run_chunks(chunk, cfg.samples, cfg.seed, _CHUNK, (width,), k=max(CHUNK_ROWS, bloch + 4))
     mix = 2.0 * alpha
     noise = np.multiply.outer(alice_coeffs[..., 0], bob_coeffs[..., 0]) / 4
     probs = mix * joint.mean()[:cells].reshape(shape) + (1.0 - mix) * noise

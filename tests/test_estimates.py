@@ -59,6 +59,24 @@ def test_sums_and_squares_come_together_in_one_1d_shape():
             StreamingMoments((3,)).add(values.copy(), sums, squares)
     acc = StreamingMoments((3,)).add(values.copy(), np.array([2.0, 4.0]), np.array([2.0, 4.0]))
     npt.assert_array_equal(acc.mean(), [0.5, 1.0, 1.0])
+    # one cell per sample left implicit in a 1-D values is not a shape add guesses
+    with pytest.raises(ValueError, match=r"\(n, k\), got \(4,\)"):
+        StreamingMoments((3,)).add(np.ones(4), np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+
+
+def test_zero_width_values_give_every_cell_by_its_sums():
+    # a chunk whose every cell comes by its sums passes a zero-width (n, 0) view,
+    # which gives only the sample count; it matches adding the samples themselves
+    rng = np.random.default_rng(15)
+    chunks = [rng.random((n, 3)) for n in (1, 7, 500)]
+    by_sums, by_values = StreamingMoments((3,)), StreamingMoments((3,))
+    for chunk in chunks:
+        rows = np.empty((2, len(chunk)))
+        by_sums.merge(StreamingMoments((3,)).add(rows[:0].T, chunk.sum(axis=0), np.square(chunk).sum(axis=0)))
+        by_values.add(chunk.copy())
+    assert by_sums.count == by_values.count == 508
+    npt.assert_allclose(by_sums.mean(), by_values.mean(), rtol=1e-14)
+    npt.assert_allclose(by_sums.stderr(), by_values.stderr(), rtol=1e-12)
 
 
 def test_degenerate_counts():
