@@ -54,8 +54,18 @@ def unit_direction(n, name: str) -> np.ndarray:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two kets or operators, or axis by axis of two stacks of them."""
-    return np.kron(_as_complex(a), _as_complex(b))
+    """Kronecker product of two kets or operators, or axis by axis of two stacks of them.
+
+    np.kron's values and index order, built as one broadcast outer product:
+    the shorter shape gets leading size-1 axes, each axis of ``a`` of size n
+    is read as (n, 1) and each of ``b`` as (1, n), and the product is
+    reshaped so that axis i has size a_i * b_i, index i_a * b_i + i_b.
+    """
+    a, b = _as_complex(a), _as_complex(b)
+    pad = a.ndim - b.ndim
+    shape_a, shape_b = (1,) * -pad + a.shape, (1,) * pad + b.shape
+    outer = a.reshape([d for n in shape_a for d in (n, 1)]) * b.reshape([d for n in shape_b for d in (1, n)])
+    return outer.reshape([m * n for m, n in zip(shape_a, shape_b)])
 
 
 def partial_trace(rho, dims: tuple[int, int], trace_out: str = "A") -> np.ndarray:
@@ -82,10 +92,15 @@ def projector(ket) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def ket_to_bloch(chi) -> np.ndarray:
-    """Expectation values of the three Pauli operators in a qubit ket."""
-    chi = qubit_ket(chi, "ket")
-    return np.array([np.vdot(chi, p @ chi).real for p in PAULIS])
+def ket_to_bloch(chi, name: str = "ket") -> np.ndarray:
+    """Expectation values (x, y, z) of the three Pauli operators in a qubit ket.
+
+    bloch_rows's arithmetic on Python floats, so the same bits as its row for
+    the ket, without its array set-up. ValueError, naming the ket ``name``,
+    unless chi is a unit ket of shape (2,).
+    """
+    (ar, ai), (br, bi) = ((c.real, c.imag) for c in qubit_ket(chi, name).tolist())
+    return np.array([(ar * br + ai * bi) * 2, (ar * bi - ai * br) * 2, (ar * ar + ai * ai) - (br * br + bi * bi)])
 
 
 def spin_projector(n, sign: int = +1) -> np.ndarray:
@@ -165,14 +180,14 @@ def check_effects(ops, projective: bool = False) -> np.ndarray:
     if not np.abs(ops.sum(axis=0) - IDENTITY_2).max() <= ATOL_STRUCTURAL:
         raise ValueError("effects must sum to the identity")
 
-    def reject(flags: np.ndarray, what: str) -> None:
-        if flags.any():
-            raise ValueError(f"effect {int(np.argmax(flags))} is not {what}")
+    def require(ok: np.ndarray, what: str) -> None:
+        if not ok.all():
+            raise ValueError(f"effect {int(np.argmin(ok))} is not {what}")
 
-    reject(~(np.abs(ops - ops.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= ATOL_STRUCTURAL), "hermitian")
-    reject(~(np.linalg.eigvalsh(ops)[:, 0] >= -ATOL_PSD), "positive semidefinite")
+    require(np.abs(ops - ops.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= ATOL_STRUCTURAL, "hermitian")
+    require(np.linalg.eigvalsh(ops)[:, 0] >= -ATOL_PSD, "positive semidefinite")
     if projective:
-        reject(~(np.abs(ops @ ops - ops).max(axis=(1, 2)) <= ATOL_PSD), "a projector")
+        require(np.abs(ops @ ops - ops).max(axis=(1, 2)) <= ATOL_PSD, "a projector")
     return ops
 
 
@@ -206,25 +221,33 @@ def is_density(m) -> bool:
     m = _as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         return False
-    if not np.all(np.isfinite(m)):
+    # every test is written as "not within tolerance", so NaN entries fail it; an
+    # infinite entry makes its deviation from the adjoint inf or a NaN (inf - inf),
+    # which fails the first test without a warning, so past it every entry is finite
+    adjoint = m.conj().T
+    with np.errstate(invalid="ignore"):
+        deviation = np.abs(m - adjoint).max()
+    if not deviation <= ATOL_PSD:
         return False
-    if np.abs(m - m.conj().T).max() > ATOL_PSD:
+    trace = m.trace()
+    if not (abs(trace.real - 1.0) <= ATOL_PSD and abs(trace.imag) <= ATOL_PSD):
         return False
-    if abs(np.trace(m).real - 1.0) > ATOL_PSD or abs(np.trace(m).imag) > ATOL_PSD:
-        return False
-    return bool(np.linalg.eigvalsh((m + m.conj().T) / 2).min() >= -ATOL_PSD)
+    return bool(np.linalg.eigvalsh((m + adjoint) / 2).min() >= -ATOL_PSD)
 
 
-def _scratch_rows(scratch: np.ndarray | None, rows: int, n: int) -> np.ndarray:
-    # a sampler's (rows, n) scratch: the caller's, checked, or a fresh one
+def _split_scratch(
+    scratch: np.ndarray | None, rows: int, draw_rows: int, n: int
+) -> tuple[np.ndarray | None, np.ndarray]:
+    # a sampler's (rows, n) scratch, checked, as its result rows and its last draw_rows rows; without
+    # it, None and fresh draw rows, so that the sampler's result gets an array that keeps no draw alive
     if scratch is None:
-        return np.empty((rows, n))
+        return None, np.empty((draw_rows, n))
     if scratch.shape != (rows, n) or scratch.dtype != float or not scratch.flags.c_contiguous:
         raise ValueError(f"scratch must be a C-contiguous float array of shape {(rows, n)}")
-    return scratch
+    return scratch[:-draw_rows], scratch[-draw_rows:]
 
 
-def _state_draws(rng: np.random.Generator, n: int, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _state_draws(rng: np.random.Generator, n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the state stream: row i of random((n, 2)) is the i-th pair (u, v), and
     # phi = 2 pi v - pi. NumPy's float64 cos and sin can be scalar libm calls
     # where its tan has a SIMD loop, so one contiguous row takes
@@ -232,10 +255,10 @@ def _state_draws(rng: np.random.Generator, n: int, scratch: np.ndarray) -> tuple
     # 2 pi v - pi) and then sin phi = 2t/(1 + t^2); the v column becomes
     # cos phi = (1 - t^2)/(1 + t^2), formed as 2/(1 + t^2) - 1. t^2 stays
     # finite: at v = 0, t is about -1.6e16. Returns u and cos phi, column
-    # views of the draws, and the sin phi row; the draws fill the two rows
-    # before the last of a sampler's scratch, read as (n, 2), and sin phi the last
-    u, cos_phi = rng.random(out=scratch[-3:-1].reshape(n, 2)).T
-    sin_phi = np.multiply(cos_phi, np.pi, out=scratch[-1])
+    # views of the draws, and the sin phi row; the draws fill the first two
+    # of the three rows, read as (n, 2), and sin phi the last
+    u, cos_phi = rng.random(out=rows[:2].reshape(n, 2)).T
+    sin_phi = np.multiply(cos_phi, np.pi, out=rows[2])
     sin_phi -= np.pi / 2
     np.tan(sin_phi, out=sin_phi)
     np.multiply(sin_phi, sin_phi, out=cos_phi)
@@ -257,15 +280,16 @@ def haar_kets(rng: np.random.Generator, n: int, scratch: np.ndarray | None = Non
     sphere (Archimedes) and the projector is Haar-distributed. The global
     phase is fixed: <0|psi> = sqrt u is real and nonnegative. e^{i phi} is
     ((1 - t^2) + 2it)/(1 + t^2) with t = tan(phi / 2), no cos or sin call.
-    Everything lives in one C-contiguous float (7, n) array, ``scratch``
-    when given (such as rows run_chunks hands a chunk), else a fresh one:
-    the kets, written in real arithmetic, are the complex view of its first
-    four rows, read as (n, 4), and the draws and t fill the other three.
-    With ``scratch`` nothing is allocated, and the kets are the same bit for bit.
+    With ``scratch``, a C-contiguous float (7, n) array such as rows
+    run_chunks hands a chunk, nothing is allocated: the kets, written in
+    real arithmetic, are the complex view of its first four rows, read as
+    (n, 4), and the draws and t fill the other three. Without it the kets
+    own a fresh (n, 2) array, the draws and t fill three rows freed on
+    return, and the kets are the same bit for bit.
     """
-    scratch = _scratch_rows(scratch, 7, n)
-    u, cos_phi, sin_phi = _state_draws(rng, n, scratch)
-    kets = scratch[:4].reshape(n, 4).view(complex)
+    head, draws = _split_scratch(scratch, 7, 3, n)
+    kets = np.empty((n, 2), dtype=complex) if head is None else head.reshape(n, 4).view(complex)
+    u, cos_phi, sin_phi = _state_draws(rng, n, draws)
     ar, ai, br, bi = kets.view(float).T
     np.sqrt(u, out=ar)
     ai[...] = 0.0
@@ -281,15 +305,15 @@ def random_bloch_vectors(rng: np.random.Generator, n: int, scratch: np.ndarray |
 
     From the same pair (u, v) per row, (r cos phi, r sin phi, 2u - 1) with
     r = 2 sqrt(u (1 - u)) and phi = 2 pi v - pi, where cos phi and sin phi
-    are (1 - t^2)/(1 + t^2) and 2t/(1 + t^2) with t = tan(phi / 2). All
-    lives in one C-contiguous float (6, n) array, ``scratch`` when given,
-    else a fresh one: the result is its first three rows, read as (n, 3),
-    and the draws and t fill the other three. With ``scratch`` nothing is
-    allocated, and the vectors are the same bit for bit.
+    are (1 - t^2)/(1 + t^2) and 2t/(1 + t^2) with t = tan(phi / 2). With
+    ``scratch``, a C-contiguous float (6, n) array, nothing is allocated:
+    the result is its first three rows, read as (n, 3), and the draws and t
+    fill the other three. Without it the result owns a fresh (n, 3) array,
+    and the vectors are the same bit for bit.
     """
-    scratch = _scratch_rows(scratch, 6, n)
-    u, cos_phi, sin_phi = _state_draws(rng, n, scratch)
-    vectors = scratch[:3].reshape(n, 3)
+    head, draws = _split_scratch(scratch, 6, 3, n)
+    vectors = np.empty((n, 3)) if head is None else head.reshape(n, 3)
+    u, cos_phi, sin_phi = _state_draws(rng, n, draws)
     x, y, z = vectors.T
     # z holds r until x and y are scaled
     np.subtract(1.0, u, out=z)
@@ -307,13 +331,14 @@ def random_bloch_z(rng: np.random.Generator, n: int, scratch: np.ndarray | None 
     """The z components 2u - 1 of ``random_bloch_vectors(rng, n)``, bit for bit.
 
     Row i reads the i-th pair (u, v) of ``rng.random((n, 2))`` like the
-    other samplers, so the stream is the same, and v goes unused. The
-    result is the first row of a C-contiguous float (3, n) array,
-    ``scratch`` when given (then nothing is allocated), else a fresh one,
-    and the draws fill the other two.
+    other samplers, so the stream is the same, and v goes unused. With
+    ``scratch``, a C-contiguous float (3, n) array, nothing is allocated:
+    the result is its first row and the draws fill the other two. Without
+    it the result owns a fresh array of n floats.
     """
-    scratch = _scratch_rows(scratch, 3, n)
-    z = np.multiply(rng.random(out=scratch[1:].reshape(n, 2))[:, 0], 2.0, out=scratch[0])
+    head, draws = _split_scratch(scratch, 3, 2, n)
+    z = np.empty(n) if head is None else head[0]
+    np.multiply(rng.random(out=draws.reshape(n, 2))[:, 0], 2.0, out=z)
     z -= 1.0
     return z
 

@@ -50,6 +50,10 @@ _CHUNK = CHUNK
 _SENDER_SIGNS = np.rint([np.diag(qcore.pauli_correlations(qcore.projector(b))) for b in qcore.bell_basis()])
 # <B_k| x I: Bell outcome k's bra on (input, sender half), the identity on the receiver, shape (4, 2, 8)
 _BELL_BRAS = np.stack([np.kron(b.conj()[None], qcore.IDENTITY_2) for b in qcore.bell_basis()])
+# |B_k> x I, their adjoints, shape (4, 8, 2)
+_BELL_KETS = _BELL_BRAS.conj().swapaxes(1, 2)
+# sigma_a as row a, so that Pauli rows times it are the flattened effects
+_PAULI_MATRIX = qcore.PAULI_BASIS.reshape(4, 4)
 
 _CORRECTIONS = np.array(
     [
@@ -80,12 +84,12 @@ class TeleportPovm:
 
 def sender_rows(chi) -> np.ndarray:
     """Pauli rows s_k * (1, m)/2 of the sender's four POVM elements for the input ket, shape (4, 4)."""
-    return _SENDER_SIGNS * qcore.bloch_rows(qcore.qubit_ket(chi, "input ket")[None]) / 2
+    return _SENDER_SIGNS * np.array([1.0, *qcore.ket_to_bloch(chi, "input ket")]) / 2
 
 
 def povm_from_input(chi) -> TeleportPovm:
     """POVM on the sender's half of the pair induced by the input ket, from its Pauli rows."""
-    elements = np.tensordot(sender_rows(chi), qcore.PAULI_BASIS, axes=1) / 2
+    elements = (sender_rows(chi) @ _PAULI_MATRIX).reshape(4, 2, 2) / 2
     return TeleportPovm(elements=qcore.check_effects(elements))
 
 
@@ -113,10 +117,11 @@ def joint_probability(rho, alice_op, bob_proj) -> np.ndarray | float:
 def _receiver_states(chi, rho) -> np.ndarray:
     """Receiver's unnormalized states N_k = (<B_k| x I)(|chi><chi| x rho)(|B_k> x I), shape (4, 2, 2).
 
-    Raises ValueError unless rho is a two-qubit density matrix.
+    Raises ValueError unless chi is a unit ket of shape (2,) and rho a two-qubit density matrix.
     """
+    chi = qcore.qubit_ket(chi, "input ket")
     big = qcore.tensor(qcore.projector(chi), qcore.two_qubit_density(rho))
-    return _BELL_BRAS @ big @ _BELL_BRAS.conj().swapaxes(1, 2)
+    return _BELL_BRAS @ big @ _BELL_KETS
 
 
 def bell_measurement_probabilities(chi, rho) -> np.ndarray:
@@ -125,13 +130,14 @@ def bell_measurement_probabilities(chi, rho) -> np.ndarray:
     Computed as the traces of the receiver's states N_k and through the
     induced POVM acting on the sender's reduced state; raises
     RuntimeError if the routes disagree beyond 1e-12, and ValueError
-    unless rho is a two-qubit density matrix.
+    unless chi is a unit ket of shape (2,) and rho a two-qubit density matrix.
     """
-    probs = np.trace(_receiver_states(chi, rho), axis1=1, axis2=2).real
+    probs = _receiver_states(chi, rho).trace(axis1=1, axis2=2).real
     rho_a = qcore.partial_trace(rho, (2, 2), trace_out="B")
     povm = povm_from_input(chi)
     reduced = np.einsum("kij,ji->k", povm.elements, rho_a).real
-    if np.abs(probs - reduced).max() > ROUTE_AGREEMENT_ATOL:
+    # written so that NaN fails the check too
+    if not np.abs(probs - reduced).max() <= ROUTE_AGREEMENT_ATOL:
         raise RuntimeError("three-qubit and reduced-POVM outcome probabilities disagree")
     return probs
 
@@ -139,12 +145,13 @@ def bell_measurement_probabilities(chi, rho) -> np.ndarray:
 def bob_conditional_state(chi, rho, k: int) -> np.ndarray:
     """Receiver's normalized state N_k / Tr N_k after Bell outcome k, before correction.
 
-    Raises ValueError unless rho is a two-qubit density matrix.
+    Raises ValueError unless chi is a unit ket of shape (2,) and rho a two-qubit density matrix.
     """
     k = _outcome_index(k)
     state = _receiver_states(chi, rho)[k]
     prob = np.trace(state).real
-    if prob <= _PROBABILITY_FLOOR:
+    # written so that a NaN probability fails the check too
+    if not prob > _PROBABILITY_FLOOR:
         raise ValueError(f"outcome {k} has probability {prob!r}, conditional state undefined")
     return state / prob
 

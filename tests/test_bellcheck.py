@@ -121,7 +121,7 @@ def test_stacked_table_is_the_per_cell_loop_bit_for_bit():
 
 
 def test_a_table_is_one_joint_probability_call_and_one_state_check(monkeypatch):
-    counts = {"joint_probability": 0, "two_qubit_density": 0}
+    counts = {"joint_probability": 0, "two_qubit_density": 0, "tensor": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -134,8 +134,9 @@ def test_a_table_is_one_joint_probability_call_and_one_state_check(monkeypatch):
 
     counting(bellcheck, "joint_probability")
     counting(qcore, "two_qubit_density")
+    counting(qcore, "tensor")
     bellcheck.probability_table(bellcheck.violation_setting(), bellcheck.OutcomeGrouping(), qcore.werner_alpha(0.5))
-    assert counts == {"joint_probability": 1, "two_qubit_density": 1}
+    assert counts == {"joint_probability": 1, "two_qubit_density": 1, "tensor": 1}
 
 
 def test_grouped_effects_are_binary_povms_with_pinned_coefficients():

@@ -18,6 +18,26 @@ def test_tensor_matches_kron_chain():
     a = np.array([[1, 2], [3, 4]], dtype=complex)
     b = np.array([[0, 1j], [-1j, 0]], dtype=complex)
     npt.assert_allclose(qcore.tensor(a, b), np.kron(a, b))
+    # bit for bit on kets, operators, stacks axis by axis, mixed ndim (the
+    # shorter shape padded with leading size-1 axes) and joint_probability's
+    # padded sender stack against a receiver stack, real operands too
+    rng = np.random.default_rng(RNG_SEED + 20)
+    shapes = [
+        ((2,), (2,)),
+        ((2, 2), (4, 4)),
+        ((4, 4), (2, 2)),
+        ((3, 2, 2), (3, 2, 2)),
+        ((2, 2), (5, 2, 2)),
+        ((5, 2, 2), (2,)),
+        ((2, 2, 1, 1, 2, 2), (2, 2, 2, 2)),
+    ]
+    for shape_a, shape_b in shapes:
+        a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+        b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
+        for x, y in ((a, b), (a.real, b), (a, b.real)):
+            got, expected = qcore.tensor(x, y), np.kron(x, y)
+            assert got.shape == expected.shape and got.dtype == complex
+            assert np.array_equal(got, expected)
 
 
 def test_partial_trace_of_product_state_recovers_factors():
@@ -134,6 +154,15 @@ def test_is_density_rejects_bad_matrices():
     assert not qcore.is_density(np.diag([1.5, -0.5]))  # negative eigenvalue
     assert not qcore.is_density(np.zeros((2, 3)))
     assert not qcore.is_density(np.zeros((0, 0)))  # empty, not a reduction error
+    # each test reads "not within tolerance", so NaN and infinite entries fail one
+    nan = np.eye(2) / 2
+    nan[0, 1] = nan[1, 0] = np.nan
+    assert not qcore.is_density(nan)
+    assert not qcore.is_density(np.diag([np.inf, 0.5]))
+    skew_inf = np.eye(2) / 2
+    skew_inf[0, 1] = -np.inf
+    assert not qcore.is_density(skew_inf)
+    assert not qcore.is_density(np.full((4, 4), np.nan))
 
 
 def test_haar_kets_are_normalized_and_unbiased():
@@ -177,7 +206,8 @@ def test_bloch_rows_match_ket_to_bloch():
         rows = qcore.bloch_rows(batch)
         assert rows.shape == (len(batch), 4)
         npt.assert_array_equal(rows[:, 0], 1.0)
-        npt.assert_allclose(rows[:, 1:], [qcore.ket_to_bloch(k) for k in batch], rtol=0, atol=1e-15)
+        # ket_to_bloch is bloch_rows's arithmetic for one ket, so the same bits
+        assert np.array_equal(rows[:, 1:], [qcore.ket_to_bloch(k) for k in batch])
 
 
 def test_bloch_rows_need_kets_of_shape_n_by_2():
@@ -286,6 +316,17 @@ def test_bloch_samplers_in_scratch_rows_give_the_same_values(sample, rows):
     for bad in (np.empty((rows, n - 1)), np.empty((rows - 1, n)), np.empty((n, rows)).T):
         with pytest.raises(ValueError):
             sample(rng, n, bad)
+
+
+@pytest.mark.parametrize(
+    "sample, nbytes",
+    [(qcore.haar_kets, 32_000), (qcore.random_bloch_vectors, 24_000), (qcore.random_bloch_z, 8_000)],
+    ids=["haar_kets", "random_bloch_vectors", "random_bloch_z"],
+)
+def test_samplers_without_scratch_own_only_their_result(sample, nbytes):
+    # no view of a larger block, so the draw rows are freed when the sampler returns
+    values = sample(np.random.default_rng(RNG_SEED + 18), 1000)
+    assert values.base is None and values.flags.owndata and values.nbytes == nbytes
 
 
 def test_haar_kets_in_scratch_rows_are_the_same_kets():

@@ -70,6 +70,15 @@ def test_povm_rejects_non_unit_input():
             teleport.povm_from_input(np.array([bad, 0.0]))
 
 
+def test_povm_elements_are_the_pauli_tensordot_bit_for_bit():
+    # one (4, 4) @ (4, 4) product gives the elements sum_a rows[k, a] sigma_a / 2 with the same bits
+    rng = np.random.default_rng(RNG_SEED + 20)
+    kets = qcore.haar_kets(rng, 200) * np.exp(2j * np.pi * rng.random((200, 1)))
+    for chi in kets:
+        expected = np.tensordot(teleport.sender_rows(chi), qcore.PAULI_BASIS, axes=1) / 2
+        assert np.array_equal(teleport.povm_from_input(chi).elements, expected)
+
+
 def test_probabilities_match_frozen_reference():
     probs = teleport.bell_measurement_probabilities(CHI_A, _rho_a())
     npt.assert_allclose(probs, FROZEN_PROBS_A, atol=1e-13)
@@ -332,6 +341,36 @@ def test_bell_probabilities_raise_when_the_routes_disagree(monkeypatch):
 def test_bell_probabilities_need_a_two_qubit_pair():
     with pytest.raises(ValueError, match="two-qubit density matrix"):
         teleport.bell_measurement_probabilities(CHI_A, np.eye(2) / 2)
+
+
+@pytest.mark.parametrize(
+    "chi",
+    [np.array([2.0, 0.0]), np.array([[1.0, 0.0]]), np.array([np.nan, 0.0]), np.array([1.0, 0.0, 0.0])],
+    ids=["norm 2", "(1, 2)", "NaN", "(3,)"],
+)
+def test_exact_route_validates_the_input_ket(chi):
+    # each used to give a state or probabilities (the NaN ket all-NaN ones
+    # with a RuntimeWarning), or to fail inside matmul
+    with pytest.raises(ValueError, match="input ket"):
+        teleport.bell_measurement_probabilities(chi, _rho_a())
+    for k in range(4):
+        with pytest.raises(ValueError, match="input ket"):
+            teleport.bob_conditional_state(chi, _rho_a(), k)
+
+
+def test_exact_route_is_one_state_check_one_effect_check_and_one_tensor(monkeypatch):
+    counts = {"two_qubit_density": 0, "check_effects": 0, "tensor": 0}
+    for name in counts:
+        real = getattr(qcore, name)
+
+        def wrapper(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(qcore, name, wrapper)
+    teleport.bell_measurement_probabilities(CHI_A, _rho_a())
+    assert counts == {"two_qubit_density": 1, "check_effects": 1, "tensor": 1}
+
 
 def test_bob_conditional_state_rejects_outcomes_outside_0_to_3():
     npt.assert_array_equal(
