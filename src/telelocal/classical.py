@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import qcore
-from .estimates import CHUNK, MonteCarloEstimate, StreamingMoments, run_chunks
+from .estimates import CHUNK, MonteCarloEstimate, run_chunks
 
 _CHUNK = CHUNK
 
@@ -48,7 +48,7 @@ def gisin_scheme_fidelity(samples: int, seed: int) -> MonteCarloEstimate:
         scores = np.max(dots, axis=0, out=rows[0])
         scores += 1.0
         scores /= 2
-        return StreamingMoments().add(scores)
+        return (scores,)
 
     return run_chunks(chunk, samples, seed, _CHUNK).scalar_estimate()
 
@@ -67,6 +67,6 @@ def z_scheme_fidelity(samples: int, seed: int) -> MonteCarloEstimate:
         np.square(scores, out=scores)
         scores += 1.0
         scores /= 2
-        return StreamingMoments().add(scores)
+        return (scores,)
 
     return run_chunks(chunk, samples, seed, _CHUNK).scalar_estimate()

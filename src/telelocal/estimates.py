@@ -126,7 +126,6 @@ class StreamingMoments:
             self._update(other._count, other._mean, other._m2)
 
     def _update(self, n: int, mean: np.ndarray, m2: np.ndarray) -> None:
-        # into an empty accumulator (count 0) this copies mean and m2 exactly
         total = self._count + n
         delta = mean - self._mean
         self._mean = self._mean + delta * (n / total)
@@ -168,8 +167,16 @@ def _executor():
         return _pool, _workers
 
 
+def _check_integer(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 def child_seeds(seed: int, n: int) -> list[int]:
     """The first ``n`` seeds derived from ``seed``, one per sub-estimate of a run (see run_chunks)."""
+    _check_integer("seed", seed, 0)
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
 
 
@@ -183,54 +190,46 @@ def _block_moments(sample_chunk, seed: int, block: int, rows: int, chunk: int, k
     moments = StreamingMoments(cell_shape)
     for start in range(0, rows, chunk):
         m = min(chunk, rows - start)
-        moments.merge(sample_chunk(states, coins, buffer[: k * m].reshape(k, m)))
+        moments.add(*sample_chunk(states, coins, buffer[: k * m].reshape(k, m)))
     return moments
 
 
 def run_chunks(
-    sample_chunk: Callable[[np.random.Generator, np.random.Generator, np.ndarray], StreamingMoments],
+    sample_chunk: Callable[[np.random.Generator, np.random.Generator, np.ndarray], tuple],
     samples: int,
     seed: int,
     chunk: int,
     cell_shape: tuple[int, ...] = (),
     k: int = CHUNK_ROWS,
 ) -> StreamingMoments:
-    """The merged moments of ``sample_chunk(states, coins, rows)`` over ``samples`` rows in chunks of at most ``chunk``.
+    """The moments ``sample_chunk(states, coins, rows)`` adds over ``samples`` rows in chunks of at most ``chunk``.
 
-    This is the only place that builds generators, and ``child_seeds``,
-    which gives each estimate of a run its own seed, the one seed
-    derivation. The rows form stream blocks of ``BLOCK`` rows (the last may
-    be shorter). Block b has its own ``states`` stream, for Haar kets and
-    Bloch vectors, from ``SeedSequence(seed, spawn_key=(2b,))`` and
-    ``coins`` stream, for Bell-outcome draws, from
+    This is the only place that builds generators, and ``child_seeds`` the
+    one seed derivation; both raise ValueError before they use a ``seed``
+    that is not an integer >= 0, and this one for ``samples`` not one >= 1
+    (a bool is neither). The rows form stream blocks of ``BLOCK`` rows (the
+    last may be shorter). Block b has its own ``states`` stream, for Haar
+    kets and Bloch vectors, from ``SeedSequence(seed, spawn_key=(2b,))``
+    and ``coins`` stream, for Bell-outcome draws, from
     ``spawn_key=(2b + 1,)``; block 0 is ``SeedSequence(seed).spawn(2)``.
-    ``samples`` that is not an integer >= 1 (a bool is not) raises
-    ValueError before any generator is built. A chunk of m rows gets
-    ``rows``, a C-contiguous (k, m) float view of its thread's buffer, which
-    is kept for the thread's life and grown, never shrunk, to the most a
-    block asks for, so the chunk may use it for all its arrays, and none
-    may outlive the call. Each call takes its rows' values from each stream
-    in row order, so the results do not depend on ``chunk``, and returns a
-    StreamingMoments of ``cell_shape`` that has seen them, which the block
-    merges in chunk order: into an empty accumulator ``_update`` copies
-    exactly, so ``StreamingMoments().add`` gives the bits of adding to the
-    block's.
 
-    A single block runs in the caller's thread. More blocks run on a pool
-    of one worker thread per CPU, built on first use (NumPy's generators
-    and array loops release the GIL), and are merged in block order, so
-    the result does not depend on the number of workers. Hence
-    ``sample_chunk`` must not mutate shared state, since several blocks
-    call it at once, and must not call ``run_chunks`` itself: the pool is
-    bounded, so a block waiting on blocks queued behind it can wait forever.
-    At most ``IN_FLIGHT_PER_WORKER`` blocks per worker are submitted and
-    not yet merged; each further block is submitted as the oldest one is
-    merged, so memory stays bounded whatever ``samples`` is.
+    A chunk of m rows gets ``rows``, a C-contiguous (k, m) float view of its
+    thread's buffer, kept for the thread's life and grown, never shrunk, to
+    the most a block asks for: the chunk may hold all its arrays there, none
+    outliving the call. It reads its rows' values from each stream in row
+    order, so no result depends on ``chunk``, and returns a tuple of the
+    arguments of ``StreamingMoments.add``, which the block adds in chunk order.
+
+    A single block runs in the caller's thread; more run on a pool of one
+    worker thread per CPU, built on first use (NumPy's generators and array
+    loops release the GIL), and are merged in block order, so no result
+    depends on the number of workers. Blocks call ``sample_chunk`` at once,
+    so it must not mutate shared state, nor call ``run_chunks``, which could
+    wait forever on its own bounded pool. At most ``IN_FLIGHT_PER_WORKER``
+    blocks per worker are submitted and not yet merged, which bounds memory.
     """
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_integer("samples", samples, 1)
+    _check_integer("seed", seed, 0)
     if samples <= BLOCK:
         return _block_moments(sample_chunk, seed, 0, samples, chunk, k, cell_shape)
     pool, workers = _executor()

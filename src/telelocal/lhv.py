@@ -39,11 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bellcheck, qcore
-from .estimates import CHUNK, CHUNK_ROWS, StreamingMoments, run_chunks
+from .estimates import CHUNK, run_chunks
 
 _PARALLEL_ATOL = 1e-10
-# a CH table chunk keeps CHUNK_ROWS = 10 rows, 1.25 MiB: 3 monomial rows, 3 weight rows
-# (2 indicators, their product) and 4 Bloch rows, whose ones are the last weight row
+# a chunk's rows: 3 monomial rows, the weight rows but the last (at least 3, so the kets' 7 rows fit)
+# and 4 Bloch rows, whose ones are the last weight; bloch + 4 = 10 (1.25 MiB) for one or two axes
 _CHUNK = CHUNK
 # a chunk's Gram row of the monomial (1, m)_k (1, m)_l: 1, x, y, z, x (x, y, z), (yy, yz, zz)
 _MONOMIAL = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])
@@ -186,9 +186,9 @@ def estimate_joint(
         np.multiply(cols[3], cols[3], out=monomials[2])
         np.matmul(monomials, weight_rows.T, out=gram[7:])
         sums, squares = gram.ravel() @ moment_map
-        return StreamingMoments((width,)).add(rows[:0].T, sums, squares)
+        return rows[:0].T, sums, squares
 
-    joint = run_chunks(chunk, cfg.samples, cfg.seed, _CHUNK, (width,), k=max(CHUNK_ROWS, bloch + 4))
+    joint = run_chunks(chunk, cfg.samples, cfg.seed, _CHUNK, (width,), k=bloch + 4)
     mix = 2.0 * alpha
     noise = np.multiply.outer(alice_coeffs[..., 0], bob_coeffs[..., 0]) / 4
     probs = mix * joint.mean()[:cells].reshape(shape) + (1.0 - mix) * noise

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .estimates import CHUNK, MonteCarloEstimate, StreamingMoments, run_chunks
+from .estimates import CHUNK, MonteCarloEstimate, run_chunks
 
 ROUTE_AGREEMENT_ATOL = 1e-12
 _PROBABILITY_FLOOR = 1e-12
@@ -195,6 +195,6 @@ def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
         corrected = np.matmul(score_rows, sent, out=rows[4:9])
         scores = np.einsum("as,as->s", sent, corrected[:4], out=rows[9])
         scores /= corrected[4]
-        return StreamingMoments().add(scores)
+        return (scores,)
 
     return run_chunks(chunk, samples, seed, _CHUNK).scalar_estimate()

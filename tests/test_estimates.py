@@ -145,7 +145,7 @@ def _draw(sizes):
     def sample_chunk(states, coins, rows):
         m = rows.shape[1]
         sizes.append(m)
-        return StreamingMoments((2, 3)).add(states.random((m, 2, 3)) + coins.random((m, 1, 1)))
+        return (states.random((m, 2, 3)) + coins.random((m, 1, 1)),)
 
     return sample_chunk
 
@@ -180,6 +180,37 @@ def test_run_chunks_needs_an_integral_sample_count():
     sizes = []
     assert run_chunks(_draw(sizes), samples=np.int64(25), seed=0, chunk=10, cell_shape=(2, 3)).count == 25
     assert sizes == [10, 10, 5]
+
+
+def test_run_chunks_and_child_seeds_need_a_non_negative_integral_seed(monkeypatch):
+    # True would run as seed 1, 1.5 would fail inside SeedSequence with a TypeError,
+    # and -1 only where a block builds its generator, in a pool worker above BLOCK
+    # samples; with every sampler patched to None, a check made after sampling fails
+    for sampler in ("haar_kets", "random_bloch_vectors", "random_bloch_z"):
+        monkeypatch.setattr(qcore, sampler, None)
+
+    def never(states, coins, rows):
+        raise AssertionError("sampled before the seed was checked")
+
+    rho, (alice, bob) = qcore.werner_alpha(0.5), _lhv_spec()
+    estimators = [
+        lambda seed: run_chunks(never, 10, seed, 10),
+        lambda seed: teleport.average_fidelity(rho, 10, seed),
+        lambda seed: teleport.average_fidelity(rho, estimates.BLOCK + 1, seed),
+        lambda seed: lhv.estimate_joint(alice, bob, lhv.LhvConfig(10, seed)),
+        lambda seed: classical.gisin_scheme_fidelity(10, seed),
+        lambda seed: classical.z_scheme_fidelity(10, seed),
+        lambda seed: estimates.child_seeds(seed, 2),
+    ]
+    for estimate in estimators:
+        for seed in (True, False, 1.5, 2.0, np.float64(3.0), "7", None):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                estimate(seed)
+        for seed in (-1, np.int64(-5)):
+            with pytest.raises(ValueError, match="seed must be >= 0"):
+                estimate(seed)
+    assert estimates.child_seeds(np.int64(3), 2) == estimates.child_seeds(3, 2)
+    assert run_chunks(_draw([]), samples=25, seed=np.uint32(0), chunk=10, cell_shape=(2, 3)).count == 25
 
 
 def test_merge_matches_sequential_adds():
@@ -246,7 +277,7 @@ def test_run_chunks_keeps_a_bounded_window_of_blocks_in_flight(monkeypatch, work
     merge = StreamingMoments.merge
 
     def counted_merge(self, other):
-        # run_chunks merges the blocks in the calling thread; each block merges its chunks in a worker
+        # run_chunks merges the blocks in the calling thread; each block adds its chunks in a worker
         if threading.current_thread() is caller:
             counts["merged"] += 1
         merge(self, other)
@@ -354,7 +385,7 @@ def _in_a_fresh_thread(run):
 def _kept_rows(kept, samples, chunk, k):
     def keep(states, coins, rows):
         kept.append(rows)
-        return StreamingMoments()
+        return (rows[0, :0],)  # no samples
 
     return run_chunks(keep, samples, 0, chunk, k=k)
 
@@ -425,7 +456,7 @@ def test_threads_never_share_a_chunk_buffer():
     def hold(states, coins, rows):
         both_hold_rows.wait(timeout=60)
         kept.append(rows)
-        return StreamingMoments()
+        return (rows[0, :0],)  # no samples
 
     with ThreadPoolExecutor(2) as threads:
         for future in [threads.submit(run_chunks, hold, 100, 0, 100, k=4) for _ in range(2)]:

@@ -276,12 +276,12 @@ def test_average_fidelity_picks_outcomes_at_the_cumulative_boundaries(monkeypatc
     add = StreamingMoments.add
 
     def recorded_add(self, scores):
-        # the chunk hands over its scores' moments; record the scores before add centres them
+        # the chunk hands over its scores; record them before add centres them
         values.extend(scores)
         return add(self, scores)
 
     def one_chunk(sample_chunk, samples, seed, chunk):
-        return sample_chunk(None, Coins(), np.empty((10, samples)))
+        return StreamingMoments().add(*sample_chunk(None, Coins(), np.empty((10, samples))))
 
     monkeypatch.setattr(StreamingMoments, "add", recorded_add)
     monkeypatch.setattr(qcore, "haar_kets", lambda rng, n, *scratch: kets[:n])
