@@ -85,36 +85,36 @@ class StreamingMoments:
         chunk) is centred in place: afterwards it holds each sample's
         deviation from the chunk's mean, so a caller that still needs the
         values passes a copy. With a 1-D cell shape, ``sums`` and ``squares``
-        give the first cells by their sums and sums of squares over the n
-        samples, and ``values``, of shape (n, k), the last k cells; k may be
-        0, a zero-width view that only gives n, when every cell comes by its
-        sums. ValueError unless both are given, with one 1-D shape, beside a
-        2-D ``values``.
+        may instead give every cell by its sums and sums of squares over the
+        n samples, beside a zero-width (n, 0) ``values`` that only gives n.
+        ValueError unless both are given, with one 1-D shape, beside such a
+        ``values``.
         """
         given = sums is not None or squares is not None
         # np.shape(None) is (), so one of the two given alone fails the shape test
         if given and not (np.ndim(sums) == 1 and np.shape(squares) == np.shape(sums)):
             raise ValueError("sums and squares must be given together, as 1-D arrays of one shape")
         values = np.asarray(values, dtype=float)
-        if given and values.ndim != 2:
-            raise ValueError(f"values beside sums and squares must have shape (n, k), got {values.shape}")
-        shape = values.shape[1:] if sums is None else (len(sums) + values.shape[1],)
+        if given and values.shape[1:] != (0,):
+            raise ValueError(f"values beside sums and squares must have shape (n, 0), got {values.shape}")
+        shape = np.shape(sums) if given else values.shape[1:]
         if shape != self.cell_shape:
             raise ValueError(f"chunk cells of shape {shape}, expected {self.cell_shape}")
         n = values.shape[0]
         if n == 0:
             return self
-        # (cells, n); a free view for component-major chunks and scalar cells,
-        # centred in place, so a chunk needs no second chunk-sized array
-        rows = values.reshape(n, -1).T
-        if not (rows.flags.c_contiguous and rows.flags.writeable):
-            rows = np.array(rows, order="C")
-        mean = rows.sum(axis=1) / n
-        rows -= mean[:, None]
-        m2 = np.einsum("ij,ij->i", rows, rows)
-        if sums is not None:
-            lead = sums / n
-            mean, m2 = np.concatenate([lead, mean]), np.concatenate([np.maximum(squares - sums * lead, 0.0), m2])
+        if given:
+            mean = sums / n
+            m2 = np.maximum(squares - sums * mean, 0.0)
+        else:
+            # (cells, n); a free view for component-major chunks and scalar cells,
+            # centred in place, so a chunk needs no second chunk-sized array
+            rows = values.reshape(n, -1).T
+            if not (rows.flags.c_contiguous and rows.flags.writeable):
+                rows = np.array(rows, order="C")
+            mean = rows.sum(axis=1) / n
+            rows -= mean[:, None]
+            m2 = np.einsum("ij,ij->i", rows, rows)
         self._update(n, mean.reshape(self.cell_shape), m2.reshape(self.cell_shape))
         return self
 

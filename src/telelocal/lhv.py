@@ -26,9 +26,7 @@ gives the joint t_a t_b / 4 exactly, so only alpha = 1/2 is simulated.
 As in a local model, one hidden ket per sample fixes each party's answer
 to every setting: the CH test's four settings pairs share it, so the CH
 combination of every single sample lies in [0, 1] (Clauser & Horne, PRD
-10, 526, 1974). Within a hemisphere group of the receivers' axes every cell
-is affine in (1, m), so a chunk keeps only weighted Gram sums of its Bloch
-vectors and never writes a cell (see estimate_joint).
+10, 526, 1974). A chunk never writes a cell (see estimate_joint).
 """
 
 from __future__ import annotations
@@ -132,27 +130,30 @@ def estimate_joint(
     rounding. ``terms_stderr`` is the stderr of each sample's sum of sign *
     cell over ``terms``, (+1 or -1, table index) pairs such as bellcheck.CH_TERMS.
 
-    A cell is (e . (1, m) / 2)(a_0 + (a_1 - a_0) i) with the sender's Pauli
-    row e, the receiver's answers a_0, a_1 and its indicator i = [n . m <= 0],
-    so a chunk writes none: as i^2 = i, every sum and sum of squares is a fixed
-    linear map of its Gram sums sum w (1, m)(1, m)^T, w each i, each product of
-    two and 1 (see StreamingMoments for the numerics).
+    A cell is (e . (1, m) / 2)(a_0 + (a_1 - a_0) i_j) with the sender's Pauli
+    row e, receiver j's answers a_0, a_1 and its indicator i_j = [n_j . m <= 0],
+    so it is c . phi, with phi = b x (1, m) over b = (1, i_1, ..., i_R) and
+    the cell's fixed row c; the terms' sum is one more row. A chunk writes no
+    cell: as i^2 = i, sum phi phi^T is a gather of the Gram sums
+    sum w (1, m)(1, m)^T, w each i_j, each product of two and 1, and a row's
+    sum is c . sum phi, its sum of squares c (sum phi phi^T) c^T (see
+    StreamingMoments for the numerics).
     """
     if not 0.0 <= alpha <= 0.5:
         raise ValueError("alpha must lie in [0, 1/2]")
+    terms = tuple(terms)
     senders, receivers = ([s] if isinstance(s, MeasurementSpec) else list(s) for s in (alice, bob))
     alice_coeffs = np.stack([qcore.pauli_rows(spec.operators) for spec in senders])
     bob_coeffs = np.stack([qcore.pauli_rows(spec.operators) for spec in receivers])
     axes, responses = zip(*map(minimum_rule, bob_coeffs))
     shape = (*alice_coeffs.shape[:2], *bob_coeffs.shape[:2])
     cells = math.prod(shape)
-    width = cells + bool(terms)  # the cells, then the terms' sum if any
-    # each cell and the terms' sum as c . phi with phi = b x (1, m) over b = (1, i_1, ...)
+    # the cells' rows c over phi, then the terms' signed sum if any
     basis = np.concatenate([np.stack(responses)[:, :1], np.diff(responses, axis=1) * np.eye(len(axes))[..., None]], 1)
-    combine = np.eye(width, cells)
-    for sign, cell in terms:
-        combine[-1, np.ravel_multi_index(cell, shape)] += sign
-    coeffs = combine @ np.einsum("sak,jcb->sajbck", alice_coeffs / 2, basis).reshape(cells, -1)
+    coeffs = np.einsum("sak,jcb->sajbck", alice_coeffs / 2, basis).reshape(cells, -1)
+    if terms:
+        coeffs = np.vstack([coeffs, sum(sign * coeffs[np.ravel_multi_index(cell, shape)] for sign, cell in terms)])
+    width = len(coeffs)
     # the weights: each i_j, each product of two, then 1; weight[a, b] is b_a b_b
     pairs, weights = np.triu_indices(len(axes), 1), math.comb(len(axes) + 1, 2) + 1
     weight = np.pad(np.diag(np.arange(len(axes))), (1, 0))
@@ -160,9 +161,6 @@ def estimate_joint(
     weight[1:, 1:][pairs] = weight[1:, 1:].T[pairs] = len(axes) + np.arange(len(pairs[0]))
     # Gram sum (q, w) is sum w (1, m)_k (1, m)_l, so sum phi phi^T is gram[lifted], its row 0 sum phi
     lifted = (_MONOMIAL[None, :, None] * weights + weight[:, None, :, None]).reshape(len(coeffs[0]), -1)
-    moment_map = np.zeros((2, 10 * weights, width))
-    moment_map[0][lifted[0]] = coeffs.T
-    np.add.at(moment_map[1], lifted, np.einsum("fi,fj->ijf", coeffs, coeffs))
     bloch = 3 + max(3, weights - 1)
 
     def chunk(states, coins, rows):
@@ -185,8 +183,8 @@ def estimate_joint(
         np.multiply(cols[2:], cols[2], out=monomials[:2])
         np.multiply(cols[3], cols[3], out=monomials[2])
         np.matmul(monomials, weight_rows.T, out=gram[7:])
-        sums, squares = gram.ravel() @ moment_map
-        return rows[:0].T, sums, squares
+        phi2 = gram.ravel()[lifted]
+        return rows[:0].T, coeffs @ phi2[0], np.einsum("fi,ij,fj->f", coeffs, phi2, coeffs)
 
     joint = run_chunks(chunk, cfg.samples, cfg.seed, _CHUNK, (width,), k=bloch + 4)
     mix = 2.0 * alpha

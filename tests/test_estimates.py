@@ -57,11 +57,11 @@ def test_sums_and_squares_come_together_in_one_1d_shape():
     for sums, squares in (([1.0, 2.0], [1.0]), ([1.0, 2.0], None), (None, [1.0, 2.0]), ([[1.0, 2.0]], [[1.0, 2.0]])):
         with pytest.raises(ValueError, match="sums and squares"):
             StreamingMoments((3,)).add(values.copy(), sums, squares)
-    acc = StreamingMoments((3,)).add(values.copy(), np.array([2.0, 4.0]), np.array([2.0, 4.0]))
-    npt.assert_array_equal(acc.mean(), [0.5, 1.0, 1.0])
-    # one cell per sample left implicit in a 1-D values is not a shape add guesses
-    with pytest.raises(ValueError, match=r"\(n, k\), got \(4,\)"):
-        StreamingMoments((3,)).add(np.ones(4), np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+    # sums beside per-sample cells, or one cell per sample left implicit in a
+    # 1-D values, is not a form add takes: every cell comes by its sums or none
+    for values, shape in ((np.ones((4, 1)), r"\(4, 1\)"), (np.ones(4), r"\(4,\)")):
+        with pytest.raises(ValueError, match=rf"shape \(n, 0\), got {shape}"):
+            StreamingMoments((3,)).add(values.copy(), np.array([2.0, 4.0]), np.array([2.0, 4.0]))
 
 
 def test_zero_width_values_give_every_cell_by_its_sums():

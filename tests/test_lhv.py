@@ -5,12 +5,13 @@ computation of Tr[W (A x B)] on the singlet-fraction state at alpha 1/2.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from telelocal import bellcheck, lhv, qcore, teleport
+from telelocal import bellcheck, estimates, lhv, qcore, teleport
 from telelocal.estimates import StreamingMoments
 
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -254,42 +255,73 @@ def test_povm_receiver_stderr_matches_per_sample_products():
     npt.assert_allclose(est.stderr, oracle.stderr(), rtol=1e-12)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.25])
-@pytest.mark.parametrize("tilted", [False, True], ids=["projective", "tilted"])
-def test_ch_table_matches_per_sample_products(alpha, tilted):
-    # a chunk reduces the table to Gram sums and never writes a cell; the oracle
-    # writes every overlap x answer product row and the signed CH row from the
-    # same hidden kets and adds them per sample. The tilted receiver's squared
-    # answers are not its answers, so its sums of squares test the i^2 = i step
+def _ch_settings(variant):
+    # the CH test's settings; "three" and "four" add receivers on random
+    # projective axes, with one term each on a new cell of the signed sum
     setting, grouping = bellcheck.violation_setting(), bellcheck.OutcomeGrouping()
     senders = [_spec("povm", e) for e in bellcheck.grouped_alice_effects(setting, grouping)]
     receivers = [_spec("projective", p) for p in bellcheck.bob_projectors(setting)]
-    if tilted:
+    if variant == "tilted":
         receivers[bellcheck.SETTING_R] = _spec("povm", np.stack([np.diag([0.7, 0.2]), np.diag([0.3, 0.8])]))
+    extra = {"three": 1, "four": 2}.get(variant, 0)
+    for axis in qcore.random_bloch_vectors(np.random.default_rng(35), extra):
+        receivers.append(_spec("projective", [qcore.spin_projector(axis, +1), qcore.spin_projector(axis, -1)]))
+    cells = [(bellcheck.SETTING_T, bellcheck.OUT_PLUS, 2, bellcheck.OUT_MINUS)]
+    cells.append((bellcheck.SETTING_U, bellcheck.OUT_MINUS, 3, bellcheck.OUT_PLUS))
+    terms = bellcheck.CH_TERMS + tuple(zip((-1, +1), cells[:extra]))
+    return setting, grouping, senders, receivers, terms
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.25])
+@pytest.mark.parametrize("variant", ["projective", "tilted", "three", "four"])
+def test_ch_table_matches_per_sample_products(alpha, variant):
+    # a chunk reduces the table to Gram sums and never writes a cell; the oracle
+    # writes every overlap x answer product row and the signed terms' row from
+    # the same hidden kets and adds them per sample. The tilted receiver's squared
+    # answers are not its answers, so its sums of squares test the i^2 = i step;
+    # three and four receivers test the weights' pair products beyond one pair
+    setting, grouping, senders, receivers, terms = _ch_settings(variant)
     samples = 20_000  # one stream block of two chunks
     cfg = lhv.LhvConfig(samples, 34)
-    est = lhv.estimate_joint(senders, receivers, cfg, alpha=alpha, terms=bellcheck.CH_TERMS)
+    est = lhv.estimate_joint(senders, receivers, cfg, alpha=alpha, terms=iter(terms))
     kets = qcore.haar_kets(np.random.default_rng(np.random.SeedSequence(34).spawn(2)[0]), samples)
     overlaps = np.stack([_overlap(kets, spec.operators) for spec in senders], axis=1)
     answers = np.stack([_minimum(kets, spec.operators) for spec in receivers], axis=1)
     products = overlaps[:, :, :, None, None] * answers[:, None, None]
-    ch = sum(sign * products[(slice(None), *cell)] for sign, cell in bellcheck.CH_TERMS)
-    oracle = StreamingMoments((17,)).add(np.column_stack([products.reshape(samples, 16), ch]))
+    cells = products[0].size
+    signed = sum(sign * products[(slice(None), *cell)] for sign, cell in terms)
+    oracle = StreamingMoments((cells + 1,)).add(np.column_stack([products.reshape(samples, cells), signed]))
     traces = [np.stack([np.trace(spec.operators, axis1=1, axis2=2).real for spec in specs]) for specs in (senders, receivers)]
-    noise = bellcheck.ProbabilityTable(joints=np.multiply.outer(*traces) / 4)
-    noise_ch = np.append(noise.joints.ravel(), bellcheck.ch_value(noise))
-    mean, stderr = 2 * alpha * oracle.mean() + (1 - 2 * alpha) * noise_ch, 2 * alpha * oracle.stderr()
-    npt.assert_allclose(est.probs.ravel(), mean[:16], rtol=0, atol=1e-13)
-    npt.assert_allclose(est.stderr.ravel(), stderr[:16], rtol=1e-12)
-    npt.assert_allclose(est.terms_stderr, stderr[16], rtol=1e-12)
-    table = bellcheck.ProbabilityTable(joints=est.probs, stderr=est.stderr)
-    npt.assert_allclose(bellcheck.ch_value(table), mean[16], rtol=0, atol=1e-13)
-    if not tilted:
+    noise = np.multiply.outer(*traces) / 4
+    noise_signed = np.append(noise.ravel(), sum(sign * noise[cell] for sign, cell in terms))
+    mean, stderr = 2 * alpha * oracle.mean() + (1 - 2 * alpha) * noise_signed, 2 * alpha * oracle.stderr()
+    assert est.probs.shape == (2, 2, len(receivers), 2)
+    npt.assert_allclose(est.probs.ravel(), mean[:cells], rtol=0, atol=1e-13)
+    npt.assert_allclose(est.stderr.ravel(), stderr[:cells], rtol=1e-12)
+    npt.assert_allclose(est.terms_stderr, stderr[cells], rtol=1e-12)
+    table = bellcheck.ProbabilityTable(joints=est.probs[:, :, :2], stderr=est.stderr[:, :, :2])
+    extra = sum(sign * est.probs[cell] for sign, cell in terms[len(bellcheck.CH_TERMS) :])
+    npt.assert_allclose(bellcheck.ch_value(table) + extra, mean[cells], rtol=0, atol=1e-13)
+    if variant == "projective":
         result = lhv.lhv_teleport_experiment(setting, grouping, cfg, alpha=alpha)
-        npt.assert_allclose(result.value, mean[16], rtol=0, atol=1e-13)
-        npt.assert_allclose(result.stderr, stderr[16], rtol=1e-12)
-        npt.assert_allclose(result.table.joints.ravel(), mean[:16], rtol=0, atol=1e-13)
-        npt.assert_allclose(result.table.stderr.ravel(), stderr[:16], rtol=1e-12)
+        npt.assert_allclose(result.value, mean[cells], rtol=0, atol=1e-13)
+        npt.assert_allclose(result.stderr, stderr[cells], rtol=1e-12)
+        npt.assert_allclose(result.table.joints.ravel(), mean[:cells], rtol=0, atol=1e-13)
+        npt.assert_allclose(result.table.stderr.ravel(), stderr[:cells], rtol=1e-12)
+
+
+def test_four_receivers_grow_the_chunk_buffer_to_17_rows():
+    # four receiver axes take 11 weight rows (4 indicators, 6 pair products and
+    # the ones), so a chunk asks for bloch + 4 = 17 rows of CHUNK, 2.1 MiB, in
+    # place of the 10 of one or two axes; a fresh thread starts with no buffer
+    _, _, senders, receivers, terms = _ch_settings("four")
+
+    def warmed_buffer_bytes():
+        lhv.estimate_joint(senders, receivers, lhv.LhvConfig(estimates.CHUNK, 36), terms=terms)
+        return estimates._buffers.floats.nbytes
+
+    with ThreadPoolExecutor(1) as thread:
+        assert thread.submit(warmed_buffer_bytes).result(timeout=120) == 17 * estimates.CHUNK * 8
 
 
 def test_white_noise_limit_is_exact():
