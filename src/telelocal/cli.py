@@ -15,9 +15,11 @@ The command table `_TABLE` holds each command's row builder, flags,
 the builder through `_COMMANDS` and wraps the rows in one report. Each
 builder takes the parsed config and is the only source of its command's
 rows. `reproduce` is their concatenation, on `child_seeds(seed, 4)`:
-`scan`; `teleport` at 1/2 (seed 0) and at 1/sqrt(2) (seed 1), its row
-renamed `teleport_fidelity_alpha_half` and `teleport_fidelity_alpha_threshold`;
-`gisin` (seed 2); `hardy`; `lhv` at 1/2 (seed 3).
+`scan`; `teleport` at 1/2 (seed 0), its exact Werner row renamed
+`teleport_fidelity_alpha_half`; `gisin` (seed 2); `hardy`; `lhv` at 1/2
+(seed 3). `teleport` is exact on the singlet-fraction family, where every
+sample would score (1 + alpha)/2, and Monte Carlo on a pure state, where
+the outcome draw and the division by its probability matter.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ DEFAULT_ALPHA = 0.5
 DEFAULT_GRID = "0:1:0.01"
 MAX_GRID_POINTS = 100_001
 MIN_SAMPLES = 2
+# cos t|01> - sin t|10> at t = 0.3: the teleport sampler's state, whose per-sample fidelity varies
+PURE_STATE_THETA = 0.3
+PURE_STATE = qcore.projector([0, math.cos(PURE_STATE_THETA), -math.sin(PURE_STATE_THETA), 0])
 
 
 class UsageError(Exception):
@@ -140,6 +145,7 @@ def _scan_rows(cfg: argparse.Namespace) -> list[dict]:
     singlet = scan.ends[1]
     root = bellcheck.closed_form_root(setting)
     above = grid[grid > root] if root is not None else grid[:0]
+    fidelity = teleport.exact_average_fidelity(qcore.werner_alpha(root)) if root is not None else None
     # a scan that finds no violation, or a grid that stops below the root,
     # leaves a null in the row and fails it
     return [
@@ -151,13 +157,18 @@ def _scan_rows(cfg: argparse.Namespace) -> list[dict]:
             expected=above[0] if above.size else None,
             tolerance=ANALYTIC_TOL,
         ),
+        _row("teleport_fidelity_alpha_threshold", fidelity, expected=(1 + 2**-0.5) / 2, tolerance=ANALYTIC_TOL),
     ]
 
 
 def _teleport_rows(cfg: argparse.Namespace) -> list[dict]:
     alpha = _alpha(cfg, 1.0, "alpha must lie in [0, 1]")
-    est = teleport.average_fidelity(qcore.werner_alpha(alpha), cfg.samples, cfg.seed)
-    return [_mc_row("teleport_fidelity", est, (1 + alpha) / 2)]
+    exact = teleport.exact_average_fidelity(qcore.werner_alpha(alpha))
+    est = teleport.average_fidelity(PURE_STATE, cfg.samples, cfg.seed)
+    return [
+        _row("teleport_fidelity", exact, expected=(1 + alpha) / 2, tolerance=ANALYTIC_TOL),
+        _mc_row("teleport_fidelity_pure_state", est, (2 + math.sin(2 * PURE_STATE_THETA)) / 3),
+    ]
 
 
 def _gisin_rows(cfg: argparse.Namespace) -> list[dict]:
@@ -205,16 +216,17 @@ def _lhv_rows(cfg: argparse.Namespace) -> list[dict]:
 
 
 def _reproduce_rows(cfg: argparse.Namespace) -> list[dict]:
+    # seeds[1] goes unused, so that gisin and lhv keep seeds[2] and seeds[3] and their rows stay as they were
     seeds = child_seeds(cfg.seed, 4)
 
     def at(seed: int, alpha: float | None = None) -> argparse.Namespace:
         return argparse.Namespace(**{**vars(cfg), "seed": seed, "alpha": alpha})
 
-    (half,), (threshold,) = _teleport_rows(at(seeds[0], 0.5)), _teleport_rows(at(seeds[1], 2**-0.5))
+    half, pure = _teleport_rows(at(seeds[0], 0.5))
     return [
         *_scan_rows(cfg),
         {**half, "name": "teleport_fidelity_alpha_half"},
-        {**threshold, "name": "teleport_fidelity_alpha_threshold"},
+        pure,
         *_gisin_rows(at(seeds[2])),
         *_hardy_rows(cfg),
         *_lhv_rows(at(seeds[3], 0.5)),
@@ -265,8 +277,9 @@ _TABLE = {
     "teleport": _Command(
         _teleport_rows,
         ("alpha", "samples", "seed"),
-        "Monte Carlo average teleportation fidelity",
-        "average teleportation fidelity (1 + alpha)/2 on the singlet-fraction family",
+        "average teleportation fidelity: exact on the singlet fraction, Monte Carlo on a pure state",
+        "average teleportation fidelity (1 + alpha)/2 on the singlet-fraction family, exact; "
+        "(2 + sin 0.6)/3 on cos 0.3|01> - sin 0.3|10>, Monte Carlo",
     ),
 }
 # main calls each row builder through this dict, so wrapping an entry wraps that command

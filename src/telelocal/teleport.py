@@ -29,8 +29,9 @@ sign the correction puts on sigma_b, outcome k has probability
 (s_k * m~) . R[:, 0] / 4 and corrected overlap
 <chi| U_k N_k U_k* |chi> = (s_k * m~)^T (R/8) (c_k * m~). These are exact
 identities, the same affine structure behind the generic-pair closed form
-(2F + 1)/3 (Horodecki, Horodecki & Horodecki, PRA 60, 1888, 1999). The
-complex three-qubit route above stays as their oracle.
+(2F + 1)/3 (Horodecki, Horodecki & Horodecki, PRA 60, 1888, 1999), which
+exact_average_fidelity gives as (1 - tr T/3)/2. The complex three-qubit
+route above stays as their oracle.
 """
 
 from __future__ import annotations
@@ -154,6 +155,11 @@ def bob_conditional_state(chi, rho, k: int) -> np.ndarray:
     if not prob > _PROBABILITY_FLOOR:
         raise ValueError(f"outcome {k} has probability {prob!r}, conditional state undefined")
     return state / prob
+
+
+def exact_average_fidelity(rho) -> float:
+    """Haar average of the fidelity, (1 - tr T/3)/2 with T = R[1:, 1:]; ValueError unless rho is a two-qubit state."""
+    return float(1 - np.trace(qcore.pauli_correlations(rho)[1:, 1:]) / 3) / 2
 
 
 def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from telelocal import bellcheck, cli, estimates, lhv, qcore
+from telelocal import bellcheck, cli, estimates, lhv, qcore, teleport
 
 
 def _run(argv, capsys):
@@ -69,11 +69,42 @@ def test_scan_reads_the_singlet_from_the_scans_own_end_point(monkeypatch, capsys
 def test_teleport_row_carries_stochastic_fields(capsys):
     code, out = _run(["teleport", "--alpha", "0.25", "--samples", "500", "--seed", "3"], capsys)
     assert code == 0
-    row = json.loads(out)["results"][0]
-    assert row["name"] == "teleport_fidelity"
-    assert row["samples"] == 500
-    assert "stderr" in row and row["pass"] is True
-    assert abs(row["value"] - 0.625) <= row["tolerance"]
+    exact, pure = json.loads(out)["results"]
+    # the singlet-fraction row is the closed form, so it carries no stochastic field
+    assert exact["name"] == "teleport_fidelity"
+    assert "stderr" not in exact and "samples" not in exact
+    assert exact["pass"] is True and exact["tolerance"] == cli.ANALYTIC_TOL
+    assert abs(exact["value"] - 0.625) <= exact["tolerance"]
+    assert pure["name"] == "teleport_fidelity_pure_state"
+    assert pure["samples"] == 500
+    assert pure["stderr"] > 0 and pure["pass"] is True
+    assert abs(pure["value"] - (2 + np.sin(0.6)) / 3) <= pure["tolerance"]
+
+
+def _uniform_outcome_fidelity(rho, samples, seed):
+    # a broken sampler: it draws the Bell outcome uniformly, not with its probability p_k, yet still divides
+    # the corrected overlap by p_k. On the singlet-fraction family every overlap / p_k is (1 + alpha)/2, so
+    # only a state whose per-sample fidelity varies can show the bias
+    rng = np.random.default_rng(seed)
+    rows = qcore.bloch_rows(qcore.haar_kets(rng, samples))
+    sent = teleport._SENDER_SIGNS[rng.integers(4, size=samples)] * rows
+    r = qcore.pauli_correlations(rho)
+    scores = np.einsum("sa,ab,sb->s", sent, r / 8 * teleport._FLIP, sent) / (sent @ r[:, 0] / 4)
+    return estimates.MonteCarloEstimate(scores.mean(), scores.std(ddof=1) / np.sqrt(samples), samples)
+
+
+def test_only_the_pure_state_row_sees_a_uniform_outcome_draw(monkeypatch, capsys):
+    for alpha in (0.0, 0.5, 1.0):
+        est = _uniform_outcome_fidelity(qcore.werner_alpha(alpha), 4000, 1)
+        assert abs(est.value - (1 + alpha) / 2) <= 1e-12 and est.stderr <= 1e-12
+    monkeypatch.setattr(teleport, "average_fidelity", _uniform_outcome_fidelity)
+    code, out = _run(["teleport", "--samples", "20000"], capsys)
+    assert code == 1
+    rows = {row["name"]: row for row in json.loads(out)["results"]}
+    assert rows["teleport_fidelity"]["pass"] is True
+    pure = rows["teleport_fidelity_pure_state"]
+    assert pure["pass"] is False
+    assert abs(pure["value"] - 0.824) <= 0.005 and pure["expected"] == pytest.approx(0.8548808244650117)
 
 
 def test_lhv_command_matches_closed_form(capsys):
@@ -114,15 +145,23 @@ def _rows(argv, capsys):
 def test_reproduce_rows_come_from_the_other_commands(capsys):
     n, seed = ["--samples", "20000"], 7
     seeds = [str(s) for s in estimates.child_seeds(seed, 4)]
-    (half,) = _rows(["teleport", "--alpha", "0.5", *n, "--seed", seeds[0]], capsys)
-    (threshold,) = _rows(["teleport", "--alpha", repr(2**-0.5), *n, "--seed", seeds[1]], capsys)
+    half, pure = _rows(["teleport", "--alpha", "0.5", *n, "--seed", seeds[0]], capsys)
     assert _rows(["reproduce", *n, "--seed", str(seed)], capsys) == (
         _rows(["scan"], capsys)
-        + [{**half, "name": "teleport_fidelity_alpha_half"}, {**threshold, "name": "teleport_fidelity_alpha_threshold"}]
+        + [{**half, "name": "teleport_fidelity_alpha_half"}, pure]
         + _rows(["gisin", *n, "--seed", seeds[2]], capsys)
         + _rows(["hardy"], capsys)
         + _rows(["lhv", "--alpha", "0.5", *n, "--seed", seeds[3]], capsys)
     )
+
+
+def test_no_monte_carlo_row_of_reproduce_has_zero_variance(capsys):
+    # a zero-variance estimator scores every sample alike, so it cannot see a biased draw; such a row belongs
+    # in closed form, and no reproduce row carrying a stderr may be one
+    stochastic = [row for row in _rows(["reproduce", "--samples", "20000"], capsys) if "stderr" in row]
+    assert stochastic
+    for row in stochastic:
+        assert row["stderr"] > 1e-9, row["name"]
 
 
 @pytest.mark.parametrize(
@@ -231,6 +270,7 @@ def test_scan_without_a_closed_form_root_fails_instead_of_raising(monkeypatch, c
     rows = {row["name"]: row for row in json.loads(out)["results"]}
     assert rows["threshold_closed_form_root"]["value"] is None
     assert rows["threshold_first_grid_violation"]["expected"] is None
+    assert rows["teleport_fidelity_alpha_threshold"]["value"] is None
     # the singlet row needs no root
     assert rows.pop("singlet_ch_value")["pass"] is True
     assert not any(row["pass"] for row in rows.values())
@@ -239,6 +279,7 @@ def test_scan_without_a_closed_form_root_fails_instead_of_raising(monkeypatch, c
     assert out.splitlines()[2:] == [
         "threshold_closed_form_root,,,0.7071067811865476,1e-09,false",
         "threshold_first_grid_violation,0.71,,,1e-09,false",
+        "teleport_fidelity_alpha_threshold,,,0.8535533905932737,1e-09,false",
     ]
 
 

@@ -304,6 +304,24 @@ def test_average_fidelity_on_generic_pairs_matches_the_closed_form():
         assert abs(est.value - singlet_fraction_fidelity(rho)) <= 4 * est.stderr
 
 
+def test_exact_average_fidelity_is_the_singlet_fraction_closed_form():
+    rng = np.random.default_rng(RNG_SEED + 12)
+    for _ in range(50):
+        rho = qcore.random_density(rng, 4)
+        assert abs(teleport.exact_average_fidelity(rho) - singlet_fraction_fidelity(rho)) <= 1e-14
+    for alpha in (0.0, 0.5, 2**-0.5, 1.0):
+        assert abs(teleport.exact_average_fidelity(qcore.werner_alpha(alpha)) - (1 + alpha) / 2) <= 1e-14
+    theta = 0.3
+    pure = qcore.projector([0, np.cos(theta), -np.sin(theta), 0])
+    assert abs(teleport.exact_average_fidelity(pure) - (2 + np.sin(2 * theta)) / 3) <= 1e-14
+
+
+def test_exact_average_fidelity_validates_the_state():
+    for bad in non_states():
+        with pytest.raises(ValueError, match="density matrix"):
+            teleport.exact_average_fidelity(bad)
+
+
 def test_average_fidelity_has_no_spurious_variance_on_the_threshold_pair():
     est = teleport.average_fidelity(qcore.werner_alpha(2**-0.5), samples=2000, seed=11)
     assert est.stderr < 1e-15
