@@ -80,7 +80,10 @@ def _grid_points(grid: tuple[float, float, float]) -> np.ndarray:
     if count > MAX_GRID_POINTS:
         raise UsageError(f"grid has more than {MAX_GRID_POINTS} points, the most allowed")
     # rounding can put the last point a hair above HI, and so above 1
-    return np.minimum(lo + step * np.arange(count), hi)
+    points = np.minimum(lo + step * np.arange(count), hi)
+    if np.any(np.diff(points) <= 0):
+        raise UsageError(f"grid step {step!r} is below the float spacing of its points, which would repeat")
+    return points
 
 
 def _optional_float(value) -> float | None:
@@ -175,7 +178,6 @@ def _gisin_rows(cfg: argparse.Namespace) -> list[dict]:
     seeds = child_seeds(cfg.seed, 2)
     analytic = classical.gisin_fidelity_analytic()
     return [
-        _row("gisin_fidelity_analytic", analytic, expected=analytic, tolerance=ANALYTIC_TOL),
         _mc_row("gisin_fidelity_mc", classical.gisin_scheme_fidelity(cfg.samples, seeds[0]), analytic),
         _mc_row("z_scheme_fidelity", classical.z_scheme_fidelity(cfg.samples, seeds[1]), 2 / 3),
     ]
@@ -186,7 +188,6 @@ def _hardy_rows(cfg: argparse.Namespace) -> list[dict]:
     return [
         _row("hardy_successes", report.successes, expected=report.total, tolerance=0.0),
         _row("hardy_partition_ok", float(report.partition_ok), expected=1.0, tolerance=0.0),
-        _row("hardy_message_map_ok", float(report.message_map_ok), expected=1.0, tolerance=0.0),
     ]
 
 
@@ -203,7 +204,6 @@ def _lhv_rows(cfg: argparse.Namespace) -> list[dict]:
     worst = np.unravel_index(np.argmax(deviation / band), deviation.shape)
     return [
         _mc_row("lhv_ch_value", est, bellcheck.closed_form_value(alpha, setting)),
-        _mc_row("lhv_ch_in_unit_interval", est, min(max(est.value, 0.0), 1.0)),
         _row(
             "lhv_max_cell_deviation",
             deviation[worst],

@@ -33,29 +33,14 @@ class ToyVerifyReport:
     successes: int
     total: int
     partition_ok: bool
-    message_map_ok: bool
 
     @property
     def passed(self) -> bool:
-        return self.successes == self.total and self.partition_ok and self.message_map_ok
+        return self.successes == self.total and self.partition_ok
 
 
-def _message_map(tables) -> tuple[tuple[int, ...], bool]:
-    """Per-outcome message of the first row (-1 for an empty outcome), and whether every row agrees."""
-    derived = []
-    consistent = True
-    for rows in tables:
-        messages = [(x2 - x1) % 4 for x1, x2 in rows]
-        derived.append(messages[0] if messages else -1)
-        consistent = consistent and len(set(messages)) == 1
-    return tuple(derived), consistent
-
-
-_messages, _consistent = _message_map(TOY_TABLES)
-if not _consistent:
-    raise AssertionError("inconsistent canonical tables")
-# outcome index -> transmitted message, derived and checked at import
-MESSAGE_MAP: tuple[int, ...] = _messages
+# outcome index -> transmitted message, (x2 - x1) mod 4 of the outcome's first row
+MESSAGE_MAP: tuple[int, ...] = tuple((x2 - x1) % 4 for (x1, x2), *_ in TOY_TABLES)
 
 
 def bob_correction(x3: int, message: int) -> int:
@@ -67,20 +52,19 @@ def exhaustive_verify(tables=None) -> ToyVerifyReport:
     """Check the tables structurally and replay all 16 (input, shared) cases.
 
     The partition check requires the pairs of all outcomes, sorted, to be
-    the 16 hidden pairs; the message check requires each outcome's rows
-    to agree on (x2 - x1) mod 4. The replay uses the first-row message.
+    the 16 hidden pairs. The replay uses each outcome's first-row message, so
+    a row with another (x2 - x1) mod 4 fails its replay unless it breaks the partition.
     """
     tables = TOY_TABLES if tables is None else tuple(tuple(map(tuple, rows)) for rows in tables)
-    seen = {pair: k for k, rows in enumerate(tables) for pair in rows}
-    messages, message_map_ok = _message_map(tables)
+    # each pair -> the message of its outcome's first row
+    messages = {pair: (rows[0][1] - rows[0][0]) % 4 for rows in tables for pair in rows}
     cases = [(x1, shared) for x1 in range(4) for shared in range(4)]
     successes = 0
     for x1, shared in cases:
-        if (x1, shared) in seen and bob_correction(shared, messages[seen[x1, shared]]) == x1:
+        if (x1, shared) in messages and bob_correction(shared, messages[x1, shared]) == x1:
             successes += 1
     return ToyVerifyReport(
         successes=successes,
         total=16,
         partition_ok=sorted(pair for rows in tables for pair in rows) == cases,
-        message_map_ok=message_map_ok,
     )

@@ -40,8 +40,7 @@ from . import bellcheck, qcore
 from .estimates import CHUNK, run_chunks
 
 _PARALLEL_ATOL = 1e-10
-# a chunk's rows: 3 monomial rows, the weight rows but the last (at least 3, so the kets' 7 rows fit)
-# and 4 Bloch rows, whose ones are the last weight; bloch + 4 = 10 (1.25 MiB) for one or two axes
+# estimate_joint's rows per chunk; perfbench/machine.working_set and tests/test_blocks.py read and patch it
 _CHUNK = CHUNK
 # a chunk's Gram row of the monomial (1, m)_k (1, m)_l: 1, x, y, z, x (x, y, z), (yy, yz, zz)
 _MONOMIAL = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])
@@ -161,6 +160,8 @@ def estimate_joint(
     weight[1:, 1:][pairs] = weight[1:, 1:].T[pairs] = len(axes) + np.arange(len(pairs[0]))
     # Gram sum (q, w) is sum w (1, m)_k (1, m)_l, so sum phi phi^T is gram[lifted], its row 0 sum phi
     lifted = (_MONOMIAL[None, :, None] * weights + weight[:, None, :, None]).reshape(len(coeffs[0]), -1)
+    # a chunk's rows: 3 monomial rows, the weight rows but the last (at least 3, so the kets' 7 rows fit)
+    # and 4 Bloch rows, whose ones are the last weight; bloch + 4 = 10 (1.25 MiB) for one or two axes
     bloch = 3 + max(3, weights - 1)
 
     def chunk(states, coins, rows):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from telelocal import bellcheck, cli, estimates, lhv, qcore, teleport
+from telelocal import bellcheck, classical, cli, estimates, lhv, qcore, teleport
 
 
 def _run(argv, capsys):
@@ -29,7 +29,7 @@ def test_hardy_json_report_schema(capsys):
     assert set(report["config"]) == {"alpha", "samples", "seed", "grid"}
     assert isinstance(report["paper_reference"], str)
     names = [row["name"] for row in report["results"]]
-    assert names == ["hardy_successes", "hardy_partition_ok", "hardy_message_map_ok"]
+    assert names == ["hardy_successes", "hardy_partition_ok"]
     for row in report["results"]:
         assert row["pass"] is True
         assert set(row) >= {"name", "value", "expected", "tolerance", "pass"}
@@ -122,11 +122,51 @@ def test_gisin_csv_format(capsys):
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "name,value,stderr,expected,tolerance,pass"
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert first[0] == "gisin_fidelity_analytic"
-    assert first[2] == ""  # analytic rows have no standard error
-    assert first[5] == "true"
+    assert [line.split(",")[0] for line in lines[1:]] == ["gisin_fidelity_mc", "z_scheme_fidelity"]
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert float(cells[2]) > 0 and cells[5] == "true"
+    # an exact row has no standard error, so its stderr cell is empty
+    code, out = _run(["teleport", "--samples", "30000", "--format", "csv"], capsys)
+    assert code == 0
+    exact = teleport.exact_average_fidelity(qcore.werner_alpha(0.5))
+    assert out.split("\n")[1] == f"teleport_fidelity,{exact!r},,0.75,1e-09,true"
+
+
+@pytest.mark.parametrize("offset", [-0.01, 0.01])
+def test_gisin_mc_row_fails_when_the_closed_form_is_off(offset, monkeypatch, capsys):
+    # the Monte Carlo row is checked against the closed form, so it carries the claim 0.8724 on its own
+    real = classical.gisin_fidelity_analytic
+    monkeypatch.setattr(classical, "gisin_fidelity_analytic", lambda: real() + offset)
+    code, out = _run(["gisin", "--samples", "30000"], capsys)
+    assert code == 1
+    rows = {row["name"]: row for row in json.loads(out)["results"]}
+    assert rows["gisin_fidelity_mc"]["pass"] is False
+    assert rows["gisin_fidelity_mc"]["expected"] == real() + offset
+    assert rows["z_scheme_fidelity"]["pass"] is True
+
+
+def test_lhv_ch_expected_value_lies_inside_the_unit_interval():
+    # the canonical CH value falls from 1/2 at alpha = 0 to (2 - sqrt 2)/4 at alpha = 1/2
+    setting = bellcheck.violation_setting()
+    for alpha in (0.0, 0.25, 0.5):
+        value = bellcheck.closed_form_value(alpha, setting)
+        assert (2 - 2**0.5) / 4 - 1e-15 <= value <= 0.5 + 1e-15
+
+
+@pytest.mark.parametrize("value", [-0.01, 1.01])
+def test_lhv_ch_value_fails_on_an_estimate_outside_the_unit_interval(value, monkeypatch, capsys):
+    # a CH estimate outside [0, 1] by more than its band lies outside the band around the expected value
+    real = lhv.lhv_teleport_experiment
+
+    def moved(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), value=value)
+
+    monkeypatch.setattr(lhv, "lhv_teleport_experiment", moved)
+    code, out = _run(["lhv", "--samples", "20000"], capsys)
+    assert code == 1
+    row = json.loads(out)["results"][0]
+    assert row["name"] == "lhv_ch_value" and row["value"] == value and row["pass"] is False
 
 
 def test_reports_are_byte_identical_per_config(tmp_path):
@@ -223,6 +263,11 @@ def test_usage_errors_exit_2(capsys):
     assert cli.main(["teleport", "--seed", "-1"]) == 2
     assert cli.main(["reproduce", "--seed", "-1"]) == 2
     capsys.readouterr()
+    # a step below the float spacing at LO would repeat grid points
+    for command in ("scan", "reproduce"):
+        assert cli.main([command, "--grid", "0.5:0.5000000000000001:1e-17"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_grid_points_stop_at_hi(capsys):

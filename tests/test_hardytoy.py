@@ -1,6 +1,15 @@
 """Unit tests for the exact four-state toy teleportation protocol."""
 
+import random
+
 from telelocal import hardytoy
+
+
+def _passed_with_a_message_check(report, tables):
+    # the verdict of a separate check that every row of an outcome carries the same message; passed must
+    # equal it on every table, because a row that breaks that check fails its replay or the partition
+    consistent = all(len({(x2 - x1) % 4 for x1, x2 in rows}) == 1 for rows in tables)
+    return report.successes == report.total and report.partition_ok and consistent
 
 
 def test_canonical_tables_partition_all_pairs():
@@ -26,8 +35,9 @@ def test_joint_measurement_rejects_unmapped_pairs():
     missing = [list(rows) for rows in hardytoy.TOY_TABLES]
     missing[0] = [(0, 0), (1, 1), (2, 2)]
     report = hardytoy.exhaustive_verify(tables=missing)
-    assert report.successes == 15 and report.message_map_ok
+    assert report.successes == 15
     assert not report.partition_ok and not report.passed
+    assert report.passed == _passed_with_a_message_check(report, missing)
 
 
 def test_classical_message_consistency():
@@ -54,7 +64,8 @@ def test_protocol_always_teleports_exactly():
 def test_exhaustive_verify_passes_on_canonical_tables():
     report = hardytoy.exhaustive_verify()
     assert report.successes == report.total == 16
-    assert report.partition_ok and report.message_map_ok and report.passed
+    assert report.partition_ok and report.passed
+    assert report.passed == _passed_with_a_message_check(report, hardytoy.TOY_TABLES)
 
 
 def test_exhaustive_verify_flags_broken_tables():
@@ -64,21 +75,30 @@ def test_exhaustive_verify_flags_broken_tables():
     report = hardytoy.exhaustive_verify(tables=dup)
     assert not report.partition_ok
     assert not report.passed
+    assert report.passed == _passed_with_a_message_check(report, dup)
+
+    # repeat a pair inside its own outcome: its message agrees and every replay succeeds, so only the
+    # partition check sees it
+    repeated = [list(rows) for rows in hardytoy.TOY_TABLES]
+    repeated[1].append(repeated[1][2])
+    report = hardytoy.exhaustive_verify(tables=repeated)
+    assert report.successes == 16 and not report.partition_ok and not report.passed
 
     # swap two entries inside one outcome: rows disagree on the message
     mixed = [list(rows) for rows in hardytoy.TOY_TABLES]
     mixed[0][1], mixed[1][1] = mixed[1][1], mixed[0][1]
     report = hardytoy.exhaustive_verify(tables=mixed)
-    assert not report.message_map_ok
-    assert report.successes < 16
+    assert report.successes < 16 and report.partition_ok
     assert not report.passed
+    assert report.passed == _passed_with_a_message_check(report, mixed)
 
     # trade a row between outcomes 0 and 2: each holds one row of the other's message
     inconsistent = [list(rows) for rows in hardytoy.TOY_TABLES]
     inconsistent[0][1], inconsistent[2][3] = inconsistent[2][3], inconsistent[0][1]
     report = hardytoy.exhaustive_verify(tables=inconsistent)
     assert report.partition_ok and report.successes == 14
-    assert not report.message_map_ok and not report.passed
+    assert not report.passed
+    assert report.passed == _passed_with_a_message_check(report, inconsistent)
 
     # a pair outside the 16 hidden pairs, even one whose message agrees with its outcome's
     for outcome, pair in ((0, (5, 5)), (0, (4, 0)), (2, (-4, -2))):
@@ -86,6 +106,7 @@ def test_exhaustive_verify_flags_broken_tables():
         extra[outcome].append(pair)
         report = hardytoy.exhaustive_verify(tables=extra)
         assert not report.partition_ok and not report.passed
+        assert report.passed == _passed_with_a_message_check(report, extra)
 
 
 def test_exhaustive_verify_reports_an_empty_outcome():
@@ -94,4 +115,32 @@ def test_exhaustive_verify_reports_an_empty_outcome():
     empty[3] = []
     report = hardytoy.exhaustive_verify(tables=empty)
     assert report.successes == 12
-    assert not report.message_map_ok and not report.partition_ok and not report.passed
+    assert not report.partition_ok and not report.passed
+    assert report.passed == _passed_with_a_message_check(report, empty)
+
+
+def test_passed_needs_no_message_check_on_random_tables():
+    # pairs moved, swapped, repeated, dropped or added, a few edits per table: whenever an outcome's rows
+    # disagree on the message, the replay or the partition already fails
+    rng = random.Random(7)
+    pairs = [(a, b) for a in range(-1, 5) for b in range(-1, 5)]
+    verdicts = set()
+    for _ in range(3000):
+        tables = [list(rows) for rows in hardytoy.TOY_TABLES]
+        for _ in range(rng.randint(1, 3)):
+            k, j = rng.randrange(4), rng.randrange(4)
+            edit = rng.randrange(4)
+            if edit == 0 and tables[k]:
+                tables[j].append(tables[k].pop(rng.randrange(len(tables[k]))))
+            elif edit == 1 and tables[k] and tables[j]:
+                a, b = rng.randrange(len(tables[k])), rng.randrange(len(tables[j]))
+                tables[k][a], tables[j][b] = tables[j][b], tables[k][a]
+            elif edit == 2 and tables[k]:
+                tables[j].append(rng.choice(tables[k]))
+            else:
+                tables[k].append(rng.choice(pairs))
+        report = hardytoy.exhaustive_verify(tables=tables)
+        assert report.passed == _passed_with_a_message_check(report, tables), tables
+        verdicts.add(report.passed)
+    # a swap within one message class, or a move undone, leaves a passing table
+    assert verdicts == {True, False}
