@@ -10,8 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # rows per Monte Carlo chunk of every kernel: a 1M estimate on two pool workers
-# against one took 0.068 vs 0.073 s at 8192 rows and 0.049 vs 0.066 s at 16384
-# (average_fidelity, 2 shared CPUs); results do not depend on it (see run_chunks)
+# against one took 0.046-0.048 vs 0.048-0.050 s at 8192 rows and 0.035-0.047 vs
+# 0.046-0.048 s at 16384 (average_fidelity, 2 shared CPUs, medians of two sets of
+# 12 runs); results do not depend on it (see run_chunks)
 CHUNK = 16_384
 # rows of CHUNK floats run_chunks hands each kernel's chunk by default, from its
 # thread's buffer kept for the thread's life (1.25 MiB at the default CHUNK)
@@ -23,8 +24,10 @@ BLOCK = 65_536
 IN_FLIGHT_PER_WORKER = 2
 
 # the worker pool of run_chunks and its number of threads, built by the first call with more
-# than one block; it lives for the whole process, so no call starts threads (on 2 CPUs a pool
-# per call measured the same within noise: locality pass_s 0.086-0.096 s either way)
+# than one block; it lives for the whole process, so no call starts and joins threads or
+# warms their chunk buffers. On 2 shared CPUs a pool per call added 1-2 ms to an estimate:
+# at two blocks (131072 samples) teleport, lhv and z ran 15-55% slower in 26-29 of 30
+# alternating in-process pairs; at 1M samples the medians moved -3% to +8%, within noise
 _pool = None
 _workers = 0
 _pool_lock = threading.Lock()

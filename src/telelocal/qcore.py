@@ -95,9 +95,9 @@ def projector(ket) -> np.ndarray:
 def ket_to_bloch(chi, name: str = "ket") -> np.ndarray:
     """Expectation values (x, y, z) of the three Pauli operators in a qubit ket.
 
-    bloch_rows's arithmetic on Python floats, so the same bits as its row for
-    the ket, without its array set-up. ValueError, naming the ket ``name``,
-    unless chi is a unit ket of shape (2,).
+    bloch_rows's full formula on Python floats, so the same values as its row
+    for the ket, without its array set-up. ValueError, naming the ket
+    ``name``, unless chi is a unit ket of shape (2,).
     """
     (ar, ai), (br, bi) = ((c.real, c.imag) for c in qubit_ket(chi, name).tolist())
     return np.array([(ar * br + ai * bi) * 2, (ar * bi - ai * br) * 2, (ar * ar + ai * ai) - (br * br + bi * bi)])
@@ -121,6 +121,12 @@ def bloch_rows(kets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     its (n, 4) transpose view, so ``bloch_rows(kets).T`` is component-major
     at no cost. Each product is written into a row of that buffer not yet
     written, so no temporary row is built.
+
+    When every ai is +0.0, as haar_kets returns them, and every |b|^2 is
+    finite, the terms in ai are dropped: nine passes, x = 2 ar br,
+    y = 2 ar bi and z = ar^2 - |b|^2, instead of sixteen. Each dropped term
+    is +-0, which changes no nonzero value, so the rows equal the full
+    formula's, a zero possibly of the other sign.
     """
     parts = np.ascontiguousarray(kets, dtype=complex).view(float)
     if parts.shape[1:] != (4,):
@@ -131,16 +137,22 @@ def bloch_rows(kets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raise ValueError(f"out has shape {cols.shape}, expected {(4, parts.shape[0])}")
     one, x, y, z = cols
     np.multiply(ar, ar, out=z)
-    z += np.multiply(ai, ai, out=y)
     # x holds |b|^2 until z is done
     np.multiply(br, br, out=x)
     x += np.multiply(bi, bi, out=y)
+    # +0.0 is the only float whose bits are all 0, so -0.0 and NaN keep the terms in ai, and so
+    # does a b with an inf or NaN, for which +0.0 times b is NaN (a NaN |b|^2 fails the test too)
+    full = np.count_nonzero(ai.view(np.int64)) > 0 or not x.max(initial=0.0) < np.inf
+    if full:
+        z += np.multiply(ai, ai, out=y)
     z -= x
     np.multiply(ar, br, out=x)
-    x += np.multiply(ai, bi, out=one)
+    if full:
+        x += np.multiply(ai, bi, out=one)
     x *= 2
     np.multiply(ar, bi, out=y)
-    y -= np.multiply(ai, br, out=one)
+    if full:
+        y -= np.multiply(ai, br, out=one)
     y *= 2
     one[...] = 1.0
     return cols.T
@@ -172,12 +184,16 @@ def check_effects(ops, projective: bool = False) -> np.ndarray:
 
     The effects must sum to the identity and each must be hermitian and
     positive semidefinite, and a projector when ``projective`` is set.
+    Positivity is read from the smaller eigenvalue (t - |r|)/2 of each
+    effect, with t = p + s and |r| = hypot(p - s, 2|q|) from the entries an
+    eigensolver reads: the real diagonal (p, s) and q = E_10.
     """
     ops = _as_complex(ops)
     if ops.ndim != 3 or ops.shape[1:] != (2, 2):
         raise ValueError("effects must have shape (outcomes, 2, 2)")
-    # every test is written as "not within tolerance", so NaN entries fail it
-    if not np.abs(ops.sum(axis=0) - IDENTITY_2).max() <= ATOL_STRUCTURAL:
+    # every test is written as "not within tolerance", so NaN entries fail it; an inf and a -inf
+    # in one entry would sum to NaN with a warning, so any entry that is not finite fails first
+    if not (np.isfinite(ops).all() and np.abs(ops.sum(axis=0) - IDENTITY_2).max() <= ATOL_STRUCTURAL):
         raise ValueError("effects must sum to the identity")
 
     def require(ok: np.ndarray, what: str) -> None:
@@ -185,7 +201,11 @@ def check_effects(ops, projective: bool = False) -> np.ndarray:
             raise ValueError(f"effect {int(np.argmin(ok))} is not {what}")
 
     require(np.abs(ops - ops.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= ATOL_STRUCTURAL, "hermitian")
-    require(np.linalg.eigvalsh(ops)[:, 0] >= -ATOL_PSD, "positive semidefinite")
+    # an eighth of each entry keeps every step below finite for any finite entry, and a power
+    # of two scales each rounding exactly, so this is a quarter of (t - |r|)/2
+    eighths = ops / 8
+    p, s = eighths[:, 0, 0].real, eighths[:, 1, 1].real
+    require(p + s - np.hypot(p - s, 2 * np.abs(eighths[:, 1, 0])) >= -ATOL_PSD / 4, "positive semidefinite")
     if projective:
         require(np.abs(ops @ ops - ops).max(axis=(1, 2)) <= ATOL_PSD, "a projector")
     return ops
@@ -221,18 +241,16 @@ def is_density(m) -> bool:
     m = _as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         return False
-    # every test is written as "not within tolerance", so NaN entries fail it; an
-    # infinite entry makes its deviation from the adjoint inf or a NaN (inf - inf),
-    # which fails the first test without a warning, so past it every entry is finite
     adjoint = m.conj().T
-    with np.errstate(invalid="ignore"):
-        deviation = np.abs(m - adjoint).max()
-    if not deviation <= ATOL_PSD:
+    # every test is written as "not within tolerance", so NaN entries fail it; an infinite entry
+    # would make its deviation from the adjoint inf - inf, a NaN with a warning, so it fails first
+    if not (np.isfinite(m).all() and np.abs(m - adjoint).max() <= ATOL_PSD):
         return False
-    trace = m.trace()
+    trace = sum(m.diagonal().tolist())
     if not (abs(trace.real - 1.0) <= ATOL_PSD and abs(trace.imag) <= ATOL_PSD):
         return False
-    return bool(np.linalg.eigvalsh((m + adjoint) / 2).min() >= -ATOL_PSD)
+    # eigvalsh returns the eigenvalues in ascending order
+    return bool(np.linalg.eigvalsh((m + adjoint) / 2)[0] >= -ATOL_PSD)
 
 
 def _split_scratch(
@@ -247,18 +265,20 @@ def _split_scratch(
     return scratch[:-draw_rows], scratch[-draw_rows:]
 
 
-def _state_draws(rng: np.random.Generator, n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _state_draws(rng: np.random.Generator, pairs: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     # the state stream: row i of random((n, 2)) is the i-th pair (u, v), and
-    # phi = 2 pi v - pi. NumPy's float64 cos and sin can be scalar libm calls
-    # where its tan has a SIMD loop, so one contiguous row takes
-    # t = tan(phi / 2) = tan(pi v - pi / 2) (the same float as half of
-    # 2 pi v - pi) and then sin phi = 2t/(1 + t^2); the v column becomes
+    # phi = 2 pi v - pi. The pairs are drawn into ``pairs``, an (n, 2) view of
+    # the sampler's result rows, which are written only later, and copied once
+    # into the first two of the three contiguous ``rows``, so that no pass
+    # here or in the sampler reads a strided column. NumPy's float64 cos and
+    # sin can be scalar libm calls where its tan has a SIMD loop, so the last
+    # row takes t = tan(phi / 2) = tan(pi v - pi / 2) (the same float as half
+    # of 2 pi v - pi) and then sin phi = 2t/(1 + t^2); the v row becomes
     # cos phi = (1 - t^2)/(1 + t^2), formed as 2/(1 + t^2) - 1. t^2 stays
-    # finite: at v = 0, t is about -1.6e16. Returns u and cos phi, column
-    # views of the draws, and the sin phi row; the draws fill the first two
-    # of the three rows, read as (n, 2), and sin phi the last
-    u, cos_phi = rng.random(out=rows[:2].reshape(n, 2)).T
-    sin_phi = np.multiply(cos_phi, np.pi, out=rows[2])
+    # finite: at v = 0, t is about -1.6e16. Returns the rows u, cos phi and sin phi
+    np.copyto(rows[:2], rng.random(out=pairs).T)
+    u, cos_phi, sin_phi = rows
+    np.multiply(cos_phi, np.pi, out=sin_phi)
     sin_phi -= np.pi / 2
     np.tan(sin_phi, out=sin_phi)
     np.multiply(sin_phi, sin_phi, out=cos_phi)
@@ -270,6 +290,11 @@ def _state_draws(rng: np.random.Generator, n: int, rows: np.ndarray) -> tuple[np
     return u, cos_phi, sin_phi
 
 
+def _spare_pairs(result: np.ndarray, n: int) -> np.ndarray:
+    # the first 2n floats of a sampler's C-contiguous float result, read as (n, 2)
+    return result.reshape(-1)[: 2 * n].reshape(n, 2)
+
+
 def haar_kets(rng: np.random.Generator, n: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """n Haar-uniform qubit kets (sqrt u, sqrt(1 - u) e^{i phi}), one per row.
 
@@ -278,19 +303,22 @@ def haar_kets(rng: np.random.Generator, n: int, scratch: np.ndarray | None = Non
     and phi = 2 pi v - pi. The Bloch vector of such a ket has z = 2u - 1
     and azimuth phi, independent and uniform, so it is uniform on the
     sphere (Archimedes) and the projector is Haar-distributed. The global
-    phase is fixed: <0|psi> = sqrt u is real and nonnegative. e^{i phi} is
+    phase is fixed: <0|psi> = sqrt u is real and nonnegative, its imaginary
+    part +0.0, so bloch_rows takes its nine-pass path. e^{i phi} is
     ((1 - t^2) + 2it)/(1 + t^2) with t = tan(phi / 2), no cos or sin call.
     With ``scratch``, a C-contiguous float (7, n) array such as rows
     run_chunks hands a chunk, nothing is allocated: the kets, written in
     real arithmetic, are the complex view of its first four rows, read as
-    (n, 4), and the draws and t fill the other three. Without it the kets
-    own a fresh (n, 2) array, the draws and t fill three rows freed on
-    return, and the kets are the same bit for bit.
+    (n, 4), and u, v and t fill the other three. Without it the kets own a
+    fresh (n, 2) array, u, v and t fill three rows freed on return, and the
+    kets are the same bit for bit. Either way the draws land first in the
+    kets' memory, which the kets then overwrite.
     """
     head, draws = _split_scratch(scratch, 7, 3, n)
     kets = np.empty((n, 2), dtype=complex) if head is None else head.reshape(n, 4).view(complex)
-    u, cos_phi, sin_phi = _state_draws(rng, n, draws)
-    ar, ai, br, bi = kets.view(float).T
+    parts = kets.view(float)
+    u, cos_phi, sin_phi = _state_draws(rng, _spare_pairs(parts, n), draws)
+    ar, ai, br, bi = parts.T
     np.sqrt(u, out=ar)
     ai[...] = 0.0
     np.subtract(1.0, u, out=u)
@@ -307,23 +335,23 @@ def random_bloch_vectors(rng: np.random.Generator, n: int, scratch: np.ndarray |
     r = 2 sqrt(u (1 - u)) and phi = 2 pi v - pi, where cos phi and sin phi
     are (1 - t^2)/(1 + t^2) and 2t/(1 + t^2) with t = tan(phi / 2). With
     ``scratch``, a C-contiguous float (6, n) array, nothing is allocated:
-    the result is its first three rows, read as (n, 3), and the draws and t
+    the result is its first three rows, read as (n, 3), and u, v and t
     fill the other three. Without it the result owns a fresh (n, 3) array,
-    and the vectors are the same bit for bit.
+    and the vectors are the same bit for bit. Either way the draws land
+    first in the result's memory, which the vectors then overwrite.
     """
     head, draws = _split_scratch(scratch, 6, 3, n)
     vectors = np.empty((n, 3)) if head is None else head.reshape(n, 3)
-    u, cos_phi, sin_phi = _state_draws(rng, n, draws)
+    u, cos_phi, sin_phi = _state_draws(rng, _spare_pairs(vectors, n), draws)
     x, y, z = vectors.T
-    # z holds r until x and y are scaled
-    np.subtract(1.0, u, out=z)
-    z *= u
-    np.sqrt(z, out=z)
-    z *= 2.0
-    np.multiply(cos_phi, z, out=x)
-    np.multiply(sin_phi, z, out=y)
     np.multiply(u, 2.0, out=z)
     z -= 1.0
+    # the u row becomes r, x holding 1 - u until then
+    u *= np.subtract(1.0, u, out=x)
+    np.sqrt(u, out=u)
+    u *= 2.0
+    np.multiply(cos_phi, u, out=x)
+    np.multiply(sin_phi, u, out=y)
     return vectors
 
 

@@ -133,7 +133,8 @@ def bell_measurement_probabilities(chi, rho) -> np.ndarray:
     RuntimeError if the routes disagree beyond 1e-12, and ValueError
     unless chi is a unit ket of shape (2,) and rho a two-qubit density matrix.
     """
-    probs = _receiver_states(chi, rho).trace(axis1=1, axis2=2).real
+    states = _receiver_states(chi, rho)
+    probs = states[:, 0, 0].real + states[:, 1, 1].real
     rho_a = qcore.partial_trace(rho, (2, 2), trace_out="B")
     povm = povm_from_input(chi)
     reduced = np.einsum("kij,ji->k", povm.elements, rho_a).real

@@ -23,7 +23,7 @@ def singlet_fraction_fidelity(rho) -> float:
 
 
 def bloch_rows(kets) -> np.ndarray:
-    """Rows (1, x, y, z) of qubit kets by the formula qcore.bloch_rows must match bit for bit.
+    """Rows (1, x, y, z) of qubit kets by the formula qcore.bloch_rows must match, value for value.
 
     x = 2 (ar br + ai bi), y = 2 (ar bi - ai br), z = (ar^2 + ai^2) - (br^2 + bi^2),
     each product formed as a temporary, returned as the (n, 4) transpose of (4, n) rows.
@@ -33,6 +33,54 @@ def bloch_rows(kets) -> np.ndarray:
     y = (ar * bi - ai * br) * 2
     z = (ar * ar + ai * ai) - (br * br + bi * bi)
     return np.stack([np.ones_like(x), x, y, z]).T
+
+
+def is_density(m) -> bool:
+    """qcore.is_density's verdict by its definition, with positivity from the eigenvalues of eigvalsh.
+
+    Hermitian within ATOL_PSD entry by entry, trace 1 within ATOL_PSD in its
+    real and imaginary parts, and the smallest eigenvalue of the hermitian
+    part at least -ATOL_PSD; a NaN or an infinite entry fails.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0 or not np.isfinite(m).all():
+        return False
+    adjoint = m.conj().T
+    trace = np.trace(m)
+    return bool(
+        np.abs(m - adjoint).max() <= qcore.ATOL_PSD
+        and abs(trace.real - 1.0) <= qcore.ATOL_PSD
+        and abs(trace.imag) <= qcore.ATOL_PSD
+        and np.linalg.eigvalsh((m + adjoint) / 2).min() >= -qcore.ATOL_PSD
+    )
+
+
+def check_effects(ops, projective: bool = False) -> str | None:
+    """The ValueError message qcore.check_effects must raise for ops, or None where it must accept them.
+
+    The tests in order: the shape, the sum within ATOL_STRUCTURAL of the
+    identity (a NaN or an infinite entry fails it), each effect hermitian
+    within ATOL_STRUCTURAL entry by entry, positive semidefinite by the
+    smallest eigenvalue eigvalsh gives within ATOL_PSD, and with
+    ``projective`` idempotent within ATOL_PSD; a failed per-effect test
+    names the first effect that fails it.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    if ops.ndim != 3 or ops.shape[1:] != (2, 2):
+        return "effects must have shape (outcomes, 2, 2)"
+    if not np.isfinite(ops).all() or not np.abs(ops.sum(axis=0) - np.eye(2)).max() <= qcore.ATOL_STRUCTURAL:
+        return "effects must sum to the identity"
+    tests = [
+        ("hermitian", lambda e: np.abs(e - e.conj().T).max() <= qcore.ATOL_STRUCTURAL),
+        ("positive semidefinite", lambda e: np.linalg.eigvalsh(e)[0] >= -qcore.ATOL_PSD),
+    ]
+    if projective:
+        tests.append(("a projector", lambda e: np.abs(e @ e - e).max() <= qcore.ATOL_PSD))
+    for what, ok in tests:
+        for k, effect in enumerate(ops):
+            if not ok(effect):
+                return f"effect {k} is not {what}"
+    return None
 
 
 def non_states() -> tuple[np.ndarray, ...]:

@@ -165,6 +165,164 @@ def test_is_density_rejects_bad_matrices():
     assert not qcore.is_density(np.full((4, 4), np.nan))
 
 
+def _unitary(rng, dim=2):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _hermitian(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (g + g.conj().T) / 2
+
+
+def _near_the_tolerances(rng, margin):
+    # one tolerance, ATOL_PSD for states, crossed by (1 + margin) times it: a
+    # negative eigenvalue, a trace off 1 (real or imaginary), an off-diagonal
+    # pair or a diagonal entry's imaginary part off hermitian (|m - m*| reads
+    # 2 |Im m_00| there); a margin below 0 stays inside
+    tol = qcore.ATOL_PSD * (1 + margin)
+    u = _unitary(rng, 4)
+    base = qcore.random_density(rng, 4)
+    shifted = base.copy()
+    shifted[0, 1] += tol
+    tilted = base.copy()
+    tilted[0, 0] += 1j * tol / 2
+    return [
+        u @ np.diag([-tol, 0.25, 0.35, 0.4 + tol]) @ u.conj().T,
+        base * (1 + tol),
+        base + 1j * tol * np.eye(4) / 4,
+        shifted,
+        tilted,
+    ]
+
+
+def _non_finite(rng, m):
+    # m with a NaN, an inf or a -inf at a random place, and with a pair of them that
+    # meet: in a matrix across the diagonal, where m - m* reads inf - inf for two
+    # infs, and in a stack of effects in one entry of the first and last effect,
+    # where their sum reads inf - inf for an inf and a -inf
+    out = []
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 0)):
+        poisoned = m.copy()
+        poisoned.flat[rng.integers(m.size)] = bad
+        out.append(poisoned)
+    if m.shape[-1] > 1:
+        first, second = ((0, 1), (1, 0)) if m.ndim == 2 else ((0, 0, 1), (-1, 0, 1))
+        for a, b in ((np.inf, np.inf), (np.inf, -np.inf), (-np.inf, np.nan)):
+            poisoned = m.copy()
+            poisoned[first], poisoned[second] = a, b
+            out.append(poisoned)
+    return out
+
+
+def test_is_density_agrees_with_its_eigvalsh_reference():
+    rng = np.random.default_rng(RNG_SEED + 30)
+    cases = [np.eye(2) / 2, np.zeros((2, 3)), np.zeros((0, 0)), np.ones(4) / 4, np.eye(8).reshape(2, 4, 8), 1.0]
+    for dim in (1, 2, 3, 4):
+        for _ in range(20):
+            rho = qcore.random_density(rng, dim)
+            h = _hermitian(rng, dim)
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            cases += [rho, h / np.trace(h).real, g / np.trace(g), rho + 1e-3 * g, *_non_finite(rng, rho)]
+    for margin in (-0.01, 0.01):
+        for _ in range(20):
+            cases += _near_the_tolerances(rng, margin)
+    verdicts = [qcore.is_density(m) for m in cases]
+    assert verdicts == [oracles.is_density(m) for m in cases]
+    # each kind of input gets both verdicts, and every case near a tolerance follows its margin
+    assert 0 < sum(verdicts) < len(verdicts)
+    near = [(margin, m) for margin in (-0.01, 0.01) for m in _near_the_tolerances(rng, margin)]
+    assert [qcore.is_density(m) for _, m in near] == [margin < 0 for margin, _ in near]
+
+
+def _povm(rng, outcomes):
+    # S^(-1/2) G_k S^(-1/2) of random positive G_k, S their sum: sums to the identity to rounding
+    g = rng.standard_normal((outcomes, 2, 2)) + 1j * rng.standard_normal((outcomes, 2, 2))
+    g = g @ g.conj().swapaxes(1, 2)
+    w, v = np.linalg.eigh(g.sum(axis=0))
+    root = (v / np.sqrt(w)) @ v.conj().T
+    effects = root @ g @ root
+    effects[-1] = np.eye(2) - effects[:-1].sum(axis=0)
+    return effects
+
+
+def _effects_near_the_tolerances(rng, margin):
+    # two-effect stacks, each crossing one test by (1 + margin) times its
+    # tolerance, with whether to check it as projective: effect 1 with a
+    # negative eigenvalue, or off hermitian in an off-diagonal pair or in a
+    # diagonal entry's imaginary part (2 |Im E_00|), the sum off the identity,
+    # the pair off idempotent, and a negative eigenvalue read from E_10
+    u = _unitary(rng)
+    psd, structural = qcore.ATOL_PSD * (1 + margin), qcore.ATOL_STRUCTURAL * (1 + margin)
+
+    def pair(eigs):
+        e = u @ np.diag(eigs) @ u.conj().T
+        return np.stack([np.eye(2) - e, e])
+
+    negative = pair([-psd, 0.6])
+    skew, tilted, off = pair([0.3, 0.6]), pair([0.3, 0.6]), pair([0.3, 0.6])
+    skew[1, 0, 1] += structural
+    skew[0, 0, 1] -= structural
+    tilted[1, 0, 0] += 1j * structural / 2
+    tilted[0, 0, 0] -= 1j * structural / 2
+    off[1] += structural * np.eye(2)
+    # E^2 - E is diagonal, (psd^2 - psd, 0), only without the rotation
+    idle = np.stack([np.diag([1.0 - psd, 0.0]), np.diag([psd, 1.0])]).astype(complex)
+    # the smaller eigenvalue of each is 0.5 - c, half the margin past -ATOL_PSD, read from E_10 as
+    # an eigensolver reads it; E_01 leans 0.9 ATOL_STRUCTURAL the other way, which read instead
+    # would carry it across
+    c = 0.5 + qcore.ATOL_PSD * (1 + margin / 2)
+    lean = -np.sign(margin) * 0.9 * qcore.ATOL_STRUCTURAL
+    leaning = np.array([[[0.5, -c - lean], [-c, 0.5]], [[0.5, c + lean], [c, 0.5]]])
+    return [(negative, False), (skew, False), (tilted, False), (off, False), (idle, True), (leaning, False)]
+
+
+def test_check_effects_agrees_with_its_eigvalsh_reference():
+    rng = np.random.default_rng(RNG_SEED + 31)
+    z = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    cases = [(bad, False) for bad in (np.eye(2), np.zeros((3, 3, 3)), np.zeros((2, 2, 3)), np.eye(4)[None], z[0])]
+    for outcomes in (1, 2, 3, 4, 6):
+        for _ in range(20):
+            povm = _povm(rng, outcomes)
+            h = _hermitian(rng, 2) / 4
+            g = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / 4
+            tipped = povm.copy()
+            tipped[0] += h
+            tipped[-1] -= h
+            skewed = povm.copy()
+            skewed[0] += g
+            skewed[-1] -= g
+            u = _unitary(rng)
+            projectors = u @ z @ u.conj().T
+            cases += [(povm, False), (tipped, False), (skewed, False), (projectors, True), (povm, True)]
+            cases += [(poisoned, False) for poisoned in _non_finite(rng, povm)]
+    for margin in (-0.01, 0.01):
+        for _ in range(20):
+            cases += _effects_near_the_tolerances(rng, margin)
+
+    def message(ops, projective):
+        try:
+            qcore.check_effects(ops, projective=projective)
+        except ValueError as error:
+            return str(error)
+        return None
+
+    messages = [message(ops, projective) for ops, projective in cases]
+    assert messages == [oracles.check_effects(ops, projective) for ops, projective in cases]
+    # every message is reached, and every case near a tolerance follows its margin
+    kinds = {m.split(" is not ")[1] if m and m.startswith("effect ") else m for m in messages}
+    assert kinds == {
+        None,
+        "effects must have shape (outcomes, 2, 2)",
+        "effects must sum to the identity",
+        "hermitian",
+        "positive semidefinite",
+        "a projector",
+    }
+    near = [(margin, *case) for margin in (-0.01, 0.01) for case in _effects_near_the_tolerances(rng, margin)]
+    assert [message(ops, projective) is None for _, ops, projective in near] == [m < 0 for m, _, _ in near]
+
+
 def test_haar_kets_are_normalized_and_unbiased():
     rng = np.random.default_rng(RNG_SEED + 4)
     kets = qcore.haar_kets(rng, 4000)
@@ -245,20 +403,58 @@ def test_bloch_rows_fill_a_given_buffer():
         qcore.bloch_rows(kets, out=np.empty((4, 999)))
 
 
+def _marked(kets):
+    # kets with (0, -1) last: ar = ai = +0.0 and br = -1, so x = 2 ar br is -0.0 on the
+    # nine-pass path and 2 (ar br + ai bi) = 2 (-0.0 + 0.0) = +0.0 on the full one
+    return np.vstack([kets, [[0.0, -1.0]]])
+
+
+def test_bloch_rows_take_nine_passes_only_on_kets_with_a_real_first_entry():
+    rng = np.random.default_rng(RNG_SEED + 19)
+    haar = qcore.haar_kets(rng, 1000)
+    one_complex, negative_zero, nan_imag, nan_b = (haar.copy() for _ in range(4))
+    one_complex[17, 0] *= np.exp(0.3j)
+    negative_zero[17, 0] = complex(haar[17, 0].real, -0.0)
+    nan_imag[17, 0] = complex(haar[17, 0].real, np.nan)
+    nan_b[17, 1] = complex(np.nan, haar[17, 1].imag)
+    cases = {
+        "haar": (haar, True),
+        "phased": (_global_phases(rng, haar), False),
+        "one complex <0|psi>": (one_complex, False),
+        "Im <0|psi> = -0.0": (negative_zero, False),
+        "Im <0|psi> = NaN": (nan_imag, False),
+        "NaN in b": (nan_b, False),
+    }
+    for name, (kets, nine_passes) in cases.items():
+        kets = _marked(kets)
+        rows = qcore.bloch_rows(kets)
+        assert np.array_equal(rows, oracles.bloch_rows(kets), equal_nan=True), name
+        assert np.signbit(rows[-1, 1]) == nine_passes, name
+    # an infinite b: +0.0 times it is NaN, with a warning on either path
+    inf_b = _marked(haar)
+    inf_b[17, 1] = complex(np.inf, haar[17, 1].imag)
+    with np.errstate(invalid="ignore"):
+        rows, expected = qcore.bloch_rows(inf_b), oracles.bloch_rows(inf_b)
+    assert np.array_equal(rows, expected, equal_nan=True) and not np.signbit(rows[-1, 1])
+
+
 def test_bloch_rows_into_a_given_buffer_allocate_no_row():
     n = estimates.CHUNK
-    kets = qcore.haar_kets(np.random.default_rng(RNG_SEED + 17), n)
+    rng = np.random.default_rng(RNG_SEED + 17)
+    kets = qcore.haar_kets(rng, n)
     buf = np.empty((4, n))
-    qcore.bloch_rows(kets, out=buf)
-    tracemalloc.start()
-    try:
-        rows = qcore.bloch_rows(kets, out=buf)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # each product is written into a row of buf, so not even one temporary row
-    assert peak < 8 * n
-    assert np.array_equal(rows, oracles.bloch_rows(kets))
+    # Haar kets take the nine-pass path, the same kets with global phases the full formula
+    for batch in (kets, _global_phases(rng, kets)):
+        qcore.bloch_rows(batch, out=buf)
+        tracemalloc.start()
+        try:
+            rows = qcore.bloch_rows(batch, out=buf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # each product is written into a row of buf, so not even one temporary row
+        assert peak < 8 * n
+        assert np.array_equal(rows, oracles.bloch_rows(batch))
 
 
 def test_bloch_rows_of_a_chunk_stay_within_24_mb():
@@ -348,6 +544,25 @@ def test_haar_kets_in_scratch_rows_are_the_same_kets():
     for bad in (np.empty((7, n - 1)), np.empty((6, n)), np.empty((n, 7)).T, np.empty((7, n), dtype=np.float32)):
         with pytest.raises(ValueError):
             qcore.haar_kets(rng, n, bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "sample, rows, of_u, by_u",
+    [
+        (qcore.haar_kets, 7, lambda kets: kets[:, 0].real, np.sqrt),
+        (qcore.random_bloch_vectors, 6, lambda vectors: vectors[:, 2], lambda u: u * 2.0 - 1.0),
+    ],
+    ids=["haar_kets", "random_bloch_vectors"],
+)
+def test_samplers_at_tiny_n_keep_the_stream(sample, rows, of_u, by_u, n):
+    # the pairs are drawn into the first 2n floats of the result, read as (n, 2), with or without scratch
+    seed = RNG_SEED + 40 + n
+    rng, twin, hand = (np.random.default_rng(seed) for _ in range(3))
+    values = sample(rng, n, np.full((rows, n), np.nan))
+    assert np.array_equal(values.view(float), sample(twin, n).view(float))
+    assert np.array_equal(of_u(values), by_u(hand.random((n, 2))[:, 0]))
+    assert rng.random() == twin.random() == hand.random()
 
 
 def test_samplers_at_the_edge_draws():
