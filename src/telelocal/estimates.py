@@ -12,7 +12,12 @@ import numpy as np
 # rows per Monte Carlo chunk of every kernel: a 1M estimate on two pool workers
 # against one took 0.046-0.048 vs 0.048-0.050 s at 8192 rows and 0.035-0.047 vs
 # 0.046-0.048 s at 16384 (average_fidelity, 2 shared CPUs, medians of two sets of
-# 12 runs); results do not depend on it (see run_chunks)
+# 12 runs); the draws do not depend on it (see run_chunks), the moments' last bits
+# do. It stays at 16384 for memory: at 32768, on the same CPUs, the locality
+# benchmark's pass_s fell in 3 of 4 alternating pairs (medians 0.093 -> 0.087 s at
+# --seconds 3), but its peak_rss_mb rose from 42.1-42.4 to 44.7-44.9 MB, past the
+# benchmark's 5% bound, and the last bits of the lhv stderr and of reproduce's
+# gisin and z rows moved
 CHUNK = 16_384
 # rows of CHUNK floats run_chunks hands each kernel's chunk by default, from its
 # thread's buffer kept for the thread's life (1.25 MiB at the default CHUNK)

@@ -191,21 +191,27 @@ def check_effects(ops, projective: bool = False) -> np.ndarray:
     ops = _as_complex(ops)
     if ops.ndim != 3 or ops.shape[1:] != (2, 2):
         raise ValueError("effects must have shape (outcomes, 2, 2)")
-    # every test is written as "not within tolerance", so NaN entries fail it; an inf and a -inf
-    # in one entry would sum to NaN with a warning, so any entry that is not finite fails first
-    if not (np.isfinite(ops).all() and np.abs(ops.sum(axis=0) - IDENTITY_2).max() <= ATOL_STRUCTURAL):
+    # every test is written as "not within tolerance", so NaN entries fail it; an entry that is not
+    # finite fails first, since scaling a complex inf, or summing an inf and a -inf, warns
+    if not np.isfinite(ops).all():
+        raise ValueError("effects must sum to the identity")
+    # the sum, hermitian and positivity tests run on the effects times a power of two, an eighth for
+    # up to four outcomes and at most 1/(2 outcomes), so no sum, difference or modulus below
+    # overflows for finite entries; a power of two scales each rounding exactly, so each test is
+    # its unscaled form at the scaled tolerance
+    scale = 0.5 ** max(3, (len(ops) - 1).bit_length() + 1)
+    scaled, structural = ops * scale, scale * ATOL_STRUCTURAL
+    if not np.abs(scaled.sum(axis=0) - scale * IDENTITY_2).max() <= structural:
         raise ValueError("effects must sum to the identity")
 
     def require(ok: np.ndarray, what: str) -> None:
         if not ok.all():
             raise ValueError(f"effect {int(np.argmin(ok))} is not {what}")
 
-    require(np.abs(ops - ops.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= ATOL_STRUCTURAL, "hermitian")
-    # an eighth of each entry keeps every step below finite for any finite entry, and a power
-    # of two scales each rounding exactly, so this is a quarter of (t - |r|)/2
-    eighths = ops / 8
-    p, s = eighths[:, 0, 0].real, eighths[:, 1, 1].real
-    require(p + s - np.hypot(p - s, 2 * np.abs(eighths[:, 1, 0])) >= -ATOL_PSD / 4, "positive semidefinite")
+    require(np.abs(scaled - scaled.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= structural, "hermitian")
+    # with the diagonal (p, s) and q = E_10 scaled, this is t - |r| scaled, twice the smaller eigenvalue
+    p, s = scaled[:, 0, 0].real, scaled[:, 1, 1].real
+    require(p + s - np.hypot(p - s, 2 * np.abs(scaled[:, 1, 0])) >= -2 * scale * ATOL_PSD, "positive semidefinite")
     if projective:
         require(np.abs(ops @ ops - ops).max(axis=(1, 2)) <= ATOL_PSD, "a projector")
     return ops
@@ -239,18 +245,21 @@ def werner_alpha(alpha: float) -> np.ndarray:
 def is_density(m) -> bool:
     """True when M is hermitian, unit trace, and PSD within ATOL_PSD."""
     m = _as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-        return False
-    adjoint = m.conj().T
     # every test is written as "not within tolerance", so NaN entries fail it; an infinite entry
     # would make its deviation from the adjoint inf - inf, a NaN with a warning, so it fails first
-    if not (np.isfinite(m).all() and np.abs(m - adjoint).max() <= ATOL_PSD):
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0 or not np.isfinite(m).all():
         return False
-    trace = sum(m.diagonal().tolist())
-    if not (abs(trace.real - 1.0) <= ATOL_PSD and abs(trace.imag) <= ATOL_PSD):
+    # an eighth of each entry keeps every difference and modulus below finite for any finite entry,
+    # and a power of two scales each rounding exactly, so each test is its unscaled form over 8
+    eighths = m / 8
+    adjoint = eighths.conj().T
+    if not np.abs(eighths - adjoint).max() <= ATOL_PSD / 8:
         return False
-    # eigvalsh returns the eigenvalues in ascending order
-    return bool(np.linalg.eigvalsh((m + adjoint) / 2)[0] >= -ATOL_PSD)
+    trace = sum(eighths.diagonal().tolist())
+    if not (abs(trace.real - 0.125) <= ATOL_PSD / 8 and abs(trace.imag) <= ATOL_PSD / 8):
+        return False
+    # E + E* is a quarter of the hermitian part (M + M*)/2; eigvalsh returns the eigenvalues in ascending order
+    return bool(np.linalg.eigvalsh(eighths + adjoint)[0] >= -ATOL_PSD / 4)
 
 
 def _split_scratch(

@@ -32,6 +32,16 @@ identities, the same affine structure behind the generic-pair closed form
 (2F + 1)/3 (Horodecki, Horodecki & Horodecki, PRA 60, 1888, 1999), which
 exact_average_fidelity gives as (1 - tr T/3)/2. The complex three-qubit
 route above stays as their oracle.
+
+A sample's outcome is how many of the running sums T_j = p_0 + ... + p_j,
+j < 3, lie below its uniform draw. With p_1 and p_2 clamped at 0 (a
+density matrix makes them >= 0 up to rounding) the sums never fall, so
+the indicators g_j = [draw > T_j] are ordered, g_0 >= g_1 >= g_2: k ones,
+then zeros, that is g_j = [k > j]. The signs then telescope into an affine
+map of the indicators, s_k = s_0 + sum_j (s_{j+1} - s_j) g_j, whose terms
+are small integers, so it gives each s_k exactly and the Monte Carlo
+kernel needs no per-sample gather. Indicators out of order, such as
+(1, 0, 1) from a sum that falls, would give a row that is no outcome's.
 """
 
 from __future__ import annotations
@@ -49,6 +59,9 @@ _CHUNK = CHUNK
 
 # s_k[a]: the sign of sigma_a x sigma_a in Bell state k, sigma_0 = I (each Bell state's R is diagonal)
 _SENDER_SIGNS = np.rint([np.diag(qcore.pauli_correlations(qcore.projector(b))) for b in qcore.bell_basis()])
+# s_k[1:] = s_0[1:] + sum_j (s_{j+1}[1:] - s_j[1:]) g_j for the ordered indicators g_j = [k > j]:
+# this map times (g_0, g_1, g_2, 1), shape (3, 4) (see the module docstring)
+_SIGN_MAP = np.column_stack([np.diff(_SENDER_SIGNS[:, 1:], axis=0).T, _SENDER_SIGNS[0, 1:]])
 # <B_k| x I: Bell outcome k's bra on (input, sender half), the identity on the receiver, shape (4, 2, 8)
 _BELL_BRAS = np.stack([np.kron(b.conj()[None], qcore.IDENTITY_2) for b in qcore.bell_basis()])
 # |B_k> x I, their adjoints, shape (4, 8, 2)
@@ -170,37 +183,37 @@ def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
     with the ket's outcome probabilities, from one uniform of the coin
     stream (see estimates.run_chunks), then scores the corrected overlap
     (s_k * m~)^T (R/8) (c_k * m~) divided by the outcome probability
-    (s_k * m~) . R[:, 0] / 4, both read from one R = pauli_correlations(rho),
-    so a chunk gathers signs. The result does not depend on the chunk size.
+    (s_k * m~) . R[:, 0] / 4, both read from one R = pauli_correlations(rho).
+    A chunk turns its outcome indicators into sign rows with one matmul by
+    _SIGN_MAP (see the module docstring), exact ones and minus ones. The
+    result does not depend on the chunk size.
     Raises ValueError unless rho is a two-qubit density matrix.
     """
     correlations = qcore.pauli_correlations(rho) / 8
     prob_rows = 2 * _SENDER_SIGNS[:3] * correlations[:, 0]
     # the corrected overlaps, then p_k = (s_k * m~) . 2 R[:, 0] / 8 as a fifth row
-    sender_signs, score_rows = _SENDER_SIGNS.T, np.vstack([correlations * _FLIP, 2 * correlations[:, 0]])
+    score_rows = np.vstack([correlations * _FLIP, 2 * correlations[:, 0]])
 
     def chunk(states, coins, rows):
         # component-major: one contiguous row of m samples per component in the 10 rows
-        # run_chunks hands over: 0-3 the kets, then three outcome probabilities, their
-        # running sums and a comparison row, then s_k * m~; 4-7 the draws, the Bloch rows,
-        # then the corrected overlaps; 8 the coin draws, then p_k; 9 the outcomes, then the scores
+        # run_chunks hands over: 0-6 the sampler's kets and draws, then 6-9 the Bloch rows m~,
+        # whose row 6 of ones is the sign map's constant term; 3-5 the three outcome
+        # probabilities, their running sums T_j, then the indicators g_j; 2 the coin draws;
+        # 0-2 the sign rows, which turn 7-9 into s_k * m (every s_k[0] is 1); 1-5 the
+        # corrected overlaps and p_k; 0 the scores
         m = rows.shape[1]
-        cols = qcore.bloch_rows(qcore.haar_kets(states, m, rows[:7]), out=rows[4:8]).T
-        totals = np.matmul(prob_rows, cols, out=rows[:3])
-        draws = coins.random(out=rows[8])
-        # the outcome is how many of the three running sums lie below the draw,
-        # so a draw above a total rounded below 1 still gets 3; each comparison
-        # is written as intp, since adding bools to intp casts through a buffer
-        ks, above = rows[9].view(np.intp), rows[3].view(np.intp)
-        np.greater(draws, totals[0], out=ks)
-        for total, p in zip(totals[:2], totals[1:]):
-            p += total
-            ks += np.greater(draws, p, out=above)
-        # mode="clip" lets np.take write into the rows unbuffered (each index is 0..3)
-        sent = np.take(sender_signs, ks, axis=1, out=rows[:4], mode="clip")
-        sent *= cols
-        corrected = np.matmul(score_rows, sent, out=rows[4:9])
-        scores = np.einsum("as,as->s", sent, corrected[:4], out=rows[9])
+        cols = qcore.bloch_rows(qcore.haar_kets(states, m, rows[:7]), out=rows[6:10]).T
+        totals = np.matmul(prob_rows, cols, out=rows[3:6])
+        # p_1 and p_2 clamped at 0 keep the running sums, and so the indicators, in order
+        np.maximum(totals[1:], 0.0, out=totals[1:])
+        totals[1] += totals[0]
+        totals[2] += totals[1]
+        draws = coins.random(out=rows[2])
+        # g_j = [draw > T_j] as 0.0 or 1.0: a draw above a total rounded below 1 still gets k = 3
+        np.greater(draws, totals, out=totals)
+        cols[1:] *= np.matmul(_SIGN_MAP, rows[3:7], out=rows[:3])
+        corrected = np.matmul(score_rows, cols, out=rows[1:6])
+        scores = np.einsum("as,as->s", cols, corrected[:4], out=rows[0])
         scores /= corrected[4]
         return (scores,)
 

@@ -35,6 +35,27 @@ def bloch_rows(kets) -> np.ndarray:
     return np.stack([np.ones_like(x), x, y, z]).T
 
 
+# s_k[a]: the sign of sigma_a x sigma_a in Bell state k, in the order (psi-, psi+, phi-, phi+)
+BELL_SIGNS = np.array([[1, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]], dtype=float)
+
+
+def teleport_scores(rho, kets, draws) -> np.ndarray:
+    """Per-sample scores of teleport.average_fidelity for given kets and coin draws, by the gather kernel.
+
+    The float operations of the kernel before the affine sign map: with m~
+    each ket's Bloch row (1, m) and C = R/8 the pair's Pauli correlations
+    over 8, the outcome k counts the running sums of p_j = (s_j * m~) . 2 C[:, 0],
+    j < 3, that lie below the draw; s_k is gathered by k, and the score is
+    (s_k * m~)^T C diag(1, -1, -1, -1) (s_k * m~) over p_k.
+    """
+    correlations = qcore.pauli_correlations(rho) / 8
+    cols = bloch_rows(kets).T
+    totals = np.cumsum((2 * BELL_SIGNS[:3] * correlations[:, 0]) @ cols, axis=0)
+    sent = np.take(BELL_SIGNS.T, (draws > totals).sum(axis=0), axis=1) * cols
+    corrected = np.vstack([correlations * [1, -1, -1, -1], 2 * correlations[:, 0]]) @ sent
+    return np.einsum("as,as->s", sent, corrected[:4]) / corrected[4]
+
+
 def is_density(m) -> bool:
     """qcore.is_density's verdict by its definition, with positivity from the eigenvalues of eigvalsh.
 
@@ -46,12 +67,14 @@ def is_density(m) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0 or not np.isfinite(m).all():
         return False
     adjoint = m.conj().T
-    trace = np.trace(m)
+    # a deviation or a trace of finite entries that overflows, to inf or to inf - inf = NaN, fails its test
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviation, trace = np.abs(m - adjoint).max(), np.trace(m)
     return bool(
-        np.abs(m - adjoint).max() <= qcore.ATOL_PSD
+        deviation <= qcore.ATOL_PSD
         and abs(trace.real - 1.0) <= qcore.ATOL_PSD
         and abs(trace.imag) <= qcore.ATOL_PSD
-        and np.linalg.eigvalsh((m + adjoint) / 2).min() >= -qcore.ATOL_PSD
+        and np.linalg.eigvalsh(m / 2 + adjoint / 2).min() >= -qcore.ATOL_PSD
     )
 
 
@@ -68,18 +91,20 @@ def check_effects(ops, projective: bool = False) -> str | None:
     ops = np.asarray(ops, dtype=complex)
     if ops.ndim != 3 or ops.shape[1:] != (2, 2):
         return "effects must have shape (outcomes, 2, 2)"
-    if not np.isfinite(ops).all() or not np.abs(ops.sum(axis=0) - np.eye(2)).max() <= qcore.ATOL_STRUCTURAL:
-        return "effects must sum to the identity"
     tests = [
         ("hermitian", lambda e: np.abs(e - e.conj().T).max() <= qcore.ATOL_STRUCTURAL),
         ("positive semidefinite", lambda e: np.linalg.eigvalsh(e)[0] >= -qcore.ATOL_PSD),
     ]
     if projective:
         tests.append(("a projector", lambda e: np.abs(e @ e - e).max() <= qcore.ATOL_PSD))
-    for what, ok in tests:
-        for k, effect in enumerate(ops):
-            if not ok(effect):
-                return f"effect {k} is not {what}"
+    # a sum or a deviation of finite entries that overflows to inf is beyond any tolerance, the right verdict
+    with np.errstate(over="ignore"):
+        if not np.isfinite(ops).all() or not np.abs(ops.sum(axis=0) - np.eye(2)).max() <= qcore.ATOL_STRUCTURAL:
+            return "effects must sum to the identity"
+        for what, ok in tests:
+            for k, effect in enumerate(ops):
+                if not ok(effect):
+                    return f"effect {k} is not {what}"
     return None
 
 

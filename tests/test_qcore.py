@@ -227,6 +227,11 @@ def test_is_density_agrees_with_its_eigvalsh_reference():
     for margin in (-0.01, 0.01):
         for _ in range(20):
             cases += _near_the_tolerances(rng, margin)
+    # entries near the largest float, hermitian and not, where m - m*, m + m* or the trace overflow
+    big = 1e308
+    cases += [np.array([[0.5, big], [big, 0.5]]), np.array([[0.5, big], [-big, 0.5]])]
+    cases += [np.array([[0.5, 1j * big], [-1j * big, 0.5]]), np.array([[0.5, 1j * big], [1j * big, 0.5]])]
+    cases += [np.diag([big, -big, 0.5, 0.5]), np.diag([big, big, -big, -big]) + np.eye(4) / 4]
     verdicts = [qcore.is_density(m) for m in cases]
     assert verdicts == [oracles.is_density(m) for m in cases]
     # each kind of input gets both verdicts, and every case near a tolerance follows its margin
@@ -299,6 +304,14 @@ def test_check_effects_agrees_with_its_eigvalsh_reference():
     for margin in (-0.01, 0.01):
         for _ in range(20):
             cases += _effects_near_the_tolerances(rng, margin)
+    # entries near the largest float, hermitian and not, where the sum, E - E* or 2|E_10| overflow
+    big, one = 1e308, np.eye(2)
+    huge = [np.stack([np.diag([big, 0.0]), np.diag([big, 0.0]), one])]
+    huge += [np.stack([np.diag([big, 0.0]), -np.diag([big, 0.0]), one])]
+    huge += [np.array([[[0.5, big], [big, 0.5]], [[0.5, -big], [-big, 0.5]]])]
+    huge += [np.array([[[0.5, big], [-big, 0.5]], [[0.5, -big], [big, 0.5]]])]
+    huge += [np.array([[[0.5, 1j * big], [1j * big, 0.5]], [[0.5, -1j * big], [-1j * big, 0.5]]])]
+    cases += [(ops, projective) for ops in huge for projective in (False, True)]
 
     def message(ops, projective):
         try:
@@ -321,6 +334,10 @@ def test_check_effects_agrees_with_its_eigvalsh_reference():
     }
     near = [(margin, *case) for margin in (-0.01, 0.01) for case in _effects_near_the_tolerances(rng, margin)]
     assert [message(ops, projective) is None for _, ops, projective in near] == [m < 0 for m, _, _ in near]
+    # 17 effects that sum to the identity exactly, though a running sum of their entries overflows
+    # (the reference's does): the tests run at 1/32, 1/(2 outcomes) or less, and find effect 8
+    stack = np.stack([np.diag([big, 0.0])] * 8 + [-np.diag([big, 0.0])] * 8 + [one])
+    assert message(stack, False) == "effect 8 is not positive semidefinite"
 
 
 def test_haar_kets_are_normalized_and_unbiased():

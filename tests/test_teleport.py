@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oracles import fidelity, non_states, singlet_fraction_fidelity
+from oracles import fidelity, non_states, singlet_fraction_fidelity, teleport_scores
 from telelocal import qcore, teleport
 from telelocal.estimates import StreamingMoments
 
@@ -293,6 +293,86 @@ def test_average_fidelity_picks_outcomes_at_the_cumulative_boundaries(monkeypatc
         u = teleport.correction_unitary(k)
         expected = fidelity(chi, u @ teleport.bob_conditional_state(chi, rho, k) @ u.conj().T)
         assert abs(values[i] - expected) <= 1e-12
+    assert np.array_equal(values, teleport_scores(rho, kets, draws))
+
+
+def _fidelity_kernel(monkeypatch, rho):
+    # the chunk kernel average_fidelity hands run_chunks for rho
+    kernels = []
+
+    def capture(sample_chunk, samples, seed, chunk):
+        kernels.append(sample_chunk)
+        return StreamingMoments().add(np.zeros(2))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(teleport, "run_chunks", capture)
+        teleport.average_fidelity(rho, samples=1, seed=0)
+    return kernels[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 3616, 16384])
+def test_average_fidelity_scores_match_the_gather_kernel_bit_for_bit(monkeypatch, n):
+    # the affine sign map against the gather it replaced, on random pairs, the theta = 0.3 pure
+    # state and a Werner pair, in rows that hold NaN until the kernel writes them
+    rng = np.random.default_rng(RNG_SEED + 13)
+    theta = 0.3
+    pairs = [qcore.random_density(rng, 4) for _ in range(3)]
+    pairs += [qcore.projector([0, np.cos(theta), -np.sin(theta), 0]), qcore.werner_alpha(0.5)]
+    for seed, rho in enumerate(pairs):
+        kernel = _fidelity_kernel(monkeypatch, rho)
+        states, coins = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+        (scores,) = kernel(states, coins, np.full((10, n), np.nan))
+        states, coins = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+        assert np.array_equal(scores, teleport_scores(rho, qcore.haar_kets(states, n), coins.random(n)))
+
+
+def test_sign_map_gives_each_outcomes_sender_signs():
+    # outcome k has the indicators g_j = [k > j], j = 0, 1, 2
+    for k, signs in enumerate(teleport._SENDER_SIGNS):
+        assert np.array_equal(teleport._SIGN_MAP @ [*(float(k > j) for j in range(3)), 1.0], signs[1:])
+
+
+def test_average_fidelity_signs_stay_exact_when_a_probability_rounds_below_0(monkeypatch):
+    # on |0><0| x I/2 the ket (0, 1 + 2^-52), just off unit length, rounds p_2 = (1 + z)/4 below 0,
+    # so without the clamp T_2 < T_1 and a draw of T_1 gives the indicators (1, 0, 1), which are
+    # no outcome's: the map turns them into the sign row (3, -1, -1)
+    rho = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
+    kets = np.array([[0.0, np.nextafter(1.0, 2.0)]], dtype=complex)
+    probs = 2 * teleport._SENDER_SIGNS[:3] * (qcore.pauli_correlations(rho) / 8)[:, 0] @ qcore.bloch_rows(kets).T
+    totals = np.cumsum(probs[:, 0])
+    assert probs[2, 0] < 0 and totals[2] < totals[1]
+    indicators = (totals[1] > totals).astype(float)
+    assert np.array_equal(indicators, [1, 0, 1])
+    assert np.array_equal(teleport._SIGN_MAP @ [*indicators, 1.0], [3, -1, -1])
+
+    class Coins:
+        def random(self, out):
+            out[...] = totals[1]
+            return out
+
+    signs = []
+
+    class RecordingNumpy:
+        # numpy, but keeping what the sign map gives in teleport's chunk
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(a, b, out=None):
+            product = np.matmul(a, b, out=out)
+            if a is teleport._SIGN_MAP:
+                signs.append(product.copy())
+            return product
+
+    def one_chunk(sample_chunk, samples, seed, chunk):
+        return StreamingMoments().add(*sample_chunk(None, Coins(), np.empty((10, samples))))
+
+    monkeypatch.setattr(qcore, "haar_kets", lambda rng, n, *scratch: kets)
+    monkeypatch.setattr(teleport, "run_chunks", one_chunk)
+    monkeypatch.setattr(teleport, "np", RecordingNumpy())
+    teleport.average_fidelity(rho, samples=1, seed=0)
+    # the clamped p_2 makes T_2 = T_1, so the draw gets outcome 1 and its signs
+    assert len(signs) == 1 and np.array_equal(signs[0][:, 0], teleport._SENDER_SIGNS[1, 1:])
 
 
 def test_average_fidelity_on_generic_pairs_matches_the_closed_form():
