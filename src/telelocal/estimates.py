@@ -185,6 +185,7 @@ def _check_integer(name: str, value, least: int) -> None:
 def child_seeds(seed: int, n: int) -> list[int]:
     """The first ``n`` seeds derived from ``seed``, one per sub-estimate of a run (see run_chunks)."""
     _check_integer("seed", seed, 0)
+    _check_integer("n", n, 0)
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
 
 
@@ -225,8 +226,9 @@ def run_chunks(
     thread's buffer, kept for the thread's life and grown, never shrunk, to
     the most a block asks for: the chunk may hold all its arrays there, none
     outliving the call. It reads its rows' values from each stream in row
-    order, so no result depends on ``chunk``, and returns a tuple of the
-    arguments of ``StreamingMoments.add``, which the block adds in chunk order.
+    order, so no draw depends on ``chunk`` (the moments, summed chunk by
+    chunk, do in their last bits), and returns a tuple of the arguments of
+    ``StreamingMoments.add``, which the block adds in chunk order.
 
     A single block runs in the caller's thread; more run on a pool of one
     worker thread per CPU, built on first use (NumPy's generators and array

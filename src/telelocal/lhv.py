@@ -92,16 +92,22 @@ def minimum_rule(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Row 0 of the responses, (t - r . n)/2, answers where n . m > 0 (the
     winner is -n); row 1, (t + r . n)/2, answers elsewhere (the winner
-    is +n). Raises ValueError when the vectors r are not parallel.
+    is +n). Raises ValueError when the vectors r are not parallel, or when
+    a length or a response is not finite (a NaN, or a square that overflows).
     """
     t, r = coeffs[:, 0], coeffs[:, 1:]
-    norms = np.linalg.norm(r, axis=1)
-    # when every r is zero, each effect is a multiple of I and any axis works
-    axis = r[np.argmax(norms)] / norms.max() if norms.max() > 0 else np.array([0.0, 0.0, 1.0])
+    # a square that overflows gives an inf length, and inf / inf or 0 inf a NaN, quietly; both are refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(r, axis=1)
+        # when every r is zero, each effect is a multiple of I and any axis works
+        axis = r[np.argmax(norms)] / norms.max() if norms.max() > 0 else np.array([0.0, 0.0, 1.0])
+        along = r @ axis
+        responses = np.stack([t - along, t + along]) / 2
+    if not (np.isfinite(norms).all() and np.isfinite(responses).all()):
+        raise ValueError("effects must have finite Pauli rows whose lengths do not overflow")
     if np.abs(np.cross(r, axis)).max() > _PARALLEL_ATOL:
         raise ValueError("effects do not commute: their Bloch vectors are not parallel")
-    along = r @ axis
-    return axis, np.stack([t - along, t + along]) / 2
+    return axis, responses
 
 
 def estimate_joint(
@@ -119,11 +125,13 @@ def estimate_joint(
     commute.
 
     Each sample takes its hidden ket from the state stream (see
-    estimates.run_chunks), so the result does not depend on the chunk
-    size. The samples estimate alpha = 1/2; the white noise is mixed in
-    exactly with weight 1 - 2 alpha, and the stderr scales by 2 alpha.
+    estimates.run_chunks), so no draw depends on the chunk size, and the
+    result only to rounding. The samples estimate alpha = 1/2; the white
+    noise is mixed in exactly with weight 1 - 2 alpha, and the stderr
+    scales by 2 alpha.
 
-    For lists of settings (with equal outcome counts), one hidden ket per
+    For lists of settings (each non-empty, its settings of one outcome
+    count, else ValueError before any sampling), one hidden ket per
     sample answers every pair, in a (setting, outcome, setting, outcome)
     table; each pair agrees with a single-pair call on the same seed to
     rounding. ``terms_stderr`` is the stderr of each sample's sum of sign *
@@ -142,6 +150,8 @@ def estimate_joint(
         raise ValueError("alpha must lie in [0, 1/2]")
     terms = tuple(terms)
     senders, receivers = ([s] if isinstance(s, MeasurementSpec) else list(s) for s in (alice, bob))
+    if any(len({len(spec.operators) for spec in specs}) != 1 for specs in (senders, receivers)):
+        raise ValueError("the sender's and the receiver's settings must each be non-empty, of one outcome count")
     alice_coeffs = np.stack([qcore.pauli_rows(spec.operators) for spec in senders])
     bob_coeffs = np.stack([qcore.pauli_rows(spec.operators) for spec in receivers])
     axes, responses = zip(*map(minimum_rule, bob_coeffs))
@@ -168,7 +178,7 @@ def estimate_joint(
         # component-major rows of m samples, all in the rows run_chunks hands over;
         # the weight rows (indicators, their pair products, 1) end at the Bloch row of ones
         m = rows.shape[1]
-        cols = qcore.bloch_rows(qcore.haar_kets(states, m, rows[:7]), out=rows[bloch : bloch + 4]).T
+        cols = qcore._bloch_rows(qcore.haar_kets(states, m, rows[:7]), rows[bloch : bloch + 4]).T
         weight_rows, monomials, gram = rows[bloch + 1 - weights : bloch + 1], rows[:3], np.empty((10, weights))
         # one matmul per receiver axis keeps a single-pair call's n . m, so its groups
         along = weight_rows[: len(axes)]

@@ -37,9 +37,11 @@ def _as_complex(a) -> np.ndarray:
 def _require_unit_vector(v: np.ndarray, shape: tuple[int], name: str) -> np.ndarray:
     if v.shape != shape:
         raise ValueError(f"{name} must have shape {shape}")
-    # written so that a NaN norm fails the check too
-    if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:
-        raise ValueError(f"{name} must be a unit vector, got norm {np.linalg.norm(v)!r}")
+    # a norm whose squares overflow is inf, quietly, and fails the check as a NaN norm does
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if not abs(norm - 1.0) <= 1e-9:
+        raise ValueError(f"{name} must be a unit vector, got norm {norm!r}")
     return v
 
 
@@ -95,9 +97,10 @@ def projector(ket) -> np.ndarray:
 def ket_to_bloch(chi, name: str = "ket") -> np.ndarray:
     """Expectation values (x, y, z) of the three Pauli operators in a qubit ket.
 
-    bloch_rows's full formula on Python floats, so the same values as its row
-    for the ket, without its array set-up. ValueError, naming the ket
-    ``name``, unless chi is a unit ket of shape (2,).
+    The package's one formula for a general ket: with a = ar + i ai and
+    b = br + i bi, x + i y = 2 a* b and z = |a|^2 - |b|^2, in real
+    arithmetic on Python floats. ValueError, naming the ket ``name``,
+    unless chi is a unit ket of shape (2,).
     """
     (ar, ai), (br, bi) = ((c.real, c.imag) for c in qubit_ket(chi, name).tolist())
     return np.array([(ar * br + ai * bi) * 2, (ar * bi - ai * br) * 2, (ar * ar + ai * ai) - (br * br + bi * bi)])
@@ -111,51 +114,25 @@ def spin_projector(n, sign: int = +1) -> np.ndarray:
     return (IDENTITY_2 + sign * sum(c * p for c, p in zip(n, PAULIS))) / 2
 
 
-def bloch_rows(kets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows (1, x, y, z) holding the Bloch vector of each qubit ket (one ket per row).
-
-    With a = ar + i ai and b = br + i bi, x + i y = 2 a* b and z = |a|^2 - |b|^2,
-    written out in real arithmetic on the real and imaginary parts, so no
-    complex temporaries are built. The four components are filled as
-    contiguous rows of a (4, n) buffer, ``out`` when given, and returned as
-    its (n, 4) transpose view, so ``bloch_rows(kets).T`` is component-major
-    at no cost. Each product is written into a row of that buffer not yet
-    written, so no temporary row is built.
-
-    When every ai is +0.0, as haar_kets returns them, and every |b|^2 is
-    finite, the terms in ai are dropped: nine passes, x = 2 ar br,
-    y = 2 ar bi and z = ar^2 - |b|^2, instead of sixteen. Each dropped term
-    is +-0, which changes no nonzero value, so the rows equal the full
-    formula's, a zero possibly of the other sign.
-    """
-    parts = np.ascontiguousarray(kets, dtype=complex).view(float)
-    if parts.shape[1:] != (4,):
-        raise ValueError(f"kets must have shape (n, 2), got {np.shape(kets)}")
-    ar, ai, br, bi = parts.T
-    cols = np.empty((4, parts.shape[0])) if out is None else out
-    if cols.shape != (4, parts.shape[0]):
-        raise ValueError(f"out has shape {cols.shape}, expected {(4, parts.shape[0])}")
-    one, x, y, z = cols
+def _bloch_rows(kets: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # the rows (1, x, y, z) of kets in haar_kets' phase, <0|psi> = ar real and nonnegative with a
+    # +0.0 imaginary part, written into the contiguous (4, n) rows ``out`` and returned as their
+    # (n, 4) transpose view: with b = br + i bi, x = 2 ar br, y = 2 ar bi and z = ar^2 - |b|^2,
+    # the general formula of ket_to_bloch less its terms in Im<0|psi>, each product written into
+    # a row of out not yet written, so no temporary row is built
+    ar, _, br, bi = kets.view(float).T
+    one, x, y, z = out
     np.multiply(ar, ar, out=z)
     # x holds |b|^2 until z is done
     np.multiply(br, br, out=x)
     x += np.multiply(bi, bi, out=y)
-    # +0.0 is the only float whose bits are all 0, so -0.0 and NaN keep the terms in ai, and so
-    # does a b with an inf or NaN, for which +0.0 times b is NaN (a NaN |b|^2 fails the test too)
-    full = np.count_nonzero(ai.view(np.int64)) > 0 or not x.max(initial=0.0) < np.inf
-    if full:
-        z += np.multiply(ai, ai, out=y)
     z -= x
     np.multiply(ar, br, out=x)
-    if full:
-        x += np.multiply(ai, bi, out=one)
     x *= 2
     np.multiply(ar, bi, out=y)
-    if full:
-        y -= np.multiply(ai, br, out=one)
     y *= 2
     one[...] = 1.0
-    return cols.T
+    return out.T
 
 
 def pauli_rows(ops) -> np.ndarray:
@@ -313,7 +290,7 @@ def haar_kets(rng: np.random.Generator, n: int, scratch: np.ndarray | None = Non
     and azimuth phi, independent and uniform, so it is uniform on the
     sphere (Archimedes) and the projector is Haar-distributed. The global
     phase is fixed: <0|psi> = sqrt u is real and nonnegative, its imaginary
-    part +0.0, so bloch_rows takes its nine-pass path. e^{i phi} is
+    part +0.0, the phase the kernels' Bloch rows assume. e^{i phi} is
     ((1 - t^2) + 2it)/(1 + t^2) with t = tan(phi / 2), no cos or sin call.
     With ``scratch``, a C-contiguous float (7, n) array such as rows
     run_chunks hands a chunk, nothing is allocated: the kets, written in

@@ -185,8 +185,8 @@ def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
     (s_k * m~)^T (R/8) (c_k * m~) divided by the outcome probability
     (s_k * m~) . R[:, 0] / 4, both read from one R = pauli_correlations(rho).
     A chunk turns its outcome indicators into sign rows with one matmul by
-    _SIGN_MAP (see the module docstring), exact ones and minus ones. The
-    result does not depend on the chunk size.
+    _SIGN_MAP (see the module docstring), exact ones and minus ones. No
+    draw depends on the chunk size, and the result only to rounding.
     Raises ValueError unless rho is a two-qubit density matrix.
     """
     correlations = qcore.pauli_correlations(rho) / 8
@@ -202,7 +202,7 @@ def average_fidelity(rho, samples: int, seed: int) -> MonteCarloEstimate:
         # 0-2 the sign rows, which turn 7-9 into s_k * m (every s_k[0] is 1); 1-5 the
         # corrected overlaps and p_k; 0 the scores
         m = rows.shape[1]
-        cols = qcore.bloch_rows(qcore.haar_kets(states, m, rows[:7]), out=rows[6:10]).T
+        cols = qcore._bloch_rows(qcore.haar_kets(states, m, rows[:7]), rows[6:10]).T
         totals = np.matmul(prob_rows, cols, out=rows[3:6])
         # p_1 and p_2 clamped at 0 keep the running sums, and so the indicators, in order
         np.maximum(totals[1:], 0.0, out=totals[1:])

@@ -23,16 +23,24 @@ def singlet_fraction_fidelity(rho) -> float:
 
 
 def bloch_rows(kets) -> np.ndarray:
-    """Rows (1, x, y, z) of qubit kets by the formula qcore.bloch_rows must match, value for value.
+    """Rows (1, x, y, z) of qubit kets by the general formula, that of qcore.ket_to_bloch.
 
     x = 2 (ar br + ai bi), y = 2 (ar bi - ai br), z = (ar^2 + ai^2) - (br^2 + bi^2),
     each product formed as a temporary, returned as the (n, 4) transpose of (4, n) rows.
+    The kernels' Bloch rows of haar_kets' kets, whose ai are +0.0, must match it value
+    for value.
     """
     ar, ai, br, bi = np.ascontiguousarray(kets, dtype=complex).view(float).T
     x = (ar * br + ai * bi) * 2
     y = (ar * bi - ai * br) * 2
     z = (ar * ar + ai * ai) - (br * br + bi * bi)
     return np.stack([np.ones_like(x), x, y, z]).T
+
+
+def is_unit_vector(v) -> bool:
+    """|norm(v) - 1| <= 1e-9, qcore's unit test, with a norm whose squares overflow read as inf quietly."""
+    with np.errstate(over="ignore"):
+        return bool(abs(np.linalg.norm(v) - 1.0) <= 1e-9)
 
 
 # s_k[a]: the sign of sigma_a x sigma_a in Bell state k, in the order (psi-, psi+, phi-, phi+)

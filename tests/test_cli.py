@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import bloch_rows
 from telelocal import bellcheck, classical, cli, estimates, lhv, qcore, teleport
 
 
@@ -86,7 +87,7 @@ def _uniform_outcome_fidelity(rho, samples, seed):
     # the corrected overlap by p_k. On the singlet-fraction family every overlap / p_k is (1 + alpha)/2, so
     # only a state whose per-sample fidelity varies can show the bias
     rng = np.random.default_rng(seed)
-    rows = qcore.bloch_rows(qcore.haar_kets(rng, samples))
+    rows = bloch_rows(qcore.haar_kets(rng, samples))
     sent = teleport._SENDER_SIGNS[rng.integers(4, size=samples)] * rows
     r = qcore.pauli_correlations(rho)
     scores = np.einsum("sa,ab,sb->s", sent, r / 8 * teleport._FLIP, sent) / (sent @ r[:, 0] / 4)

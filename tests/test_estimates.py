@@ -210,6 +210,13 @@ def test_run_chunks_and_child_seeds_need_a_non_negative_integral_seed(monkeypatc
             with pytest.raises(ValueError, match="seed must be >= 0"):
                 estimate(seed)
     assert estimates.child_seeds(np.int64(3), 2) == estimates.child_seeds(3, 2)
+    # so is n, which numpy would refuse at -1 with its own message, and at 2.0 or True with a TypeError
+    for n in (True, 2.0, np.float64(2.0), "2", None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            estimates.child_seeds(3, n)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        estimates.child_seeds(3, -1)
+    assert estimates.child_seeds(3, np.int64(4)) == estimates.child_seeds(3, 4) and estimates.child_seeds(3, 0) == []
     assert run_chunks(_draw([]), samples=25, seed=np.uint32(0), chunk=10, cell_shape=(2, 3)).count == 25
 
 

@@ -5,12 +5,14 @@ computation of Tr[W (A x B)] on the singlet-fraction state at alpha 1/2.
 """
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from oracles import bloch_rows
 from telelocal import bellcheck, estimates, lhv, qcore, teleport
 from telelocal.estimates import StreamingMoments
 
@@ -60,13 +62,13 @@ def test_measurement_spec_validation():
 
 
 def _overlap(kets, ops) -> np.ndarray:
-    rows = qcore.bloch_rows(np.atleast_2d(kets))
+    rows = bloch_rows(np.atleast_2d(kets))
     return rows @ qcore.pauli_rows(ops).T / 2
 
 
 def _minimum(kets, ops) -> np.ndarray:
     # row 0 of the responses answers where n . m > 0, row 1 elsewhere
-    rows = qcore.bloch_rows(np.atleast_2d(kets))
+    rows = bloch_rows(np.atleast_2d(kets))
     axis, responses = lhv.minimum_rule(qcore.pauli_rows(ops))
     return responses[(rows[:, 1:] @ axis <= 0).astype(int)]
 
@@ -153,6 +155,27 @@ def test_noncommuting_receiver_povm_rejected():
         lhv.estimate_joint(_spec("projective", Z_PROJS), _spec("povm", trine), cfg)
 
 
+def test_minimum_rule_refuses_rows_that_overflow_without_a_warning():
+    # lengths whose squares overflow, and NaN or inf entries
+    along_z = [[1.0, 0.0, 0.0, 0.6], [1.0, 0.0, 0.0, -0.6]]
+    huge = [
+        [[1.0, 1e308, 1e308, 0.0]],
+        [[1.0, 0.0, 0.0, 1.0], [1.0, -1e308, 0.0, 0.0]],
+        [[1.0, 0.0, 2e154, 0.0]],
+        [[1.0, np.nan, 0.0, 0.0]],
+        [[np.inf, 0.0, 0.0, 1.0]],
+        [[1.0, 0.0, -np.inf, 0.0]],
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        axis, responses = lhv.minimum_rule(np.array(along_z))
+        for rows in huge:
+            with pytest.raises(ValueError, match="finite Pauli rows"):
+                lhv.minimum_rule(np.array(rows))
+    npt.assert_array_equal(axis, [0.0, 0.0, 1.0])
+    npt.assert_allclose(responses, [[0.2, 0.8], [0.8, 0.2]], rtol=0, atol=1e-15)
+
+
 def test_estimate_joint_validation(monkeypatch):
     cfg = lhv.LhvConfig(samples=10, seed=0)
     alice = _spec("projective", Z_PROJS)
@@ -165,6 +188,11 @@ def test_estimate_joint_validation(monkeypatch):
         lhv.estimate_joint(alice, alice, empty)
     with pytest.raises(ValueError, match="samples must be >= 1"):
         lhv.lhv_teleport_experiment(bellcheck.violation_setting(), bellcheck.OutcomeGrouping(), empty)
+    # so are an empty list of settings and settings of two outcome counts on one side
+    three = _spec("povm", [np.diag([1.0, 0.0]), *[np.diag([0.0, 0.5])] * 2])
+    for sender, receiver in (([], alice), (alice, []), ([alice, three], alice), (alice, [alice, three])):
+        with pytest.raises(ValueError, match="non-empty, of one outcome count"):
+            lhv.estimate_joint(sender, receiver, cfg)
     big = np.zeros((2, 4, 4), dtype=complex)
     big[0] = np.eye(4) * 0.5
     big[1] = np.eye(4) * 0.5

@@ -1,6 +1,7 @@
 """Unit tests for states, operators, and linear algebra helpers."""
 
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import oracles
 from oracles import fidelity
-from telelocal import bellcheck, estimates, qcore, teleport
+from telelocal import bellcheck, estimates, lhv, qcore, teleport
 
 RNG_SEED = 20240811
 
@@ -367,121 +368,67 @@ def test_haar_kets_keep_the_uniform_stream():
     npt.assert_array_equal(np.concatenate(parts), qcore.haar_kets(whole, 500))
 
 
-def _global_phases(rng, kets):
-    # haar_kets fixes Im<0|psi> = 0; a random global phase brings back the terms in Im<0|psi>
-    return kets * np.exp(2j * np.pi * rng.random((len(kets), 1)))
+def _haar_kets_and_poles(rng, n):
+    # n Haar kets, then (1, 0), (0, 1), (0, -1) and (sqrt 1/2, -sqrt 1/2), all in haar_kets' phase
+    s = np.sqrt(0.5)
+    return np.vstack([qcore.haar_kets(rng, n), [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [s, -s]]])
 
 
 def test_bloch_rows_match_ket_to_bloch():
     rng = np.random.default_rng(RNG_SEED + 8)
-    kets = _global_phases(rng, qcore.haar_kets(rng, 60))
-    s = np.sqrt(0.5)
-    real = np.array([[1.0, 0.0], [0.0, 1.0], [s, s], [s, -s], [0.6, -0.8]])
-    for batch in (kets, kets[::3], real):
-        rows = qcore.bloch_rows(batch)
-        assert rows.shape == (len(batch), 4)
+    for kets in (_haar_kets_and_poles(rng, 60), qcore.haar_kets(rng, estimates.CHUNK)):
+        rows = qcore._bloch_rows(kets, np.empty((4, len(kets))))
         npt.assert_array_equal(rows[:, 0], 1.0)
-        # ket_to_bloch is bloch_rows's arithmetic for one ket, so the same bits
-        assert np.array_equal(rows[:, 1:], [qcore.ket_to_bloch(k) for k in batch])
-
-
-def test_bloch_rows_need_kets_of_shape_n_by_2():
-    # one ket of shape (2,) would be read as four one-float kets, a wrong (4, 4) array
-    for bad in (np.array([1.0, 0.0]), np.zeros((3, 1)), np.zeros((3, 3)), np.zeros((2, 2, 2))):
-        with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
-            qcore.bloch_rows(bad)
-    npt.assert_array_equal(qcore.bloch_rows(np.array([[1.0, 0.0]])), [[1.0, 0.0, 0.0, 1.0]])
+        # the terms in Im<0|psi> that the kernels' formula leaves out are zeros, which change no value
+        assert np.array_equal(rows, oracles.bloch_rows(kets))
+    assert np.array_equal(rows[:60, 1:], [qcore.ket_to_bloch(k) for k in kets[:60]])
 
 
 def test_bloch_rows_are_a_view_of_component_major_rows():
-    rng = np.random.default_rng(RNG_SEED + 10)
-    kets = _global_phases(rng, qcore.haar_kets(rng, 1000))
-    cols = qcore.bloch_rows(kets).T
-    assert cols.shape == (4, 1000) and cols.flags.c_contiguous
-    a, b = kets[:, 0], kets[:, 1]
-    by_hand = np.stack(
-        [
-            np.ones(1000),
-            2 * (a.real * b.real + a.imag * b.imag),
-            2 * (a.real * b.imag - a.imag * b.real),
-            (a.real**2 + a.imag**2) - (b.real**2 + b.imag**2),
-        ]
-    )
-    assert np.array_equal(cols, by_hand)
-
-
-def test_bloch_rows_fill_a_given_buffer():
-    kets = qcore.haar_kets(np.random.default_rng(RNG_SEED + 11), 1000)
-    buf = np.empty((4, 1000))
-    rows = qcore.bloch_rows(kets, out=buf)
-    assert rows.base is buf and np.shares_memory(rows, buf) and rows.strides == buf.T.strides
-    assert np.array_equal(rows, qcore.bloch_rows(kets))
-    with pytest.raises(ValueError):
-        qcore.bloch_rows(kets, out=np.empty((4, 999)))
-
-
-def _marked(kets):
-    # kets with (0, -1) last: ar = ai = +0.0 and br = -1, so x = 2 ar br is -0.0 on the
-    # nine-pass path and 2 (ar br + ai bi) = 2 (-0.0 + 0.0) = +0.0 on the full one
-    return np.vstack([kets, [[0.0, -1.0]]])
-
-
-def test_bloch_rows_take_nine_passes_only_on_kets_with_a_real_first_entry():
-    rng = np.random.default_rng(RNG_SEED + 19)
-    haar = qcore.haar_kets(rng, 1000)
-    one_complex, negative_zero, nan_imag, nan_b = (haar.copy() for _ in range(4))
-    one_complex[17, 0] *= np.exp(0.3j)
-    negative_zero[17, 0] = complex(haar[17, 0].real, -0.0)
-    nan_imag[17, 0] = complex(haar[17, 0].real, np.nan)
-    nan_b[17, 1] = complex(np.nan, haar[17, 1].imag)
-    cases = {
-        "haar": (haar, True),
-        "phased": (_global_phases(rng, haar), False),
-        "one complex <0|psi>": (one_complex, False),
-        "Im <0|psi> = -0.0": (negative_zero, False),
-        "Im <0|psi> = NaN": (nan_imag, False),
-        "NaN in b": (nan_b, False),
-    }
-    for name, (kets, nine_passes) in cases.items():
-        kets = _marked(kets)
-        rows = qcore.bloch_rows(kets)
-        assert np.array_equal(rows, oracles.bloch_rows(kets), equal_nan=True), name
-        assert np.signbit(rows[-1, 1]) == nine_passes, name
-    # an infinite b: +0.0 times it is NaN, with a warning on either path
-    inf_b = _marked(haar)
-    inf_b[17, 1] = complex(np.inf, haar[17, 1].imag)
-    with np.errstate(invalid="ignore"):
-        rows, expected = qcore.bloch_rows(inf_b), oracles.bloch_rows(inf_b)
-    assert np.array_equal(rows, expected, equal_nan=True) and not np.signbit(rows[-1, 1])
+    kets = _haar_kets_and_poles(np.random.default_rng(RNG_SEED + 10), 1000)
+    out = np.empty((4, len(kets)))
+    rows = qcore._bloch_rows(kets, out)
+    assert rows.base is out and rows.T.flags.c_contiguous and rows.strides == out.T.strides
+    npt.assert_array_equal(out[0], 1.0)
+    assert np.array_equal(out, oracles.bloch_rows(kets).T)
 
 
 def test_bloch_rows_into_a_given_buffer_allocate_no_row():
     n = estimates.CHUNK
-    rng = np.random.default_rng(RNG_SEED + 17)
-    kets = qcore.haar_kets(rng, n)
-    buf = np.empty((4, n))
-    # Haar kets take the nine-pass path, the same kets with global phases the full formula
-    for batch in (kets, _global_phases(rng, kets)):
-        qcore.bloch_rows(batch, out=buf)
-        tracemalloc.start()
-        try:
-            rows = qcore.bloch_rows(batch, out=buf)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # each product is written into a row of buf, so not even one temporary row
-        assert peak < 8 * n
-        assert np.array_equal(rows, oracles.bloch_rows(batch))
-
-
-def test_bloch_rows_of_a_chunk_stay_within_24_mb():
+    kets = qcore.haar_kets(np.random.default_rng(RNG_SEED + 17), n)
+    out = np.empty((4, n))
+    qcore._bloch_rows(kets, out)
     tracemalloc.start()
     try:
-        qcore.bloch_rows(qcore.haar_kets(np.random.default_rng(RNG_SEED + 9), 250_000))
+        rows = qcore._bloch_rows(kets, out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 24_000_000
+    # each product is written into a row of out, so not even one temporary row
+    assert peak < 8 * n
+    assert np.array_equal(rows, oracles.bloch_rows(kets))
+
+
+def test_kernels_hand_bloch_rows_only_kets_in_haar_phase(monkeypatch):
+    # every batch of kets the two Monte Carlo kernels turn into Bloch rows has <0|psi> real
+    # and nonnegative, its imaginary part +0.0 by its bits, the phase _bloch_rows assumes
+    batches = []
+    bloch_rows = qcore._bloch_rows
+
+    def recorded(kets, out):
+        batches.append(kets.copy())
+        return bloch_rows(kets, out)
+
+    monkeypatch.setattr(qcore, "_bloch_rows", recorded)
+    # two stream blocks, the second on a pool worker when there is one
+    teleport.average_fidelity(qcore.werner_alpha(0.7), samples=70_000, seed=3)
+    fidelity_batches = len(batches)
+    grouping, cfg = bellcheck.OutcomeGrouping(), lhv.LhvConfig(samples=20_000, seed=4)
+    lhv.lhv_teleport_experiment(bellcheck.violation_setting(), grouping, cfg)
+    assert 0 < fidelity_batches < len(batches)
+    for kets in batches:
+        first = kets[:, 0]
+        assert np.all(first.real >= 0) and not np.count_nonzero(first.imag.view(np.int64))
 
 
 def test_random_bloch_vectors_unit_norm():
@@ -495,7 +442,7 @@ def test_random_bloch_vectors_are_the_bloch_vectors_of_haar_kets():
     rng, twin = np.random.default_rng(RNG_SEED + 12), np.random.default_rng(RNG_SEED + 12)
     vectors = qcore.random_bloch_vectors(rng, 500)
     assert vectors.shape == (500, 3)
-    npt.assert_allclose(vectors, qcore.bloch_rows(qcore.haar_kets(twin, 500))[:, 1:], rtol=0, atol=1e-15)
+    npt.assert_allclose(vectors, oracles.bloch_rows(qcore.haar_kets(twin, 500))[:, 1:], rtol=0, atol=1e-15)
     assert rng.random() == twin.random()
 
 
@@ -623,7 +570,7 @@ def test_samplers_allocate_the_draws_the_result_and_one_row(sample, result_rows)
 
 @pytest.mark.parametrize(
     "sample",
-    [qcore.random_bloch_vectors, lambda rng, n: qcore.bloch_rows(qcore.haar_kets(rng, n))[:, 1:]],
+    [qcore.random_bloch_vectors, lambda rng, n: oracles.bloch_rows(qcore.haar_kets(rng, n))[:, 1:]],
     ids=["random_bloch_vectors", "bloch_rows(haar_kets)"],
 )
 def test_sampled_directions_are_uniform_on_the_sphere(sample):
@@ -652,6 +599,49 @@ def test_unit_vector_guard():
     for bad in ([0.0, 0.0, 2.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [np.nan] * 3):
         with pytest.raises(ValueError, match="unit vector"):
             qcore.spin_projector(bad)
+
+
+def _near_and_huge(units):
+    # each unit vector scaled to just inside and just outside the 1e-9 tolerance, then
+    # vectors of entries +-1e308, whose squares overflow, and one of NaN and one of inf
+    scales = 1 + np.array([-1.001, -0.999, 0.999, 1.001]) * 1e-9
+    huge = [[1e308, 1e308, 0.0], [-1e308, 0.0, 0.0], [1e308, -1e308, 1e308], [1e200, 0.0, 0.0]]
+    edge = [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]]
+    return [*units, *(u * c for u in units for c in scales), *(np.array(v)[: len(units[0])] for v in huge + edge)]
+
+
+def test_unit_vector_checks_match_the_norm_without_a_warning():
+    rng = np.random.default_rng(RNG_SEED + 20)
+    directions = _near_and_huge([*qcore.random_bloch_vectors(rng, 10), *rng.standard_normal((4, 3))])
+    kets = _near_and_huge([*qcore.haar_kets(rng, 10) * np.exp(1j * rng.random((10, 1))), *rng.standard_normal((4, 2))])
+    kets += [np.array([1e308j, 1e308]), np.array([-1e308, 1e308j])]
+    good = bellcheck.violation_setting()
+
+    def setting(r):
+        return bellcheck.TeleportBellSetting(good.chi, good.chi_prime, r, good.s)
+
+    checks = {
+        "unit_direction": (directions, lambda n: qcore.unit_direction(n, "n")),
+        "spin_projector": (directions, qcore.spin_projector),
+        "TeleportBellSetting": (directions, setting),
+        "qubit_ket": (kets, lambda k: qcore.qubit_ket(k, "k")),
+        "ket_to_bloch": (kets, qcore.ket_to_bloch),
+    }
+    for name, (vectors, check) in checks.items():
+        verdicts = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v in vectors:
+                try:
+                    check(v)
+                    verdicts.append(True)
+                except ValueError as error:
+                    assert "unit vector" in str(error), name
+                    verdicts.append(False)
+        assert verdicts == [oracles.is_unit_vector(v) for v in vectors], name
+        # the unit vectors pass, scaled just inside the tolerance too, and the huge ones fail
+        assert verdicts[:10] == [True] * 10 and verdicts[14:54] == [False, True, True, False] * 10, name
+        assert not any(verdicts[70:]), name
 
 
 def test_check_effects_names_the_first_bad_effect():

@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from oracles import fidelity, non_states, singlet_fraction_fidelity, teleport_scores
+from oracles import bloch_rows, fidelity, non_states, singlet_fraction_fidelity, teleport_scores
 from telelocal import qcore, teleport
 from telelocal.estimates import StreamingMoments
 
@@ -210,7 +210,7 @@ def test_pauli_route_matches_the_three_qubit_route():
         rho = qcore.random_density(rng, 4)
         r = qcore.pauli_correlations(rho)
         kets = qcore.haar_kets(rng, 20)
-        rows = qcore.bloch_rows(kets)
+        rows = bloch_rows(kets)
         for chi, row in zip(kets, rows):
             npt.assert_allclose(row, [1.0, *qcore.ket_to_bloch(chi)], atol=1e-12)
             probs = teleport.bell_measurement_probabilities(chi, rho)
@@ -263,7 +263,7 @@ def test_average_fidelity_picks_outcomes_at_the_cumulative_boundaries(monkeypatc
     # draws exactly on each running sum of the outcome probabilities, at 0 and above the total
     rho = qcore.random_density(np.random.default_rng(RNG_SEED + 10), 4)
     kets = np.repeat(qcore.haar_kets(np.random.default_rng(RNG_SEED + 11), 5), 6, axis=0)
-    probs = 2 * teleport._SENDER_SIGNS * (qcore.pauli_correlations(rho) / 8)[:, 0] @ qcore.bloch_rows(kets).T
+    probs = 2 * teleport._SENDER_SIGNS * (qcore.pauli_correlations(rho) / 8)[:, 0] @ bloch_rows(kets).T
     totals = np.cumsum(probs, axis=0)
     draws = np.column_stack([np.zeros(5), *totals[:, ::6], np.nextafter(totals[3, ::6], 2.0)]).ravel()
     assert np.array_equal(draws.reshape(5, 6)[:, 1:5], totals[:, ::6].T)
@@ -338,7 +338,7 @@ def test_average_fidelity_signs_stay_exact_when_a_probability_rounds_below_0(mon
     # no outcome's: the map turns them into the sign row (3, -1, -1)
     rho = np.kron(np.diag([1.0, 0.0]), np.eye(2) / 2)
     kets = np.array([[0.0, np.nextafter(1.0, 2.0)]], dtype=complex)
-    probs = 2 * teleport._SENDER_SIGNS[:3] * (qcore.pauli_correlations(rho) / 8)[:, 0] @ qcore.bloch_rows(kets).T
+    probs = 2 * teleport._SENDER_SIGNS[:3] * (qcore.pauli_correlations(rho) / 8)[:, 0] @ bloch_rows(kets).T
     totals = np.cumsum(probs[:, 0])
     assert probs[2, 0] < 0 and totals[2] < totals[1]
     indicators = (totals[1] > totals).astype(float)
