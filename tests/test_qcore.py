@@ -393,6 +393,17 @@ def test_bloch_rows_are_a_view_of_component_major_rows():
     assert np.array_equal(out, oracles.bloch_rows(kets).T)
 
 
+def test_bloch_rows_fill_a_given_buffer():
+    kets = qcore.haar_kets(np.random.default_rng(RNG_SEED + 11), 1000)
+    buf = np.empty((4, 1000))
+    rows = qcore._bloch_rows(kets, buf)
+    assert rows.base is buf and np.shares_memory(rows, buf) and rows.strides == buf.T.strides
+    assert np.array_equal(rows, qcore._bloch_rows(kets, np.empty((4, 1000))))
+    # no shape check of its own: numpy refuses to write n products into rows of another length
+    with pytest.raises(ValueError):
+        qcore._bloch_rows(kets, np.empty((4, 999)))
+
+
 def test_bloch_rows_into_a_given_buffer_allocate_no_row():
     n = estimates.CHUNK
     kets = qcore.haar_kets(np.random.default_rng(RNG_SEED + 17), n)
