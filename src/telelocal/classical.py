@@ -44,7 +44,7 @@ def gisin_scheme_fidelity(samples: int, seed: int) -> MonteCarloEstimate:
 
     def chunk(states, coins, rows):
         # component-major: one row of samples per vertex after the sampler's six rows
-        dots = np.matmul(vertices, qcore.random_bloch_vectors(states, rows.shape[1], rows[:6]).T, out=rows[6:])
+        dots = np.matmul(vertices, qcore.random_bloch_vectors(states, rows.shape[1], rows[:6]).T, out=rows[6:10])
         scores = np.max(dots, axis=0, out=rows[0])
         scores += 1.0
         scores /= 2

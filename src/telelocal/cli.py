@@ -202,6 +202,7 @@ def _lhv_rows(cfg: argparse.Namespace) -> list[dict]:
     deviation = np.abs(result.table.joints - oracle)
     band = _band(result.table.stderr)
     worst = np.unravel_index(np.argmax(deviation / band), deviation.shape)
+    exact = lhv.exact_joint(*lhv.teleport_specs(setting, grouping), alpha)
     return [
         _mc_row("lhv_ch_value", est, bellcheck.closed_form_value(alpha, setting)),
         _row(
@@ -212,6 +213,8 @@ def _lhv_rows(cfg: argparse.Namespace) -> list[dict]:
             expected=0.0,
             tolerance=band[worst],
         ),
+        # the model's own table without sampling, so a fault in the model and one in its sampler fail apart
+        _row("lhv_model_exact_max_deviation", np.abs(exact - oracle).max(), expected=0.0, tolerance=ANALYTIC_TOL),
     ]
 
 

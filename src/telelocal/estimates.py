@@ -32,7 +32,11 @@ IN_FLIGHT_PER_WORKER = 2
 # than one block; it lives for the whole process, so no call starts and joins threads or
 # warms their chunk buffers. On 2 shared CPUs a pool per call added 1-2 ms to an estimate:
 # at two blocks (131072 samples) teleport, lhv and z ran 15-55% slower in 26-29 of 30
-# alternating in-process pairs; at 1M samples the medians moved -3% to +8%, within noise
+# alternating in-process pairs. At 1M samples one average_fidelity call is within noise
+# either way (medians 34.6-42.1 ms, three sets of 41 alternating pairs), but the benchmark's
+# reproduce pass_s rose from 0.123 to 0.131-0.132 s with a pool per call, slower in 18 of
+# 20 alternating pairs (two sets of 10, each order first); blocks run one after another in
+# the caller took 46.7-71.3 ms against 34.8-55.9 ms (medians of 41 runs, five sessions)
 _pool = None
 _workers = 0
 _pool_lock = threading.Lock()

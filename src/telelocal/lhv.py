@@ -15,13 +15,10 @@ overlap <lambda|E|lambda> = (t + r . m)/2. Two response rules appear
 
 The sender answers by the overlap rule and the receiver holds the
 minimum rule, so a receiver POVM whose vectors r are not parallel is
-rejected. Since E[m | n . m > 0] = n/2, the joint averaged over the
-hidden ket is t_a t_b / 4 - (r_a . n)(r_b . n) / 8: symmetric in the two
-roles, and with r_b parallel to n equal to Tr[W (A x B)] for the
-singlet-fraction state at alpha = 1/2.
-
-For alpha < 1/2 the state is 2 alpha W_1/2 + (1 - 2 alpha) I/4, and I/4
-gives the joint t_a t_b / 4 exactly, so only alpha = 1/2 is simulated.
+rejected. Averaged over the hidden ket, the joints equal Tr[W (A x B)]
+on the singlet-fraction state W at every alpha in [0, 1/2]: exact_joint
+computes that average in closed form, and estimate_joint samples it at
+alpha = 1/2 and mixes in the white noise I/4 exactly.
 
 As in a local model, one hidden ket per sample fixes each party's answer
 to every setting: the CH test's four settings pairs share it, so the CH
@@ -110,6 +107,55 @@ def minimum_rule(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return axis, responses
 
 
+def _cell_rows(alice, bob) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """Each cell's row over phi, the receivers' axes n_j and the white-noise table.
+
+    A cell is (e . (1, m) / 2)(a_0 + (a_1 - a_0) i_j) with the sender's Pauli
+    row e, receiver j's answers a_0, a_1 and its indicator i_j = [n_j . m <= 0],
+    so it is c . phi, with phi = b x (1, m) over b = (1, i_1, ..., i_R) and the
+    cell's fixed row c (one row per cell, in table order). The noise table,
+    t_a t_b / 4, has the table's (setting, outcome, setting, outcome) shape.
+    Takes one setting or a list per party, each list non-empty and of one
+    outcome count (else ValueError), and a receiver whose effects commute.
+    """
+    senders, receivers = ([s] if isinstance(s, MeasurementSpec) else list(s) for s in (alice, bob))
+    if any(len({len(spec.operators) for spec in specs}) != 1 for specs in (senders, receivers)):
+        raise ValueError("the sender's and the receiver's settings must each be non-empty, of one outcome count")
+    alice_coeffs = np.stack([qcore.pauli_rows(spec.operators) for spec in senders])
+    bob_coeffs = np.stack([qcore.pauli_rows(spec.operators) for spec in receivers])
+    axes, responses = zip(*map(minimum_rule, bob_coeffs))
+    basis = np.concatenate([np.stack(responses)[:, :1], np.diff(responses, axis=1) * np.eye(len(axes))[..., None]], 1)
+    coeffs = np.einsum("sak,jcb->sajbck", alice_coeffs / 2, basis).reshape(-1, 4 * len(axes) + 4)
+    return coeffs, axes, np.multiply.outer(alice_coeffs[..., 0], bob_coeffs[..., 0]) / 4
+
+
+def _shaped(alice, bob, table: np.ndarray) -> np.ndarray:
+    # a single pair drops the two setting axes
+    single = isinstance(alice, MeasurementSpec) and isinstance(bob, MeasurementSpec)
+    return table.reshape(table.shape[1::2]) if single else table
+
+
+def exact_joint(
+    alice: MeasurementSpec | list[MeasurementSpec], bob: MeasurementSpec | list[MeasurementSpec], alpha: float = 0.5
+) -> np.ndarray:
+    """The model's joint outcome probabilities without sampling: each cell's row times E_alpha[phi].
+
+    Takes the settings of estimate_joint, with its checks and shapes. At
+    alpha = 1/2 the hidden ket is Haar: E[(1, m)] = (1, 0), E[i_j] = 1/2 and,
+    since E[m | n_j . m <= 0] = -n_j/2, E[i_j m] = -n_j/4. The white noise of
+    W_alpha = 2 alpha W_1/2 + (1 - 2 alpha) I/4 answers t_a t_b / 4, what the
+    same rows give with m's terms dropped. So E_alpha[phi] is (1, 0, 0, 0) on
+    the constant block and (1/2, -alpha n_j/2) on receiver j's, one formula
+    for every alpha in [0, 1/2], and the table equals Tr[W_alpha (A x B)] to
+    rounding: the model reproduces every such statistic.
+    """
+    if not 0.0 <= alpha <= 0.5:
+        raise ValueError("alpha must lie in [0, 1/2]")
+    coeffs, axes, noise = _cell_rows(alice, bob)
+    moments = np.concatenate([[1.0, 0.0, 0.0, 0.0], *([0.5, *(-alpha / 2 * axis)] for axis in axes)])
+    return _shaped(alice, bob, (coeffs @ moments).reshape(noise.shape))
+
+
 def estimate_joint(
     alice: MeasurementSpec | list[MeasurementSpec],
     bob: MeasurementSpec | list[MeasurementSpec],
@@ -137,29 +183,19 @@ def estimate_joint(
     rounding. ``terms_stderr`` is the stderr of each sample's sum of sign *
     cell over ``terms``, (+1 or -1, table index) pairs such as bellcheck.CH_TERMS.
 
-    A cell is (e . (1, m) / 2)(a_0 + (a_1 - a_0) i_j) with the sender's Pauli
-    row e, receiver j's answers a_0, a_1 and its indicator i_j = [n_j . m <= 0],
-    so it is c . phi, with phi = b x (1, m) over b = (1, i_1, ..., i_R) and
-    the cell's fixed row c; the terms' sum is one more row. A chunk writes no
-    cell: as i^2 = i, sum phi phi^T is a gather of the Gram sums
-    sum w (1, m)(1, m)^T, w each i_j, each product of two and 1, and a row's
-    sum is c . sum phi, its sum of squares c (sum phi phi^T) c^T (see
-    StreamingMoments for the numerics).
+    Each cell is its row c over phi = b x (1, m) (see _cell_rows), and the
+    terms' sum is one more row. A chunk writes no cell: as i^2 = i,
+    sum phi phi^T is a gather of the Gram sums sum w (1, m)(1, m)^T, w each
+    i_j, each product of two and 1, and a row's sum is c . sum phi, its sum
+    of squares c (sum phi phi^T) c^T (see StreamingMoments for the numerics).
+    exact_joint takes E[phi] in closed form instead.
     """
     if not 0.0 <= alpha <= 0.5:
         raise ValueError("alpha must lie in [0, 1/2]")
     terms = tuple(terms)
-    senders, receivers = ([s] if isinstance(s, MeasurementSpec) else list(s) for s in (alice, bob))
-    if any(len({len(spec.operators) for spec in specs}) != 1 for specs in (senders, receivers)):
-        raise ValueError("the sender's and the receiver's settings must each be non-empty, of one outcome count")
-    alice_coeffs = np.stack([qcore.pauli_rows(spec.operators) for spec in senders])
-    bob_coeffs = np.stack([qcore.pauli_rows(spec.operators) for spec in receivers])
-    axes, responses = zip(*map(minimum_rule, bob_coeffs))
-    shape = (*alice_coeffs.shape[:2], *bob_coeffs.shape[:2])
-    cells = math.prod(shape)
-    # the cells' rows c over phi, then the terms' signed sum if any
-    basis = np.concatenate([np.stack(responses)[:, :1], np.diff(responses, axis=1) * np.eye(len(axes))[..., None]], 1)
-    coeffs = np.einsum("sak,jcb->sajbck", alice_coeffs / 2, basis).reshape(cells, -1)
+    coeffs, axes, noise = _cell_rows(alice, bob)
+    shape, cells = noise.shape, noise.size
+    # the terms' signed sum, if any, is one more row
     if terms:
         coeffs = np.vstack([coeffs, sum(sign * coeffs[np.ravel_multi_index(cell, shape)] for sign, cell in terms)])
     width = len(coeffs)
@@ -199,15 +235,18 @@ def estimate_joint(
 
     joint = run_chunks(chunk, cfg.samples, cfg.seed, _CHUNK, (width,), k=bloch + 4)
     mix = 2.0 * alpha
-    noise = np.multiply.outer(alice_coeffs[..., 0], bob_coeffs[..., 0]) / 4
     probs = mix * joint.mean()[:cells].reshape(shape) + (1.0 - mix) * noise
     # at alpha = 0 the result is exact, and 0 times one sample's infinite stderr would be NaN
     stderr = mix * joint.stderr() if mix else np.zeros(width)
     terms_stderr = float(stderr[cells]) if terms else None
     stderr = stderr[:cells].reshape(shape)
-    if isinstance(alice, MeasurementSpec) and isinstance(bob, MeasurementSpec):
-        shape = shape[1::2]
-    return JointEstimate(probs.reshape(shape), stderr.reshape(shape), cfg.samples, terms_stderr)
+    return JointEstimate(_shaped(alice, bob, probs), _shaped(alice, bob, stderr), cfg.samples, terms_stderr)
+
+
+def teleport_specs(setting: bellcheck.TeleportBellSetting, grouping: bellcheck.OutcomeGrouping) -> tuple[list, list]:
+    """The CH test's settings: the sender's two grouped POVMs and the receiver's two spin measurements."""
+    senders = [MeasurementSpec("povm", e) for e in bellcheck.grouped_alice_effects(setting, grouping)]
+    return senders, [MeasurementSpec("projective", p) for p in bellcheck.bob_projectors(setting)]
 
 
 def lhv_teleport_experiment(
@@ -222,8 +261,6 @@ def lhv_teleport_experiment(
     hidden ket per sample for all four settings pairs, so each sample's CH
     sum lies in [0, 1] and the stderr is that of the sum.
     """
-    senders = [MeasurementSpec("povm", e) for e in bellcheck.grouped_alice_effects(setting, grouping)]
-    receivers = [MeasurementSpec("projective", p) for p in bellcheck.bob_projectors(setting)]
-    est = estimate_joint(senders, receivers, cfg, alpha=alpha, terms=bellcheck.CH_TERMS)
+    est = estimate_joint(*teleport_specs(setting, grouping), cfg, alpha=alpha, terms=bellcheck.CH_TERMS)
     table = bellcheck.ProbabilityTable(joints=est.probs, stderr=est.stderr)
     return LhvChResult(value=bellcheck.ch_value(table), stderr=est.terms_stderr, table=table)

@@ -114,8 +114,11 @@ def test_lhv_command_matches_closed_form(capsys):
     rows = {row["name"]: row for row in json.loads(out)["results"]}
     assert rows["lhv_ch_value"]["pass"] is True
     assert abs(rows["lhv_ch_value"]["expected"] - (2 - 2**0.5) / 4) < 1e-12
-    # every lhv row is stochastic, so each carries the README's stochastic fields
+    # the sampled rows carry the README's stochastic fields; the model's exact table is analytic
+    exact = rows.pop("lhv_model_exact_max_deviation")
     assert all(row["stderr"] >= 0 and row["samples"] == 20000 for row in rows.values())
+    assert "stderr" not in exact and "samples" not in exact
+    assert exact["pass"] is True and exact["value"] <= 1e-15 and exact["tolerance"] == cli.ANALYTIC_TOL
 
 
 def test_gisin_csv_format(capsys):
@@ -373,8 +376,7 @@ def test_lhv_cells_are_compared_with_the_quantum_table_at_the_commands_alpha(mon
     _lhv_with_table(monkeypatch, 0.25, joints, np.full(joints.shape, 1e-3))
     code, out = _run(["lhv", "--alpha", "0.25", "--samples", "2000"], capsys)
     assert code == 0
-    row = json.loads(out)["results"][-1]
-    assert row["name"] == "lhv_max_cell_deviation"
+    row = {row["name"]: row for row in json.loads(out)["results"]}["lhv_max_cell_deviation"]
     assert row["value"] <= 1e-15 and row["pass"] is True
 
 

@@ -21,6 +21,10 @@ Z_PROJS = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
 X_PROJS = np.stack(
     [qcore.spin_projector([1.0, 0.0, 0.0], +1), qcore.spin_projector([1.0, 0.0, 0.0], -1)]
 )
+# three effects whose Bloch vectors point 120 degrees apart in the x-z plane: they do not commute
+TRINE = np.stack(
+    [(np.eye(2) + np.cos(2 * np.pi * k / 3) * qcore.PAULI_X + np.sin(2 * np.pi * k / 3) * qcore.PAULI_Z) / 3 for k in range(3)]
+)
 R_AXIS = np.array([np.sin(0.5) * np.cos(0.9), np.sin(0.5) * np.sin(0.9), np.cos(0.5)])
 
 
@@ -141,18 +145,11 @@ def test_receiver_commuting_povm_rule():
 
 
 def test_noncommuting_receiver_povm_rejected():
-    trine = np.stack(
-        [
-            (np.eye(2) + np.cos(2 * np.pi * k / 3) * qcore.PAULI_X
-             + np.sin(2 * np.pi * k / 3) * qcore.PAULI_Z) / 3
-            for k in range(3)
-        ]
-    )
     with pytest.raises(ValueError):
-        _minimum(E0, trine)
+        _minimum(E0, TRINE)
     cfg = lhv.LhvConfig(samples=10, seed=0)
     with pytest.raises(ValueError):
-        lhv.estimate_joint(_spec("projective", Z_PROJS), _spec("povm", trine), cfg)
+        lhv.estimate_joint(_spec("projective", Z_PROJS), _spec("povm", TRINE), cfg)
 
 
 def test_minimum_rule_refuses_rows_that_overflow_without_a_warning():
@@ -441,3 +438,88 @@ def test_teleport_experiment_tracks_alpha():
     result = lhv.lhv_teleport_experiment(setting, grouping, cfg, alpha=0.25)
     expected = bellcheck.closed_form_value(0.25, setting)
     assert abs(result.value - expected) <= 4 * result.stderr
+
+
+def _random_povm(rng, outcomes) -> np.ndarray:
+    # G_k = A_k A_k^dagger made to sum to I: S^-1/2 G_k S^-1/2 with S = sum G_k
+    g = rng.standard_normal((outcomes, 2, 2)) + 1j * rng.standard_normal((outcomes, 2, 2))
+    g = g @ g.conj().transpose(0, 2, 1)
+    values, vectors = np.linalg.eigh(g.sum(axis=0))
+    root = vectors @ np.diag(values**-0.5) @ vectors.conj().T
+    return root @ g @ root
+
+
+def _exact_settings(rng, senders, receivers):
+    # two sender settings and three receiver settings of the named families
+    if senders == "grouped":
+        # the teleportation sender's binary POVMs: two of the four Bell-outcome elements against the rest
+        alice = []
+        for _ in range(2):
+            elements = teleport.povm_from_input(qcore.haar_kets(rng, 1)[0]).elements
+            group = list(rng.choice(4, size=2, replace=False))
+            rest = sorted(set(range(4)) - set(group))
+            alice.append(_spec("povm", np.stack([elements[group].sum(axis=0), elements[rest].sum(axis=0)])))
+    else:
+        alice = [_spec("povm", _random_povm(rng, 3)) for _ in range(2)]
+    bob = []
+    for axis in qcore.random_bloch_vectors(rng, 3):
+        if receivers == "projective":
+            bob.append(_spec("projective", [qcore.spin_projector(axis, +1), qcore.spin_projector(axis, -1)]))
+        else:
+            # effects diagonal in the basis of +axis and -axis commute, with weights unequal on the two states
+            plus, minus = qcore.spin_projector(axis, +1), qcore.spin_projector(axis, -1)
+            p, q = rng.uniform(size=2)
+            bob.append(_spec("povm", [p * plus + q * minus, (1 - p) * plus + (1 - q) * minus]))
+    return alice, bob
+
+
+def _quantum_table(alice, bob, alpha) -> np.ndarray:
+    w = qcore.werner_alpha(alpha)
+    return np.array(
+        [
+            [[[np.trace(np.kron(a, b) @ w).real for b in receiver.operators] for receiver in bob] for a in sender.operators]
+            for sender in alice
+        ]
+    )
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("senders", ["grouped", "three"])
+@pytest.mark.parametrize("receivers", ["projective", "tilted"])
+def test_exact_joint_is_the_quantum_table(alpha, senders, receivers):
+    # the model's closed-form table, each cell row times E_alpha[phi], is Tr[W_alpha (A x B)]
+    # for every alpha in [0, 1/2], with no sampling and so no band
+    rng = np.random.default_rng(40)
+    for _ in range(5):
+        alice, bob = _exact_settings(rng, senders, receivers)
+        npt.assert_allclose(lhv.exact_joint(alice, bob, alpha), _quantum_table(alice, bob, alpha), rtol=0, atol=1e-15)
+    setting, grouping = bellcheck.violation_setting(), bellcheck.OutcomeGrouping()
+    oracle = bellcheck.probability_table(setting, grouping, qcore.werner_alpha(alpha)).joints
+    npt.assert_allclose(lhv.exact_joint(*lhv.teleport_specs(setting, grouping), alpha), oracle, rtol=0, atol=1e-15)
+
+
+def test_exact_joint_takes_the_shapes_of_estimate_joint():
+    # a single pair drops the setting axes, a list on either side keeps all four;
+    # a pair of a list is the single-pair table
+    cfg = lhv.LhvConfig(samples=10, seed=0)
+    senders, receivers = _exact_settings(np.random.default_rng(41), "three", "tilted")
+    table = lhv.exact_joint(senders, receivers, 0.3)
+    assert table.shape == (2, 3, 3, 2)
+    for alice, bob in ((senders[1], receivers[2]), (senders, receivers), (senders[1], receivers), (senders, receivers[2])):
+        assert lhv.exact_joint(alice, bob).shape == lhv.estimate_joint(alice, bob, cfg).probs.shape
+    npt.assert_allclose(lhv.exact_joint(senders[1], receivers[2], 0.3), table[1, :, 2, :], rtol=0, atol=1e-16)
+
+
+def test_exact_joint_refuses_what_estimate_joint_refuses():
+    cfg = lhv.LhvConfig(samples=10, seed=0)
+    alice = _spec("projective", Z_PROJS)
+    three = _spec("povm", [np.diag([1.0, 0.0]), *[np.diag([0.0, 0.5])] * 2])
+    cases = [((alice, alice), alpha) for alpha in (-0.1, 0.7, math.nan)]
+    cases += [((alice, _spec("povm", TRINE)), 0.5)]
+    cases += [(pair, 0.5) for pair in (([], alice), (alice, []), ([alice, three], alice), (alice, [alice, three]))]
+    for pair, alpha in cases:
+        with pytest.raises(ValueError) as sampled:
+            lhv.estimate_joint(*pair, cfg, alpha=alpha)
+        with pytest.raises(ValueError) as exact:
+            lhv.exact_joint(*pair, alpha=alpha)
+        assert str(exact.value) == str(sampled.value)
