@@ -22,6 +22,7 @@ import numpy as np
 from . import qcore
 from .estimates import CHUNK, MonteCarloEstimate, run_chunks
 
+# each scheme's rows per chunk; perfbench/machine.working_set and tests/test_blocks.py read and patch it
 _CHUNK = CHUNK
 
 

@@ -199,10 +199,9 @@ def _lhv_rows(cfg: argparse.Namespace) -> list[dict]:
     est = MonteCarloEstimate(result.value, result.stderr, cfg.samples)
     # the cell furthest outside its own band, so the row fails when any cell does
     oracle = bellcheck.probability_table(setting, grouping, qcore.werner_alpha(alpha)).joints
-    deviation = np.abs(result.table.joints - oracle)
+    deviation, exact_deviation = (np.abs(table.joints - oracle) for table in (result.table, result.exact))
     band = _band(result.table.stderr)
     worst = np.unravel_index(np.argmax(deviation / band), deviation.shape)
-    exact = lhv.exact_joint(*lhv.teleport_specs(setting, grouping), alpha)
     return [
         _mc_row("lhv_ch_value", est, bellcheck.closed_form_value(alpha, setting)),
         _row(
@@ -214,7 +213,7 @@ def _lhv_rows(cfg: argparse.Namespace) -> list[dict]:
             tolerance=band[worst],
         ),
         # the model's own table without sampling, so a fault in the model and one in its sampler fail apart
-        _row("lhv_model_exact_max_deviation", np.abs(exact - oracle).max(), expected=0.0, tolerance=ANALYTIC_TOL),
+        _row("lhv_model_exact_max_deviation", exact_deviation.max(), expected=0.0, tolerance=ANALYTIC_TOL),
     ]
 
 

@@ -77,11 +77,12 @@ class JointEstimate:
 
 @dataclass(frozen=True)
 class LhvChResult:
-    """CH combination of an estimated table, with propagated standard error."""
+    """CH combination of an estimated table, with propagated standard error, and the model's exact table."""
 
     value: float
     stderr: float
     table: bellcheck.ProbabilityTable
+    exact: bellcheck.ProbabilityTable
 
 
 def minimum_rule(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +108,7 @@ def minimum_rule(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return axis, responses
 
 
-def _cell_rows(alice, bob) -> tuple[np.ndarray, tuple, np.ndarray]:
+def _cell_rows(alice, bob, alpha: float) -> tuple[np.ndarray, tuple, np.ndarray]:
     """Each cell's row over phi, the receivers' axes n_j and the white-noise table.
 
     A cell is (e . (1, m) / 2)(a_0 + (a_1 - a_0) i_j) with the sender's Pauli
@@ -116,8 +117,11 @@ def _cell_rows(alice, bob) -> tuple[np.ndarray, tuple, np.ndarray]:
     cell's fixed row c (one row per cell, in table order). The noise table,
     t_a t_b / 4, has the table's (setting, outcome, setting, outcome) shape.
     Takes one setting or a list per party, each list non-empty and of one
-    outcome count (else ValueError), and a receiver whose effects commute.
+    outcome count, a receiver whose effects commute and alpha in [0, 1/2]
+    (else ValueError, the alpha check first).
     """
+    if not 0.0 <= alpha <= 0.5:
+        raise ValueError("alpha must lie in [0, 1/2]")
     senders, receivers = ([s] if isinstance(s, MeasurementSpec) else list(s) for s in (alice, bob))
     if any(len({len(spec.operators) for spec in specs}) != 1 for specs in (senders, receivers)):
         raise ValueError("the sender's and the receiver's settings must each be non-empty, of one outcome count")
@@ -149,9 +153,7 @@ def exact_joint(
     for every alpha in [0, 1/2], and the table equals Tr[W_alpha (A x B)] to
     rounding: the model reproduces every such statistic.
     """
-    if not 0.0 <= alpha <= 0.5:
-        raise ValueError("alpha must lie in [0, 1/2]")
-    coeffs, axes, noise = _cell_rows(alice, bob)
+    coeffs, axes, noise = _cell_rows(alice, bob, alpha)
     moments = np.concatenate([[1.0, 0.0, 0.0, 0.0], *([0.5, *(-alpha / 2 * axis)] for axis in axes)])
     return _shaped(alice, bob, (coeffs @ moments).reshape(noise.shape))
 
@@ -190,10 +192,8 @@ def estimate_joint(
     of squares c (sum phi phi^T) c^T (see StreamingMoments for the numerics).
     exact_joint takes E[phi] in closed form instead.
     """
-    if not 0.0 <= alpha <= 0.5:
-        raise ValueError("alpha must lie in [0, 1/2]")
     terms = tuple(terms)
-    coeffs, axes, noise = _cell_rows(alice, bob)
+    coeffs, axes, noise = _cell_rows(alice, bob, alpha)
     shape, cells = noise.shape, noise.size
     # the terms' signed sum, if any, is one more row
     if terms:
@@ -243,12 +243,6 @@ def estimate_joint(
     return JointEstimate(_shaped(alice, bob, probs), _shaped(alice, bob, stderr), cfg.samples, terms_stderr)
 
 
-def teleport_specs(setting: bellcheck.TeleportBellSetting, grouping: bellcheck.OutcomeGrouping) -> tuple[list, list]:
-    """The CH test's settings: the sender's two grouped POVMs and the receiver's two spin measurements."""
-    senders = [MeasurementSpec("povm", e) for e in bellcheck.grouped_alice_effects(setting, grouping)]
-    return senders, [MeasurementSpec("projective", p) for p in bellcheck.bob_projectors(setting)]
-
-
 def lhv_teleport_experiment(
     setting: bellcheck.TeleportBellSetting,
     grouping: bellcheck.OutcomeGrouping,
@@ -257,10 +251,15 @@ def lhv_teleport_experiment(
 ) -> LhvChResult:
     """CH combination of the hidden variable model on the teleportation test.
 
-    One estimate_joint call on ``cfg.seed`` fills the whole table, with one
-    hidden ket per sample for all four settings pairs, so each sample's CH
-    sum lies in [0, 1] and the stderr is that of the sum.
+    The settings are the sender's two grouped POVMs and the receiver's two
+    spin measurements. One estimate_joint call on ``cfg.seed`` fills the
+    whole table, with one hidden ket per sample for all four settings
+    pairs, so each sample's CH sum lies in [0, 1] and the stderr is that of
+    the sum. ``exact`` is exact_joint on the same settings.
     """
-    est = estimate_joint(*teleport_specs(setting, grouping), cfg, alpha=alpha, terms=bellcheck.CH_TERMS)
+    senders = [MeasurementSpec("povm", e) for e in bellcheck.grouped_alice_effects(setting, grouping)]
+    receivers = [MeasurementSpec("projective", p) for p in bellcheck.bob_projectors(setting)]
+    est = estimate_joint(senders, receivers, cfg, alpha=alpha, terms=bellcheck.CH_TERMS)
     table = bellcheck.ProbabilityTable(joints=est.probs, stderr=est.stderr)
-    return LhvChResult(value=bellcheck.ch_value(table), stderr=est.terms_stderr, table=table)
+    exact = bellcheck.ProbabilityTable(joints=exact_joint(senders, receivers, alpha))
+    return LhvChResult(value=bellcheck.ch_value(table), stderr=est.terms_stderr, table=table, exact=exact)

@@ -55,6 +55,7 @@ from .estimates import CHUNK, MonteCarloEstimate, run_chunks
 
 ROUTE_AGREEMENT_ATOL = 1e-12
 _PROBABILITY_FLOOR = 1e-12
+# average_fidelity's rows per chunk; perfbench/machine.working_set and tests/test_blocks.py read and patch it
 _CHUNK = CHUNK
 
 # s_k[a]: the sign of sigma_a x sigma_a in Bell state k, sigma_0 = I (each Bell state's R is diagonal)

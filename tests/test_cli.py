@@ -121,6 +121,22 @@ def test_lhv_command_matches_closed_form(capsys):
     assert exact["pass"] is True and exact["value"] <= 1e-15 and exact["tolerance"] == cli.ANALYTIC_TOL
 
 
+def test_lhv_command_builds_the_ch_settings_once(monkeypatch, capsys):
+    # the sender's two grouped POVMs and the receiver's two spin measurements serve
+    # both the sampled table and the model's exact one
+    built = []
+    post_init = lhv.MeasurementSpec.__post_init__
+
+    def counted(spec):
+        built.append(spec.kind)
+        post_init(spec)
+
+    monkeypatch.setattr(lhv.MeasurementSpec, "__post_init__", counted)
+    code, _ = _run(["lhv", "--samples", "2000"], capsys)
+    assert code == 0
+    assert sorted(built) == ["povm", "povm", "projective", "projective"]
+
+
 def test_gisin_csv_format(capsys):
     code, out = _run(["gisin", "--samples", "30000", "--format", "csv"], capsys)
     assert code == 0
@@ -338,6 +354,7 @@ def _lhv_with_table(monkeypatch, alpha, joints, stderr):
         value=bellcheck.closed_form_value(alpha, setting),
         stderr=0.01,
         table=bellcheck.ProbabilityTable(joints, stderr=stderr),
+        exact=bellcheck.ProbabilityTable(_quantum_joints(alpha)),
     )
     monkeypatch.setattr(lhv, "lhv_teleport_experiment", lambda *args, **kwargs: result)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "telelocal").rglob("*.py"))
 # code lines in src; a change that adds code raises it and says so in CHANGES.md
-CODE_BUDGET = 1012
+CODE_BUDGET = 1010
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:

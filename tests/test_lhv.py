@@ -493,9 +493,32 @@ def test_exact_joint_is_the_quantum_table(alpha, senders, receivers):
     for _ in range(5):
         alice, bob = _exact_settings(rng, senders, receivers)
         npt.assert_allclose(lhv.exact_joint(alice, bob, alpha), _quantum_table(alice, bob, alpha), rtol=0, atol=1e-15)
-    setting, grouping = bellcheck.violation_setting(), bellcheck.OutcomeGrouping()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5])
+def test_teleport_experiment_returns_the_exact_table(alpha):
+    # the experiment's exact table is exact_joint on the CH test's settings, built apart here,
+    # bit for bit, and so Tr[W_alpha (A x B)] at the violation setting; it carries no stderr
+    setting, grouping, senders, receivers, _ = _ch_settings("projective")
+    result = lhv.lhv_teleport_experiment(setting, grouping, lhv.LhvConfig(samples=10, seed=0), alpha=alpha)
+    assert np.array_equal(result.exact.joints, lhv.exact_joint(senders, receivers, alpha))
+    assert result.exact.stderr is None
     oracle = bellcheck.probability_table(setting, grouping, qcore.werner_alpha(alpha)).joints
-    npt.assert_allclose(lhv.exact_joint(*lhv.teleport_specs(setting, grouping), alpha), oracle, rtol=0, atol=1e-15)
+    npt.assert_allclose(result.exact.joints, oracle, rtol=0, atol=1e-15)
+
+
+def test_every_hidden_ket_has_a_ch_sum_in_the_unit_interval():
+    # the module's claim: one hidden ket answers all four settings pairs, so its own CH
+    # sum, the CH row c of the cells' rows times phi = b x (1, m), is a probability
+    _, _, senders, receivers, _ = _ch_settings("projective")
+    coeffs, axes, noise = lhv._cell_rows(senders, receivers, 0.5)
+    ch_row = sum(sign * coeffs[np.ravel_multi_index(cell, noise.shape)] for sign, cell in bellcheck.CH_TERMS)
+    ones_m = bloch_rows(qcore.haar_kets(np.random.default_rng(37), 20_000))
+    hemispheres = (ones_m[:, 1:] @ np.array(axes).T <= 0.0).astype(float)
+    b = np.column_stack([np.ones(len(ones_m)), hemispheres])
+    phi = (b[:, :, None] * ones_m[:, None, :]).reshape(len(ones_m), -1)
+    sums = phi @ ch_row
+    assert sums.min() >= -1e-12 and sums.max() <= 1 + 1e-12
 
 
 def test_exact_joint_takes_the_shapes_of_estimate_joint():
